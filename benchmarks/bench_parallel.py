@@ -1,7 +1,7 @@
 """Experiment PARALLEL — batched `run_many` serving vs sequential loops.
 
-Three workloads measure the batching and sharding layer added on top of
-the compile-and-run engine:
+Two workloads measure the batching layer added on top of the
+compile-and-run engine:
 
 * **batched-json-serving** — the public interchange endpoint on a
   multi-world workload: N JSON-encoded inputs drawn from K distinct
@@ -13,11 +13,9 @@ the compile-and-run engine:
   interner, so each distinct world is normalized once.
 * **batched-text-serving** — the same shape through the paper-notation
   endpoint (``run_text_many`` vs a ``run_text`` loop).
-* **parallel-backend-shard** — ``BACKENDS["parallel"]`` vs eager on a
-  wide fused map chain: the top-level set is sharded across the worker
-  pool.  On GIL builds this is a correctness/overhead check (the
-  speedup hovers around 1x or below); on free-threaded or multicore
-  builds the shards genuinely overlap.
+
+Sharding a single input across worker processes is measured by
+``bench_serve.py``'s process-vs-eager row.
 
 Run ``python benchmarks/bench_parallel.py`` (add ``--quick`` for the CI
 smoke sizes) to print the table and write ``BENCH_parallel.json`` next
@@ -33,17 +31,10 @@ import pathlib
 import random
 import time
 
-from repro.engine import BACKENDS, Engine
 from repro.io import run_json, run_json_many, run_text, run_text_many, value_to_json
-from repro.lang.morphisms import Compose, Id, PairOf
-from repro.lang.primitives import plus
-from repro.lang.set_ops import SetMap
 from repro.values.values import format_value, vorset, vpair, vset
 
 OUT_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_parallel.json"
-
-DOUBLE = Compose(plus(), PairOf(Id(), Id()))
-FUSED_CHAIN = Compose(SetMap(DOUBLE), Compose(SetMap(DOUBLE), SetMap(DOUBLE)))
 
 
 def _design(width: int, salt: int = 0):
@@ -107,28 +98,6 @@ def _workloads(quick: bool = False) -> list[dict]:
             "speedup": t_seq / t_many,
         }
     )
-
-    # 3. parallel-backend-shard: sharded spine vs eager closures.
-    engine = Engine()
-    elements = 500 if quick else 3000
-    xs = vset(*range(elements))
-    assert engine.run(FUSED_CHAIN, xs, backend="parallel") == engine.run(
-        FUSED_CHAIN, xs, backend="eager"
-    )
-    t_eager = _best_of(lambda: engine.run(FUSED_CHAIN, xs, backend="eager", intern=False))
-    t_parallel = _best_of(
-        lambda: engine.run(FUSED_CHAIN, xs, backend="parallel", intern=False)
-    )
-    results.append(
-        {
-            "workload": "parallel-backend-shard",
-            "elements": elements,
-            "workers": BACKENDS["parallel"].max_workers,
-            "eager_s": t_eager,
-            "parallel_s": t_parallel,
-            "speedup": t_eager / t_parallel,
-        }
-    )
     return results
 
 
@@ -137,11 +106,9 @@ def main() -> None:
     results = _workloads(quick=args.quick)
     print(f"{'workload':<26} {'baseline (ms)':>14} {'batched (ms)':>13} {'speedup':>8}")
     for row in results:
-        base = row.get("sequential_s", row.get("eager_s"))
-        new = row.get("run_many_s", row.get("parallel_s"))
         print(
-            f"{row['workload']:<26} {base * 1000:>14.2f}"
-            f" {new * 1000:>13.2f} {row['speedup']:>7.1f}x"
+            f"{row['workload']:<26} {row['sequential_s'] * 1000:>14.2f}"
+            f" {row['run_many_s'] * 1000:>13.2f} {row['speedup']:>7.1f}x"
         )
     OUT_PATH.write_text(json.dumps({"results": results}, indent=2) + "\n")
     print(f"\nwrote {OUT_PATH}")
@@ -149,7 +116,7 @@ def main() -> None:
 
 def _parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(
-        description="run_many batching and parallel-backend benchmarks"
+        description="run_many batching benchmarks"
     )
     parser.add_argument(
         "--quick", action="store_true", help="CI smoke sizes (seconds, not minutes)"
@@ -169,14 +136,6 @@ def test_run_json_many_beats_sequential_loop():
     # One normalization per distinct world instead of one per input makes
     # this a blowout; 0.8 keeps timing noise out of CI.
     assert t_many <= t_seq * 0.8, (t_many, t_seq)
-
-
-def test_parallel_backend_matches_eager_on_bench_workload():
-    engine = Engine()
-    xs = vset(*range(400))
-    assert engine.run(FUSED_CHAIN, xs, backend="parallel") == engine.run(
-        FUSED_CHAIN, xs, backend="eager"
-    )
 
 
 if __name__ == "__main__":

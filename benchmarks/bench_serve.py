@@ -1,6 +1,6 @@
 """Experiment SERVE — async micro-batched serving and process sharding.
 
-Two workloads measure the serving layer added on top of the batched
+Three workloads measure the serving layer added on top of the batched
 engine:
 
 * **async-batched-serving** — the front-end's reason to exist: N
@@ -12,13 +12,14 @@ engine:
   :class:`~repro.serve.AsyncEngine` admits them into one micro-batch,
   deduplicates structurally equal inputs and fans the batch into
   ``run_json_many``, so each distinct world is evaluated once.
-* **process-vs-thread-sharding** — a CPU-bound tight-family-style
+* **process-vs-eager-sharding** — a CPU-bound tight-family-style
   workload (``map(normalize)`` over a wide set of multi-world designs):
-  thread shards serialize on the GIL, worker processes do not.  On a
-  single-core runner this degenerates to a transport-overhead check
-  (speedup ≤ 1, recorded honestly); on multicore CI the processes
-  genuinely overlap.  Each timing repetition uses freshly salted inputs
-  so no backend benefits from memoized normal forms across repeats.
+  eager evaluation runs every element in one process, the process
+  backend shards the set across worker processes.  On a single-core
+  runner this degenerates to a transport-overhead check (speedup ≤ 1,
+  recorded honestly); on multicore CI the processes genuinely overlap.
+  Each timing repetition uses freshly salted inputs so no backend
+  benefits from memoized normal forms across repeats.
 * **robust-serving-under-faults** — the fault-tolerance scenario: an
   overload burst (more concurrent clients than ``max_pending``) with a
   seeded :class:`~repro.engine.faults.FaultPlan` injecting evaluation
@@ -187,7 +188,7 @@ def _workloads(quick: bool = False) -> list[dict]:
         }
     )
 
-    # 2. process-vs-thread-sharding on a CPU-bound wide map(normalize).
+    # 2. process-vs-eager-sharding on a CPU-bound wide map(normalize).
     elements, width = (24, 6) if quick else (48, 8)
     workers = max(2, default_process_count())
     eng = Engine()
@@ -208,17 +209,17 @@ def _workloads(quick: bool = False) -> list[dict]:
             best = min(best, time.perf_counter() - start)
         return best
 
-    t_thread = timed("parallel")
+    t_eager = timed("eager")
     t_process = timed("process")
     results.append(
         {
-            "workload": "process-vs-thread-sharding",
+            "workload": "process-vs-eager-sharding",
             "elements": elements,
             "design_width": width,
             "workers": workers,
-            "thread_s": t_thread,
+            "eager_s": t_eager,
             "process_s": t_process,
-            "speedup": t_thread / t_process,
+            "speedup": t_eager / t_process,
         }
     )
     eng.backends["process"].close()
@@ -274,7 +275,7 @@ def main() -> None:
                 f" overhead={row['steady_state_overhead']:.2f}x"
             )
             continue
-        base = row.get("sequential_s", row.get("thread_s"))
+        base = row.get("sequential_s", row.get("eager_s"))
         new = row.get("async_s", row.get("process_s"))
         print(
             f"{row['workload']:<28} {base * 1000:>14.2f}"

@@ -8,8 +8,8 @@ This package gives the evaluation stack the classic query-engine shape:
 2. **optimize** — :mod:`repro.engine.passes` rewrites the morphism with
    a pipeline of composable equational passes before compilation;
 3. **run** — :mod:`repro.engine.backends` executes the plan eagerly, as
-   a stream, or sharded across a worker pool
-   (:mod:`repro.engine.parallel`), with :mod:`repro.engine.interning`
+   a stream, or sharded across worker processes
+   (:mod:`repro.engine.process`), with :mod:`repro.engine.interning`
    hash-consing values and memoizing ``normalize``.
 
 The single entry point is :func:`run` (or :meth:`Engine.run`)::
@@ -19,19 +19,18 @@ The single entry point is :func:`run` (or :meth:`Engine.run`)::
 
     engine.run(ormap(p1()), vorset(vpair(1, 2)))     # <1>
     engine.run(q, db, backend="streaming")           # lazy spine
-    engine.run(q, db, backend="parallel")            # thread-sharded spine
     engine.run(q, db, backend="process")             # process-sharded spine
     engine.run(q, db, backend="fused")               # columnar fused kernels
     engine.run(q, db, optimize=False, intern=False)  # plain compiled
-    engine.run_many(q, dbs)                          # compile once, fan out
+    engine.run_many(q, dbs)                          # compile once, dedupe
 
 The default ``backend="auto"`` picks the backend *per call* from the
 cost model (:mod:`repro.engine.cost_model`): the input's estimated world
 count and the plan's spine profile decide between eager execution, lazy
-streaming, estimate-proportional thread sharding and — when the estimate
-says the call is CPU-bound enough to amortize plan/value transport —
-true multiprocess sharding (:mod:`repro.engine.process`) — without
-building a single world (Section 6's bounds are computed statically).
+streaming, fused columnar kernels and — when the estimate says the call
+is CPU-bound enough to amortize plan/value transport — multiprocess
+sharding (:mod:`repro.engine.process`) — without building a single
+world (Section 6's bounds are computed statically).
 
 ``engine.run(p, v)`` is structurally equal to the direct interpretation
 ``p(v)`` for every program; the engine is the canonical execution path
@@ -40,15 +39,13 @@ used by the REPL, the I/O helpers, the examples and the benchmarks.
 The module-level :data:`DEFAULT_ENGINE` is safe for concurrent use: the
 plan cache is guarded by a lock (and LRU-bounded), and the shared
 :class:`Interner` serializes arena access internally — which is what
-lets :meth:`Engine.run_many` and the parallel backend hammer one engine
-from many threads.
+lets the serving layer's executor threads hammer one engine at once.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator, Sequence
 
 from repro.lang.morphisms import Morphism
@@ -89,7 +86,6 @@ from repro.engine.deadline import (
     deadline_scope,
 )
 from repro.engine.interning import Interner
-from repro.engine.parallel import ParallelBackend, ShardedBackend, default_worker_count
 from repro.engine.process import ProcessBackend, default_process_count
 from repro.engine.passes import (
     COND_PUSHDOWN,
@@ -148,9 +144,7 @@ __all__ = [
     "Backend",
     "EagerBackend",
     "StreamingBackend",
-    "ParallelBackend",
     "ProcessBackend",
-    "ShardedBackend",
     "FusedBackend",
     "SymbolicBackend",
     "ChoiceSpace",
@@ -159,7 +153,6 @@ __all__ = [
     "Arena",
     "fuse_plan",
     "BACKENDS",
-    "default_worker_count",
     "default_process_count",
     "ShapeEstimate",
     "estimate_value",
@@ -224,8 +217,8 @@ class Engine:
 
         A supervised backend whose circuit breaker is open reports
         ``healthy() == False`` and is dropped from the candidate set, so
-        ``backend="auto"`` degrades around it (process → parallel) until
-        the breaker half-opens and a probe heals it.  Explicit
+        ``backend="auto"`` degrades around it (process → streaming or
+        eager) until the breaker half-opens and a probe heals it.  Explicit
         ``backend="name"`` requests bypass this filter — their supervised
         fallbacks keep them safe.
         """
@@ -335,7 +328,7 @@ class Engine:
     ) -> Value:
         """Compile *program* and execute it on *value*.
 
-        ``backend`` selects eager, streaming or parallel execution — or
+        ``backend`` names a registered backend (:data:`BACKENDS`) — or
         ``"auto"`` (the default), which picks per call from the cost
         model's static world-count estimate and the plan's spine profile
         (:func:`repro.engine.cost_model.select_backend`); ``optimize``
@@ -368,7 +361,7 @@ class Engine:
             plan, concrete, existential=existential, available=self._available()
         )
         chosen = self.backends[choice.backend]
-        if choice.shards is not None and isinstance(chosen, ShardedBackend):
+        if choice.shards is not None and isinstance(chosen, ProcessBackend):
             return chosen.execute(plan, concrete, interner, shard_hint=choice.shards)
         return chosen.execute(plan, concrete, interner)
 
@@ -381,19 +374,20 @@ class Engine:
         optimize: bool = True,
         intern: bool = True,
         interner: Interner | None = None,
-        max_workers: int | None = None,
     ) -> list[Value]:
-        """Run *program* on every input in *values*: compile once, fan out.
+        """Run *program* on every input in *values*: compile once, dedupe.
 
         The batched counterpart of :meth:`run`: one plan compilation and
-        one backend bind are amortized over the whole batch, structurally
-        equal inputs are computed once, and distinct inputs are fanned
-        out across a worker pool (``max_workers``; pass ``0`` or ``1``
-        for strictly sequential execution).  Results come back in input
-        order and satisfy ``run_many(p, vs)[i] == run(p, vs[i])``.
+        one backend bind are amortized over the whole batch, and
+        structurally equal inputs are computed once.  Distinct inputs run
+        one after another, except on the process backend, whose batch
+        hook (:meth:`ProcessBackend.run_values`) fans whole inputs
+        across its worker processes.  Results come back in input order
+        and satisfy ``run_many(p, vs)[i] == run(p, vs[i])``.
         ``backend="auto"`` (the default) re-selects the backend per
         distinct input — a batch can mix small eager inputs with wide
-        sharded ones.
+        sharded ones — and takes the batch hook when every distinct
+        input selects the process backend.
 
         *interner* overrides the engine's arena for this batch — pass a
         fresh :class:`Interner` to share memoized normal forms *within*
@@ -419,46 +413,21 @@ class Engine:
                 index[v] = len(unique)
                 unique.append(v)
 
-        def run_one(v: Value) -> Value:
-            result = self._execute(backend, plan, v, arena)
-            if arena is not None:
-                result = arena.intern(result)
-            return result
-
         chosen = self.backends.get(backend) if backend != "auto" else None
-        workers = default_worker_count() if max_workers is None else max_workers
-        if backend == "auto" and workers > 1 and len(unique) > 1:
-            # A batch whose every input auto-selects the process backend
-            # should use the batch hook too, not stack the thread pool
-            # on top of the process pool (one chunk per worker beats
-            # many threads hammering pool.map concurrently).
+        if backend == "auto" and len(unique) > 1:
             proc = self.backends.get("process")
             if isinstance(proc, ProcessBackend) and all(
                 select_backend(plan, v, available=self._available()).backend == "process"
                 for v in unique
             ):
                 chosen = proc
-        if (
-            isinstance(chosen, ProcessBackend)
-            and workers > 1
-            and len(unique) > 1
-            and chosen.can_transport(plan)
-        ):
-            # The process backend's batch hook: whole inputs fan out
-            # across worker processes, one chunk per task — no thread
-            # pool stacked on top of the process pool.  The caller's
-            # max_workers bound caps the process fan-out too.  A plan
-            # that cannot pickle never reaches this branch: the thread
-            # fan-out below beats run_values' sequential eager fallback.
-            results = chosen.run_values(plan, unique, arena, max_workers=workers)
-        elif workers > 1 and len(unique) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(workers, len(unique)),
-                thread_name_prefix="repro-run-many",
-            ) as pool:
-                results = list(pool.map(run_one, unique))
+        if isinstance(chosen, ProcessBackend):
+            results = chosen.run_values(plan, unique, arena)
         else:
-            results = [run_one(v) for v in unique]
+            results = []
+            for v in unique:
+                result = self._execute(backend, plan, v, arena)
+                results.append(arena.intern(result) if arena is not None else result)
         return [results[index[v]] for v in concrete]
 
     def possibilities(
@@ -679,7 +648,7 @@ def run(program: Morphism, value: object, **options) -> Value:
 
 
 def run_many(program: Morphism, values: Sequence[object], **options) -> list[Value]:
-    """Batched :func:`run` through the default engine (compile once, fan out)."""
+    """Batched :func:`run` through the default engine (compile once, dedupe)."""
     return DEFAULT_ENGINE.run_many(program, values, **options)
 
 

@@ -24,15 +24,16 @@ queries short-circuit without producing a whole normal form; the
 streaming backend overrides it so the first conceptual value is yielded
 straight off the lazy spine, before any materialization.
 
-Two more strategies share the sharded spine walk of
-:class:`~repro.engine.parallel.ShardedBackend`: the thread-pool
-:class:`~repro.engine.parallel.ParallelBackend` (``BACKENDS["parallel"]``)
-and the multiprocess :class:`~repro.engine.process.ProcessBackend`
-(``BACKENDS["process"]``); each registers itself when its module is
-imported (which :mod:`repro.engine` always does).
+Three more strategies register themselves when their modules are
+imported (which :mod:`repro.engine` always does): the multiprocess
+sharded spine walk :class:`~repro.engine.process.ProcessBackend`
+(``BACKENDS["process"]``), the fused columnar kernels of
+:class:`~repro.engine.columnar.FusedBackend` (``BACKENDS["fused"]``) and
+the knowledge-compilation :class:`~repro.engine.symbolic.SymbolicBackend`
+(``BACKENDS["symbolic"]``).
 
 Callers rarely pick from :data:`BACKENDS` by hand: ``backend="auto"``
-(the :meth:`repro.engine.Engine.run` default) chooses among the four
+(the :meth:`repro.engine.Engine.run` default) chooses among them
 per call, from the cost model's static world-count estimate and the
 plan's spine profile (:func:`repro.engine.cost_model.select_backend`).
 The differential conformance suite

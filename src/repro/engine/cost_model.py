@@ -33,8 +33,8 @@ Three consumers sit on top of the estimator:
 * :func:`select_backend` picks the execution backend per call — eager
   for small estimated world counts, streaming when the estimate says the
   normal form is huge (existential consumers then short-circuit off the
-  lazy spine), parallel with estimate-proportional shard sizes when the
-  top-level spine is wide.
+  lazy spine), fused or process (with estimate-proportional shard sizes)
+  when the top-level spine is wide.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ __all__ = [
     "STREAM_NORM_SIZE",
     "SHARD_TARGET_WORK",
     "PROCESS_NORM_SIZE",
-    "PARALLEL_BREAK_EVEN_WORK",
+    "SHARD_BREAK_EVEN_WORK",
     "FUSED_MIN_SPINE",
 ]
 
@@ -121,21 +121,21 @@ WIDE_SPINE = 32
 #: run lazily rather than materialize canonical intermediates.
 STREAM_NORM_SIZE = 4096
 
-#: Target estimated leaf-work per parallel shard; the shard-count hint is
+#: Target estimated leaf-work per process shard; the shard-count hint is
 #: the estimated total size divided by this, clamped to the spine width.
 SHARD_TARGET_WORK = 256
 
 #: Estimated total work past which a wide spine counts as *CPU-bound*:
-#: on GIL builds thread shards serialize, so once the per-call estimate
-#: amortizes plan transport and value pickling, the multiprocess backend
-#: wins.  Only consulted when a ``"process"`` backend is registered.
+#: once the per-call estimate amortizes plan transport and value
+#: pickling, the multiprocess backend wins.  Only consulted when a
+#: ``"process"`` backend is registered.
 PROCESS_NORM_SIZE = 1 << 16
 
 #: Estimated per-element work below which sharding a wide spine costs
-#: more than it buys (chunk bookkeeping and pool dispatch dominate, the
-#: 0.78x BENCH_parallel regression): below this, a wide flat spine runs
-#: as a fused columnar kernel instead of being split across workers.
-PARALLEL_BREAK_EVEN_WORK = 4
+#: more than it buys (chunk bookkeeping and pool dispatch dominate): below
+#: this, a wide flat spine runs as a fused columnar kernel when it fuses,
+#: eagerly when it does not.
+SHARD_BREAK_EVEN_WORK = 4
 
 #: Minimum top-level width for the fused columnar path: narrower
 #: collections never amortize the arena encode/decode.
@@ -579,7 +579,7 @@ def select_backend(
     world_query: bool = False,
     available: "Collection[str] | None" = None,
 ) -> BackendChoice:
-    """Pick the backend — eager/streaming/parallel/process/fused/symbolic —
+    """Pick the backend — eager/streaming/process/fused/symbolic —
     for this (plan, value) call.
 
     * **small** estimated world count → ``eager`` (closure execution and
@@ -595,29 +595,28 @@ def select_backend(
       ``streaming`` (the first witness comes off the lazy spine before
       any normal form is materialized);
     * **wide** top-level collection whose estimated per-element work is
-      below :data:`PARALLEL_BREAK_EVEN_WORK` → ``fused`` when the spine
+      below :data:`SHARD_BREAK_EVEN_WORK` → ``fused`` when the spine
       has a fusible run at least :data:`FUSED_MIN_SPINE` wide (one
       columnar kernel instead of shards that lose to eager), ``eager``
       otherwise;
     * **wide** top-level collection under a streamable spine whose
       estimated total work amortizes process transport
-      (:data:`PROCESS_NORM_SIZE`) → ``process`` (true CPU parallelism);
-    * **wide** top-level collection under a streamable spine →
-      ``parallel``, with a shard-count hint proportional to the
-      estimated total work (:data:`SHARD_TARGET_WORK` per shard);
+      (:data:`PROCESS_NORM_SIZE`) → ``process`` (true CPU parallelism),
+      with a shard-count hint proportional to the estimated total work
+      (:data:`SHARD_TARGET_WORK` per shard);
     * a streamable spine whose estimated normal form is large →
       ``streaming`` (skip canonicalizing big intermediates);
     * anything else → ``eager``.
 
     *available* restricts the choice to the caller's registered backend
     names (``Engine`` passes its registry).  ``None`` — the bare-function
-    default — means the in-thread backends only, so direct callers never
+    default — means the in-process backends only, so direct callers never
     receive a ``"process"`` decision they did not sign up for.
     """
     est = estimate_value(value)
     profile = plan_profile(plan)
     names = (
-        ("eager", "streaming", "parallel", "fused", "symbolic")
+        ("eager", "streaming", "fused", "symbolic")
         if available is None
         else available
     )
@@ -645,9 +644,8 @@ def select_backend(
     if est.worlds <= SMALL_WORLDS and (est.width or 0) < WIDE_SPINE:
         return BackendChoice("eager", f"small (~{est.worlds} estimated worlds)")
     if profile.spine_maps >= 1 and est.width is not None and est.width >= WIDE_SPINE:
-        shards = max(2, min(est.width, est.norm_size // SHARD_TARGET_WORK or 2))
         elem_work = est.norm_size // max(1, est.width)
-        if elem_work < PARALLEL_BREAK_EVEN_WORK:
+        if elem_work < SHARD_BREAK_EVEN_WORK:
             # Sharding below the break-even loses to eager (pool dispatch
             # swamps the per-element work); a fused columnar kernel still
             # wins by skipping per-element boxing and dispatch entirely.
@@ -664,19 +662,14 @@ def select_backend(
             return BackendChoice(
                 "eager",
                 f"wide spine below the sharding break-even (~{elem_work} "
-                f"estimated work/element < {PARALLEL_BREAK_EVEN_WORK})",
+                f"estimated work/element < {SHARD_BREAK_EVEN_WORK})",
             )
         if "process" in names and est.norm_size >= PROCESS_NORM_SIZE:
+            shards = max(2, min(est.width, est.norm_size // SHARD_TARGET_WORK, 32))
             return BackendChoice(
                 "process",
                 f"CPU-bound wide spine ({est.width} elements, "
                 f"~{est.norm_size} estimated work amortizes process transport)",
-                shards=min(shards, 32),
-            )
-        if "parallel" in names:
-            return BackendChoice(
-                "parallel",
-                f"wide spine ({est.width} elements, ~{est.norm_size} estimated work)",
                 shards=shards,
             )
     if (

@@ -30,8 +30,8 @@ or call :meth:`Interner.clear` to release everything by hand.
 
 All public methods are thread-safe: one :class:`threading.RLock` guards
 the arena and the derived-result caches, which is what makes the shared
-``DEFAULT_ENGINE`` safe to hammer from the parallel backend and
-``run_many`` worker threads.
+``DEFAULT_ENGINE`` safe to hammer from the serving layer's executor
+threads.
 """
 
 from __future__ import annotations

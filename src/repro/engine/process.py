@@ -1,24 +1,44 @@
-"""The multiprocess backend: true CPU parallelism for compiled plans.
+"""The multiprocess backend: sharded spine execution across worker processes.
 
-:class:`~repro.engine.parallel.ParallelBackend` shards the collection
-spine across *threads* — safe and cheap, but on GIL builds CPU-bound
-plans (normalization, arithmetic-heavy map bodies) serialize anyway.
-:class:`ProcessBackend` runs the same sharded spine walk (it subclasses
-:class:`~repro.engine.parallel.ShardedBackend`) with the shards executed
-in a :class:`~concurrent.futures.ProcessPoolExecutor`:
+The PODS'93 semantics makes possible-worlds evaluation embarrassingly
+parallel — every or-set branch is an independent world, and the
+structural operators (``map``, ``mu``, the coercions) act elementwise on
+the top-level collection.  On GIL builds only worker *processes* turn
+that independence into CPU parallelism for pure-Python work, so
+:class:`ProcessBackend` is the engine's one sharding path.  It walks the
+plan's root chain after :func:`~repro.engine.passes.fuse_plan`, which
+collapses every run of two or more spine stages into one ``fused`` node:
+
+* a spine ``map`` splits its input collection into *shards*
+  (contiguous element chunks), and the body runs on each shard in a
+  :class:`~concurrent.futures.ProcessPoolExecutor` worker;
+* a map-only ``fused`` node runs its columnar kernel on contiguous
+  arena slices in the workers; a fused run with ``mu``, coercion or
+  ``unique`` stages runs single-pass in the coordinator, since those
+  re-segment or change cardinality across slice boundaries;
+* every other node runs its eager closure in the coordinator;
+* shard results merge in order, and the collection constructors
+  canonicalize (sort, deduplicate) exactly as the eager backend's do,
+  so results are structurally identical to
+  :class:`~repro.engine.backends.EagerBackend`'s on every program
+  (gated for every registered backend by
+  ``tests/engine/test_backend_conformance.py``).
+
+Transport and supervision:
 
 * **pickle-safe transport** — the compiled :class:`~repro.engine.plan.Plan`
   is pickled *once* per plan (``Plan.__getstate__`` drops bound closures)
   and shipped to workers as a byte payload; each worker caches the
   unpickled plan and its bound closures keyed on the payload digest, so
   repeated shards of the same plan only pay the transport, not the
-  rebind.  Values cross the boundary as ordinary pickles.
+  rebind.  Values cross the boundary as ordinary pickles.  The worker
+  entry points are module-level functions, not closures: a
+  lambda-capturing closure would not survive the trip.
 * **per-worker interner** — every worker process owns a private
   :class:`~repro.engine.interning.Interner` (keyed on ``os.getpid()`` so
   a forked arena is never reused), giving shard-local hash-consing and
   memoized ``normalize``; the coordinator merges shard results in order
-  on materialization and the caller's arena re-interns the final value —
-  merge-on-materialize, exactly like the thread backend.
+  and the caller's arena re-interns the final value.
 * **graceful degradation** — a plan that does not pickle (a user
   primitive wrapping a lambda, say) falls back to eager execution in the
   coordinating process (counted in ``stats()["pickle_fallbacks"]``), and
@@ -31,7 +51,9 @@ in a :class:`~concurrent.futures.ProcessPoolExecutor`:
   :class:`~repro.engine.supervisor.CircuitBreaker`; while it is open,
   :meth:`ProcessBackend.healthy` answers ``False`` and the adaptive
   selector routes around the backend until the breaker half-opens and a
-  probe succeeds.
+  probe succeeds.  Inside a *daemonic* process (a ``NetServer`` router
+  worker, say) no pool is started at all — daemonic processes may not
+  have children — and every shard runs inline.
 
 Requests carrying a deadline (:mod:`repro.engine.deadline`) are
 enforced coordinator-side: shard futures are awaited with
@@ -57,26 +79,26 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import multiprocessing
 import os
 import pickle
 import threading
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from itertools import repeat
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import DeadlineExceeded
 from repro.values.values import Value
 
 from repro.engine import faults
 from repro.engine.analysis import plan_facts
-from repro.engine.backends import BACKENDS
-from repro.engine.columnar import Arena, compile_stages, run_stages
-from repro.engine.deadline import current_deadline
+from repro.engine.backends import _WRAPPER_OF, BACKENDS, Backend
+from repro.engine.columnar import Arena, compile_stages, encode_input, run_stages
+from repro.engine.deadline import checkpoint, current_deadline
 from repro.engine.faults import InjectedFault
 from repro.engine.interning import Interner
-from repro.engine.parallel import ShardedBackend, even_chunks, even_ranges
-from repro.engine.plan import Plan, PlanNode
+from repro.engine.plan import MAP_KINDS, Plan, PlanNode
 from repro.engine.supervisor import CircuitBreaker, Supervisor
 
 __all__ = ["ProcessBackend", "default_process_count"]
@@ -93,6 +115,45 @@ _MAX_WORKER_PLANS = 128
 def default_process_count() -> int:
     """Default worker-process count: the machine's cores, bounded."""
     return max(1, min(16, os.cpu_count() or 1))
+
+
+# -- chunking ----------------------------------------------------------------
+
+
+def even_ranges(length: int, n: int) -> list[tuple[int, int]]:
+    """Contiguous ``(start, stop)`` ranges covering ``range(length)``."""
+    n = max(1, min(n, length))
+    step, extra = divmod(length, n)
+    ranges, start = [], 0
+    for i in range(n):
+        end = start + step + (1 if i < extra else 0)
+        ranges.append((start, end))
+        start = end
+    return ranges
+
+
+def even_chunks(items: list, n: int) -> list[list]:
+    """Split *items* into *n* contiguous chunks of near-equal length."""
+    return [items[a:b] for a, b in even_ranges(len(items), n)]
+
+
+def _bind_subtree(
+    plan: Plan,
+    idx: int,
+    leaf: Callable | None,
+    bound: dict[int, Callable[[Value], Value]] | None = None,
+) -> Callable[[Value], Value]:
+    """Eager closures for the subtree at *idx*, cached in *bound*."""
+    cache: dict[int, Callable[[Value], Value]] = {} if bound is None else bound
+
+    def build(i: int) -> Callable[[Value], Value]:
+        fn = cache.get(i)
+        if fn is None:
+            fn = Plan._build_node(plan.nodes[i], build, leaf)
+            cache[i] = fn
+        return fn
+
+    return build(idx)
 
 
 # -- worker side -------------------------------------------------------------
@@ -127,22 +188,6 @@ def _worker_plan(payload: bytes) -> tuple[dict, bytes, Plan]:
         plan = pickle.loads(payload)
         state["plans"][key] = plan
     return state, key, plan
-
-
-def _bind_subtree(
-    plan: Plan, idx: int, leaf: Callable | None
-) -> Callable[[Value], Value]:
-    """Eager closures for the subtree at *idx* (worker-side rebind)."""
-    bound: dict[int, Callable[[Value], Value]] = {}
-
-    def build(i: int) -> Callable[[Value], Value]:
-        fn = bound.get(i)
-        if fn is None:
-            fn = Plan._build_node(plan.nodes[i], build, leaf)
-            bound[i] = fn
-        return fn
-
-    return build(idx)
 
 
 def _bind_body(plan: Plan, interner: Interner, idx: int) -> Callable[[Value], Value]:
@@ -204,13 +249,13 @@ def _worker_ping(_i: int) -> int:
 # -- coordinator side --------------------------------------------------------
 
 
-class ProcessBackend(ShardedBackend):
+class ProcessBackend(Backend):
     """Sharded spine execution across a process pool.
 
-    *max_workers* sizes the pool (default :func:`default_process_count`);
+    *max_workers* sizes the pool (default :func:`default_process_count`;
+    ``1`` starts no pool and evaluates everything in-process);
     *min_shard* is the smallest collection worth shipping to workers —
-    process transport costs more than a thread handoff, so the default is
-    higher than the thread backend's; *mp_context* overrides the
+    anything shorter runs in-process; *mp_context* overrides the
     :mod:`multiprocessing` start-method context.
 
     ``mp_context=None`` keeps the platform default (``fork`` on Linux):
@@ -234,10 +279,8 @@ class ProcessBackend(ShardedBackend):
         supervisor: Supervisor | None = None,
         breaker: CircuitBreaker | None = None,
     ) -> None:
-        super().__init__(
-            max_workers=max_workers if max_workers is not None else default_process_count(),
-            min_shard=min_shard,
-        )
+        self.max_workers = max_workers if max_workers is not None else default_process_count()
+        self.min_shard = max(1, min_shard)
         self.mp_context = mp_context
         self._pool: ProcessPoolExecutor | None = None
         self._pool_lock = threading.Lock()
@@ -252,7 +295,12 @@ class ProcessBackend(ShardedBackend):
     # -- pool --------------------------------------------------------------
 
     def _executor(self) -> ProcessPoolExecutor | None:
-        if self.max_workers <= 1:
+        """The worker pool, started on first use; ``None`` means inline.
+
+        A daemonic process (a ``NetServer`` router worker) may not have
+        children, so it never starts a pool and evaluates in-process.
+        """
+        if self.max_workers <= 1 or multiprocessing.current_process().daemon:
             return None
         pool = self._pool
         if pool is None:
@@ -391,17 +439,11 @@ class ProcessBackend(ShardedBackend):
     def can_transport(self, plan: Plan) -> bool:
         """Can *plan* reach the workers at all (is its pickle payload ok)?
 
-        ``Engine.run_many`` consults this before committing a batch to
-        :meth:`run_values`: an untransportable plan is better served by
-        the *thread* fan-out than by this backend's sequential eager
-        fallback.
-
         The memoized static fact
         (:func:`repro.engine.analysis.plan_facts`) answers the common
         case without touching the payload cache lock; the actual pickle
-        payload stays the final word, so the decision is exactly the
-        pre-analysis one (a leaf that pickles in isolation but whose
-        *assembly* does not is still rejected).
+        payload stays the final word, so a leaf that pickles in
+        isolation but whose *assembly* does not is still rejected.
         """
         if not plan_facts(plan).transportable:
             return False
@@ -434,6 +476,8 @@ class ProcessBackend(ShardedBackend):
         interner: Interner | None = None,
         shard_hint: int | None = None,
     ) -> Value:
+        """Run the plan; *shard_hint* (from the cost model's estimate)
+        sizes the chunks whenever a spine collection is sharded."""
         from repro.engine.passes import fuse_plan
 
         # Fuse before the transport check so the payload workers receive
@@ -444,105 +488,178 @@ class ProcessBackend(ShardedBackend):
             # beats parallelism, so run it eagerly in-process.
             self._count("pickle_fallbacks")
             return BACKENDS["eager"].execute(plan, value, interner)
-        return super().execute(plan, value, interner, shard_hint)
+        leaf = interner.leaf_apply if interner is not None else None
+        return self._eval(plan, plan.root, value, leaf, {}, shard_hint)
 
-    def _run_map_stage(
+    # -- the sharded spine walk --------------------------------------------
+
+    def _eval(
         self,
         plan: Plan,
-        body_idx: int,
-        chunks: list[list[Value]],
+        idx: int,
+        value: Value,
         leaf: Callable | None,
         bound: dict[int, Callable[[Value], Value]],
-    ) -> list[list[Value]]:
-        pool = self._executor() if len(chunks) > 1 else None
+        hint: int | None = None,
+    ) -> Value:
+        """Run the subtree at *idx*: the root chain step by step, spine
+        ``map`` and ``fused`` nodes sharded, anything else eagerly.
+
+        :func:`~repro.engine.passes.fuse_plan` collapses every run of two
+        or more spine stages into one ``fused`` node, so shards never
+        flow from one step into the next: each step receives a concrete
+        value and returns one.
+        """
+        node = plan.nodes[idx]
+        checkpoint("sharded stage")
+        if node.op == "chain":
+            for kid in node.kids:
+                value = self._eval(plan, kid, value, leaf, bound, hint)
+            return value
+        if node.op == "map":
+            return self._run_map(plan, node, value, leaf, bound, hint)
+        if node.op == "fused":
+            return self._run_fused(plan, node, value, leaf, bound, hint)
+        return _bind_subtree(plan, idx, leaf, bound)(value)
+
+    def _shard_count(self, n: int, hint: int | None) -> int:
+        """How many shards an *n*-element collection splits into.
+
+        ``1`` means run inline: the collection is narrower than
+        *min_shard*, or there is no pool.  A shard-count *hint* (the cost
+        model's estimate-proportional choice) overrides the default of
+        two shards per worker.
+        """
+        if n < max(self.min_shard, 2) or self._executor() is None:
+            return 1
+        return min(n, hint if hint else self.max_workers * 2)
+
+    def _remote(self, plan: Plan, fn: Callable, *columns: Iterable) -> list | None:
+        """Map a worker entry point over the pool, one task per row.
+
+        Each task gets *plan*'s payload followed by one item of every
+        column.  Returns ``None`` when the caller should evaluate
+        locally: no pool, an unpicklable plan, or a pool that failed
+        under :meth:`_supervised`.
+        """
+        pool = self._executor()
         payload = self._payload(plan) if pool is not None else None
-        if pool is None or payload is None:
-            return super()._run_map_stage(plan, body_idx, chunks, leaf, bound)
+        if payload is None:
+            return None
+
         def attempt() -> list:
-            return self._pool_map(
-                self._executor(),
-                _run_chunk_remote,
-                repeat(payload),
-                repeat(body_idx),
-                chunks,
-            )
+            return self._pool_map(self._executor(), fn, repeat(payload), *columns)
 
         results = self._supervised(attempt)
-        if results is None:
-            return super()._run_map_stage(plan, body_idx, chunks, leaf, bound)
-        self._count("remote_chunks", len(chunks))
+        if results is not None:
+            self._count("remote_chunks", len(results))
         return results
 
-    def _run_fused_slices(
+    def _run_map(
         self,
         plan: Plan,
         node: PlanNode,
-        arena: Arena,
-        n_slices: int,
+        value: Value,
         leaf: Callable | None,
         bound: dict[int, Callable[[Value], Value]],
-    ) -> Arena | None:
-        pool = self._executor()
-        payload = self._payload(plan) if pool is not None else None
-        if pool is None or payload is None:
-            return None
-        ranges = even_ranges(len(arena), n_slices)
-        if len(ranges) <= 1:
-            return None
-        def attempt() -> list:
-            return self._pool_map(
-                self._executor(),
-                _run_fused_slice_remote,
-                repeat(payload),
-                repeat(node.idx),
-                repeat(arena.kind),
-                [arena.bases[a:b] for a, b in ranges],
-                [arena.raws[a:b] for a, b in ranges],
-            )
+        hint: int | None = None,
+    ) -> Value:
+        """One spine ``map``: the body runs on each shard in a worker.
 
-        results = self._supervised(attempt)
+        A bound closure cannot cross a process boundary, so workers get
+        the plan payload and the body's node index and rebind remotely.
+        A narrow input or a failed pool maps the body here.
+        """
+        _kind, wrapper, _tw, _noun = MAP_KINDS[type(node.source)]
+        if not isinstance(value, wrapper):
+            # The eager closure raises the map's own type error.
+            return _bind_subtree(plan, node.idx, leaf, bound)(value)
+        n = self._shard_count(len(value.elems), hint)
+        if n > 1:
+            chunks = even_chunks(list(value.elems), n)
+            results = self._remote(plan, _run_chunk_remote, repeat(node.kids[0]), chunks)
+            if results is not None:
+                return wrapper(e for chunk in results for e in chunk)
+        body = _bind_subtree(plan, node.kids[0], leaf, bound)
+
+        def mapped() -> Iterator[Value]:
+            for e in value.elems:
+                # The cooperative cancellation point of the inline path;
+                # pool-side, the coordinator polices the deadline.
+                checkpoint("sharded map body")
+                yield body(e)
+
+        return wrapper(mapped())
+
+    def _run_fused(
+        self,
+        plan: Plan,
+        node: PlanNode,
+        value: Value,
+        leaf: Callable | None,
+        bound: dict[int, Callable[[Value], Value]],
+        hint: int | None = None,
+    ) -> Value:
+        """One fused node: a map-only kernel runs on arena slices in
+        workers; anything else, a narrow input or a failed pool runs the
+        kernel here."""
+        kernel = _bind_subtree(plan, node.idx, leaf, bound)
+        spec = node.spec or ()
+        if (
+            # mu re-segments and retag/unique change cardinality across
+            # slice boundaries; those run single-pass here.
+            not spec
+            or any(stage[0] != "map" for stage in spec)
+            # A mistyped input raises the kernel's own type error.
+            or not isinstance(value, _WRAPPER_OF[spec[0][1]])
+        ):
+            return kernel(value)
+        n = self._shard_count(len(value.elems), hint)
+        if n <= 1:
+            return kernel(value)
+        arena = encode_input(spec, value)
+        ranges = even_ranges(len(arena), n)
+        results = self._remote(
+            plan,
+            _run_fused_slice_remote,
+            repeat(node.idx),
+            repeat(arena.kind),
+            [arena.bases[a:b] for a, b in ranges],
+            [arena.raws[a:b] for a, b in ranges],
+        )
         if results is None:
-            return None
-        self._count("remote_chunks", len(ranges))
+            return kernel(value)
         bases: list = []
         raws: list = []
         for _kind, slice_bases, slice_raws in results:
             bases.extend(slice_bases)
             raws.extend(slice_raws)
-        return Arena(results[0][0], bases, raws)
+        return Arena(results[0][0], bases, raws).to_value()
+
+    # -- batches -----------------------------------------------------------
 
     def run_values(
         self,
         plan: Plan,
         values: Sequence[Value],
         interner: Interner | None = None,
-        max_workers: int | None = None,
     ) -> list[Value]:
         """Fan *whole inputs* across the worker pool, one chunk per task.
 
-        The batch hook behind ``Engine.run_many(..., backend="process")``:
-        each input is evaluated start-to-finish inside one worker (no
-        per-stage materialization crossing the boundary), and results
-        come back in input order.  *max_workers* is the caller's
-        fan-out bound (``run_many``'s parameter): fewer chunks are cut
-        when it is tighter than the pool.
+        The batch hook behind ``Engine.run_many``: each input is
+        evaluated start-to-finish inside one worker (no per-stage
+        materialization crossing the boundary), and results come back in
+        input order.  One input, no pool, an unpicklable plan or a
+        failed pool evaluates the inputs one by one in this process.
         """
-        fanout = self.max_workers if max_workers is None else min(max_workers, self.max_workers)
-        pool = self._executor() if fanout > 1 else None
-        payload = self._payload(plan) if pool is not None else None
-        if pool is None or payload is None or len(values) <= 1:
-            return [self.execute(plan, v, interner) for v in values]
-        chunks = even_chunks(list(values), fanout)
-        def attempt() -> list:
-            return self._pool_map(
-                self._executor(), _run_chunk_remote, repeat(payload), repeat(None), chunks
-            )
-
-        shards = self._supervised(attempt)
+        shards = None
+        if len(values) > 1:
+            chunks = even_chunks(list(values), self.max_workers)
+            shards = self._remote(plan, _run_chunk_remote, repeat(None), chunks)
         if shards is None:
-            return [self.execute(plan, v, interner) for v in values]
-        self._count("remote_chunks", len(chunks))
-        results = [r for shard in shards for r in shard]
+            results = [self.execute(plan, v, interner) for v in values]
+        else:
+            results = [r for shard in shards for r in shard]
         if interner is not None:
             results = [interner.intern(r) for r in results]
         return results

@@ -355,18 +355,16 @@ def run_text_many(
     morphism_text,
     value_texts: list[str],
     backend: str = "eager",
-    max_workers: int | None = None,
     timeout: float | None = None,
 ) -> list[str]:
-    """Batched :func:`run_text`: parse and compile once, fan out.
+    """Batched :func:`run_text`: parse and compile once, dedupe.
 
     Unlike a loop of ``run_text`` calls, the batch shares one
     *batch-scoped* interner — structurally equal inputs (and their
     memoized normal forms) are computed once — and nothing stays pinned
     in the default engine's arena after the call returns.  *morphism_text*
-    may also be a pre-resolved Morphism; *max_workers* bounds the batch's
-    fan-out (``0``/``1`` for strictly sequential); *timeout* bounds the
-    whole batch's evaluation (see :func:`run_text`).
+    may also be a pre-resolved Morphism; *timeout* bounds the whole
+    batch's evaluation (see :func:`run_text`).
     """
     from repro.engine import DEFAULT_ENGINE, Interner
     from repro.lang.parser import parse_value
@@ -377,7 +375,6 @@ def run_text_many(
             [parse_value(text) for text in value_texts],
             backend=backend,
             interner=Interner(),
-            max_workers=max_workers,
         )
     return [format_value(r) for r in results]
 
@@ -386,10 +383,9 @@ def run_json_many(
     morphism_text,
     values_json: list,
     backend: str = "eager",
-    max_workers: int | None = None,
     timeout: float | None = None,
 ) -> list[object]:
-    """Batched :func:`run_json`: parse and compile once, fan out.
+    """Batched :func:`run_json`: parse and compile once, dedupe.
 
     The batch endpoint for serving many worlds of one query — and the
     function the async front-end (:mod:`repro.serve`) fans each
@@ -398,12 +394,12 @@ def run_json_many(
     serving loop pays the parse once per query text, not per batch),
     structurally equal inputs are computed once (one batch-scoped
     interner shares memoized normal forms across the whole batch), and
-    distinct inputs fan out across worker threads — or whole worker
-    processes when ``backend="process"``.  Results come back in input
-    order; nothing is pinned in the default engine's arena afterwards.
-    *morphism_text* may also be a pre-resolved Morphism; *max_workers*
-    bounds the batch's fan-out (``0``/``1`` for strictly sequential);
-    *timeout* bounds the whole batch's evaluation (see :func:`run_text`).
+    distinct inputs fan out across worker processes when the batch runs
+    on the process backend (see :meth:`repro.engine.Engine.run_many`).
+    Results come back in input order; nothing is pinned in the default
+    engine's arena afterwards.  *morphism_text* may also be a
+    pre-resolved Morphism; *timeout* bounds the whole batch's
+    evaluation (see :func:`run_text`).
     """
     from repro.engine import DEFAULT_ENGINE, Interner
 
@@ -413,6 +409,5 @@ def run_json_many(
             [value_from_json(v) for v in values_json],
             backend=backend,
             interner=Interner(),
-            max_workers=max_workers,
         )
     return [value_to_json(r) for r in results]

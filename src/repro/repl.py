@@ -25,7 +25,7 @@ Commands::
     typeof f                          most general morphism type
     size x                            Section 6 size measure
     plan f                            compiled engine plan of a morphism
-    backend parallel                  switch the execution backend
+    backend process                   switch the execution backend
     show x          /  x              print a binding
     del x                             destroy a binding
     env                               list bindings
@@ -79,7 +79,7 @@ _HELP = """commands:
   type NAME | typeof NAME     type of a value / morphism binding
   size NAME                   Section 6 size measure
   plan MORPHISM               show the optimized, compiled engine plan
-  backend [auto|eager|streaming|parallel|process|fused|symbolic]
+  backend [auto|eager|streaming|process|fused|symbolic]
                               show or select the execution backend
                               (auto picks per call from the cost model)
   show NAME (or just NAME)    print a binding

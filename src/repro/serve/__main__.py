@@ -142,13 +142,17 @@ async def amain(
     loop = asyncio.get_running_loop()
     pending: set[asyncio.Task] = set()
     frames: asyncio.Queue = asyncio.Queue()
-    threading.Thread(
-        target=_pump_frames,
-        args=(stdin, args.max_line, loop, frames),
-        name="serve-stdin",
-        daemon=True,
-    ).start()
     async with engine:
+        # Start the reader only once the engine has forked its pool
+        # workers: a worker forked while the reader holds stdin's buffer
+        # lock would block forever closing stdin in its bootstrap, and
+        # the interpreter would then hang at exit joining it.
+        threading.Thread(
+            target=_pump_frames,
+            args=(stdin, args.max_line, loop, frames),
+            name="serve-stdin",
+            daemon=True,
+        ).start()
         while True:
             if args.idle_timeout is None:
                 line = await frames.get()

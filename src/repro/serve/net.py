@@ -32,7 +32,9 @@ port.  Frames are routed by :func:`repro.io.program_digest` of their
 program text, so every request for one program lands on the same worker
 and that worker's caches stay hot for it — cache affinity instead of
 cache shredding.  ``{"op": "stats"}`` / ``GET /stats`` aggregate the
-router's counters with every worker's snapshot.
+router's counters with every worker's snapshot.  Workers are daemonic
+and may not have children, so their process backend starts no pool and
+evaluates in the worker itself — the workers *are* the parallelism.
 
 Latency for every served request is recorded by the engine's metrics
 layer (:mod:`repro.serve.metrics`): ``stats()["latency"]`` carries

@@ -15,10 +15,10 @@ turns that stream back into batches:
   on the canonical JSON encoding of their inputs — one thousand clients
   asking ``normalize`` of the same world trigger *one* evaluation, and
   every duplicate admits for free (``stats()["deduped_inputs"]``);
-* each group fans into :func:`repro.io.run_json_many` on a worker
-  thread, so the event loop never blocks on evaluation; distinct inputs
-  inside the batch still fan out across ``run_many``'s own pool (and
-  whole worker processes under ``backend="process"``).
+* each group fans into :func:`repro.io.run_json_many` on an executor
+  thread, so the event loop never blocks on evaluation; groups of one
+  batch run concurrently, and distinct inputs inside a group fan out
+  across worker processes when the group runs on the process backend.
 
 Robustness — the admission layer is also where overload and slowness
 are turned into *bounded, typed* failures instead of unbounded queues
@@ -45,8 +45,8 @@ and wedged threads:
   with the exact engine count, but near-deadline falls back to the
   static Section 6 *upper bound* marked ``"approximate": true``
   (``stats()["degraded"]``); deeper in the stack the process pool's
-  circuit breaker demotes ``backend="auto"`` routing process → parallel
-  (``stats()["breaker_open"]``).
+  circuit breaker demotes ``backend="auto"`` routing process → streaming
+  or eager (``stats()["breaker_open"]``).
 
 Failure isolation: if a batch evaluation fails (one malformed input,
 say), the group is retried input-by-input so only the offending
@@ -118,8 +118,7 @@ class AsyncEngine:
     lets the cost model pick per distinct input); *batch_window* is how
     long the batcher waits for more requests after the first one arrives
     (seconds; ``0`` batches only what is already queued); *max_batch*
-    caps requests per batch; *max_workers* bounds the per-batch fan-out
-    inside :func:`repro.io.run_json_many`.
+    caps requests per batch.
 
     Robustness knobs: *max_pending* bounds admitted-but-unresolved
     requests (past it admission raises
@@ -151,7 +150,6 @@ class AsyncEngine:
         backend: str = "auto",
         batch_window: float = 0.002,
         max_batch: int = 64,
-        max_workers: int | None = None,
         max_pending: int = 1024,
         default_timeout: float | None = None,
         cost_budget: int | None = None,
@@ -161,7 +159,6 @@ class AsyncEngine:
         self.backend = backend
         self.batch_window = batch_window
         self.max_batch = max(1, max_batch)
-        self.max_workers = max_workers
         self.max_pending = max(1, max_pending)
         self.default_timeout = default_timeout
         self.cost_budget = cost_budget
@@ -570,9 +567,7 @@ class AsyncEngine:
         def evaluate() -> list:
             with deadline_scope(group_deadline):
                 faults.fire("serve.eval")
-                return run_json_many(
-                    program, unique, self.backend, max_workers=self.max_workers
-                )
+                return run_json_many(program, unique, self.backend)
 
         try:
             results = await loop.run_in_executor(None, evaluate)
@@ -600,12 +595,7 @@ class AsyncEngine:
                 def evaluate(req=req) -> object:
                     with deadline_scope(req.deadline):
                         faults.fire("serve.eval")
-                        return run_json_many(
-                            program,
-                            [req.value],
-                            self.backend,
-                            max_workers=self.max_workers,
-                        )[0]
+                        return run_json_many(program, [req.value], self.backend)[0]
 
                 try:
                     outcome = (True, await loop.run_in_executor(None, evaluate))
@@ -632,7 +622,8 @@ class AsyncEngine:
         Alongside the counter snapshot: ``pending`` (admitted futures
         not yet resolved — the backpressure gauge) and ``breaker_open``
         (is the process pool's circuit breaker currently refusing
-        traffic, i.e. has ``backend="auto"`` demoted process → parallel).
+        traffic, i.e. has ``backend="auto"`` demoted process → streaming
+        or eager).
         """
         from repro.engine import BACKENDS
 

@@ -296,8 +296,8 @@ def _atom_key(a: Atom) -> tuple:
 # id(); the installer must keep the keyed objects alive for the cache's
 # lifetime, which the arena guarantees by holding strong references.
 # The installation is *per thread* (threading.local), so concurrent
-# engine runs — the parallel backend, `run_many` fan-out — never observe
-# each other's cache swaps.
+# engine runs on different threads never observe each other's cache
+# swaps.
 _SORT_KEY_TLS = _threading.local()
 
 

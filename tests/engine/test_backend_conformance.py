@@ -2,7 +2,7 @@
 
 This is the gate any future backend must pass.  The harness enumerates
 the engine's backend registry *dynamically* — eager, streaming,
-parallel, process and the adaptive ``"auto"`` today; anything registered
+process, fused, symbolic and the adaptive ``"auto"`` today; anything registered
 tomorrow is covered without editing this file — and drives every backend
 over the same Hypothesis-generated programs and inputs, asserting
 
@@ -55,7 +55,7 @@ DOUBLE = Compose(plus(), PairOf(Id(), Id()))
 def test_registry_is_complete():
     # The suite's premise: all the fixed engine backends are registered.
     for expected in (
-        "eager", "streaming", "parallel", "process", "fused", "symbolic",
+        "eager", "streaming", "process", "fused", "symbolic",
     ):
         assert expected in BACKENDS, f"backend {expected!r} lost from the registry"
         assert isinstance(BACKENDS[expected], Backend)

@@ -1,8 +1,8 @@
 """Concurrent use of a shared engine: no corruption under thread hammering.
 
 ``DEFAULT_ENGINE`` is shared by the REPL, the I/O helpers and library
-callers; ``run_many`` and the parallel backend hammer it from worker
-threads.  These tests drive ``run``/``run_many``/``compile`` from many
+callers; the serving layer's executor threads hammer it concurrently.
+These tests drive ``run``/``run_many``/``compile`` from many
 threads at once and assert the interner stats stay coherent, the plan
 cache converges to one plan per program, and every result equals the
 single-threaded answer.
@@ -64,7 +64,7 @@ class TestConcurrentRun:
     def test_shared_engine_mixed_backends(self):
         eng = Engine()
         inputs = [vset(vorset(1, 2), vorset(3 + i)) for i in range(6)]
-        backends = ["eager", "streaming", "parallel"]
+        backends = ["eager", "streaming"]
 
         def work(i: int) -> None:
             for r in range(ROUNDS):
@@ -130,7 +130,7 @@ class TestConcurrentRunMany:
     def test_run_many_matches_run_per_backend(self):
         eng = Engine()
         batch = [vset(vorset(i, i + 1)) for i in range(8)]
-        for backend in ("eager", "streaming", "parallel"):
+        for backend in ("eager", "streaming"):
             many = eng.run_many(QUERY, batch, backend=backend)
             assert many == [eng.run(QUERY, v, backend=backend) for v in batch]
 

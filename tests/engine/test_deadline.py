@@ -78,7 +78,7 @@ class TestDeadlineObject:
 class TestBackendCheckpoints:
     """An already-expired deadline fails in every backend's loop."""
 
-    @pytest.mark.parametrize("name", ["eager", "streaming", "parallel", "fused"])
+    @pytest.mark.parametrize("name", ["eager", "streaming", "process", "fused"])
     def test_execute_raises_under_expired_deadline(self, name):
         plan = compile_plan(Compose(SetMu(), SetMap(OrToSet())))
         value = vset(vorset(1, 2), vorset(3, 4))

@@ -24,7 +24,7 @@ from repro.values.values import vbag, vorset, vpair, vset
 DOUBLE = Compose(plus(), PairOf(Id(), Id()))
 
 
-@pytest.fixture(params=["eager", "streaming", "parallel"])
+@pytest.fixture(params=["eager", "streaming"])
 def backend(request):
     return request.param
 
@@ -192,13 +192,6 @@ class TestRunMany:
 
     def test_empty_batch(self):
         assert Engine().run_many(Id(), []) == []
-
-    def test_sequential_mode(self):
-        eng = Engine()
-        batch = [vorset(i, i + 1) for i in range(5)]
-        assert eng.run_many(OrMap(DOUBLE), batch, max_workers=0) == [
-            eng.run(OrMap(DOUBLE), v) for v in batch
-        ]
 
     def test_batch_scoped_interner_pins_nothing(self):
         from repro.engine import Interner

@@ -11,10 +11,12 @@ served, late admissions are refused.
 from __future__ import annotations
 
 import asyncio
+import io
 import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -327,6 +329,37 @@ class TestStdioServer:
         ]
         assert "error" in responses[3]
         assert "serve stats" in proc.stderr
+
+    def test_pool_warms_before_the_stdin_reader_starts(self, monkeypatch):
+        # A pool worker forked while the stdin reader thread holds the
+        # stream's buffer lock blocks in its bootstrap, and the server
+        # then hangs at exit joining it: the pool must warm first.
+        from repro.engine import ProcessBackend
+        from repro.serve.__main__ import amain
+
+        class GatedStdin:
+            """Blocks the reader (keeping its thread alive) until warm."""
+
+            def __init__(self) -> None:
+                self.gate = threading.Event()
+
+            def readline(self, _size=-1):
+                self.gate.wait(30)
+                return ""
+
+        stdin = GatedStdin()
+        live_at_warm: list[set[str]] = []
+
+        def warm(_backend) -> None:
+            live_at_warm.append({t.name for t in threading.enumerate()})
+            stdin.gate.set()
+
+        monkeypatch.setattr(ProcessBackend, "warm", warm)
+        asyncio.run(
+            amain(["--quiet"], stdin=stdin, stdout=io.StringIO(), stderr=io.StringIO())
+        )
+        assert live_at_warm, "the server never warmed the process pool"
+        assert all("serve-stdin" not in names for names in live_at_warm)
 
 
 class TestReplServeCommand:

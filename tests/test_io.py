@@ -155,7 +155,7 @@ class TestBatchedEndpoints:
 
         batch = [value_to_json(vset(vorset(vpair(1, 10), vpair(2, 20))))]
         query = "ormap(map(pi_1)) o alpha"
-        for backend in ("eager", "streaming", "parallel"):
+        for backend in ("eager", "streaming"):
             assert run_json_many(query, batch, backend=backend) == [
                 run_json(query, batch[0])
             ]

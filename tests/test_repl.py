@@ -94,15 +94,15 @@ class TestQueries:
 
 
 class TestBackendsAndBatch:
-    def test_backend_parallel_selectable(self, repl):
-        assert repl.eval_line("backend parallel") == "backend = parallel"
+    def test_backend_streaming_selectable(self, repl):
+        assert repl.eval_line("backend streaming") == "backend = streaming"
         repl.eval_line("let db = {<1, 2>, <3>}")
         out = repl.eval_line("apply ormap(eta) o alpha db")
         assert out == "<{{1, 3}}, {{2, 3}}> : <{{int}}>"
 
     def test_backend_unknown_rejected(self, repl):
         out = repl.eval_line("backend warp")
-        assert out.startswith("error:") and "parallel" in out
+        assert out.startswith("error:") and "process" in out
 
     def test_backend_fused_selectable(self, repl):
         assert repl.eval_line("backend fused") == "backend = fused"
@@ -140,7 +140,7 @@ class TestBackendsAndBatch:
         assert out.splitlines()[1].startswith("b:")
 
     def test_applymany_respects_backend(self, repl):
-        repl.eval_line("backend parallel")
+        repl.eval_line("backend streaming")
         repl.eval_line("let a = {<1, 2>}")
         out = repl.eval_line("applymany alpha a")
         assert out == "a: <{1}, {2}> : <{int}>"
