@@ -36,13 +36,14 @@ import os
 import pathlib
 import pickle
 import random
-import time
+
+from harness import best_of
 
 from repro.core.normalize import Normalize
 from repro.engine import columnar
 from repro.engine.analysis import ALPHA_OPS, CHEAP_REAL_OPS, TRAVERSAL_OPS, plan_facts
 from repro.engine.cost_model import PlanProfile, plan_profile
-from repro.engine.passes import default_pipeline, fusible_spans
+from repro.engine.passes import fusible_spans
 from repro.engine.plan import Plan, compile_plan
 from repro.engine.symbolic import plan_supports_symbolic
 from repro.engine.verify import clear_verify_cache, verification_enabled
@@ -54,15 +55,6 @@ from repro.lang.set_ops import SetMap
 from repro.morphgen import random_lossless_morphism
 
 OUT_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_analysis.json"
-
-
-def _best_of(fn, repeat: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 # -- the pre-refactor predicates, verbatim (the baseline) ---------------------
@@ -256,8 +248,8 @@ def _workloads(quick: bool = False) -> list[dict]:
             for _ in range(rounds):
                 reader(plan)
 
-    t_legacy = _best_of(lambda: read_all(_legacy_selection_reads))
-    t_facts = _best_of(lambda: read_all(_facts_selection_reads))
+    t_legacy = best_of(lambda: read_all(_legacy_selection_reads))
+    t_facts = best_of(lambda: read_all(_facts_selection_reads))
     results.append(
         {
             "workload": "routing-fact-reuse",
@@ -278,8 +270,8 @@ def _workloads(quick: bool = False) -> list[dict]:
     saved = os.environ.get("REPRO_VERIFY_PASSES")
     try:
         _tier1_style_pass(workload, verify=False)  # warm imports once
-        t_off = _best_of(lambda: _tier1_style_pass(workload, verify=False), repeat)
-        t_on = _best_of(lambda: _tier1_style_pass(workload, verify=True), repeat)
+        t_off = best_of(lambda: _tier1_style_pass(workload, verify=False), repeat)
+        t_on = best_of(lambda: _tier1_style_pass(workload, verify=True), repeat)
     finally:
         if saved is None:
             os.environ.pop("REPRO_VERIFY_PASSES", None)
@@ -341,8 +333,8 @@ def test_cached_facts_beat_legacy_traversals():
             for _ in range(60):
                 reader(plan)
 
-    t_legacy = _best_of(lambda: read_all(_legacy_selection_reads))
-    t_facts = _best_of(lambda: read_all(_facts_selection_reads))
+    t_legacy = best_of(lambda: read_all(_legacy_selection_reads))
+    t_facts = best_of(lambda: read_all(_facts_selection_reads))
     assert t_facts * 2 <= t_legacy, (t_facts, t_legacy)
 
 
@@ -352,8 +344,8 @@ def test_verifier_overhead_stays_under_ten_percent():
     saved = os.environ.get("REPRO_VERIFY_PASSES")
     try:
         _tier1_style_pass(workload, verify=False)
-        t_off = _best_of(lambda: _tier1_style_pass(workload, verify=False), repeat=7)
-        t_on = _best_of(lambda: _tier1_style_pass(workload, verify=True), repeat=7)
+        t_off = best_of(lambda: _tier1_style_pass(workload, verify=False), repeat=7)
+        t_on = best_of(lambda: _tier1_style_pass(workload, verify=True), repeat=7)
     finally:
         if saved is None:
             os.environ.pop("REPRO_VERIFY_PASSES", None)

@@ -33,7 +33,8 @@ import argparse
 import json
 import pathlib
 import random
-import time
+
+from harness import best_of
 
 from repro.core.costs import estimate_m_value, m_value, tight_family
 from repro.core.normalize import Normalize
@@ -50,15 +51,6 @@ OUT_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_cost_model.json"
 #: The existential tight-family query: expose the or-set spine, then
 #: normalize each member — eager pays for every member, streaming for one.
 EXISTENTIAL_QUERY = Compose(OrMap(Normalize()), SetToOr())
-
-
-def _best_of(fn, repeat: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _first_world(engine: Engine, backend: str, x) -> object:
@@ -102,8 +94,8 @@ def _workloads(quick: bool = False) -> list[dict]:
     witness_auto = _first_world(engine, "auto", x)
     witness_eager = _first_world(engine, "eager", x)
     assert witness_auto == witness_eager
-    t_eager = _best_of(lambda: _first_world(engine, "eager", x))
-    t_auto = _best_of(lambda: _first_world(engine, "auto", x))
+    t_eager = best_of(lambda: _first_world(engine, "eager", x))
+    t_auto = best_of(lambda: _first_world(engine, "auto", x))
     results.append(
         {
             "workload": "tight-family-existential",
@@ -123,8 +115,8 @@ def _workloads(quick: bool = False) -> list[dict]:
     k_est = 8 if quick else 10
     y, t_y = tight_family(k_est)
     assert estimate_m_value(y) == m_value(y, t_y) == 3**k_est
-    t_measure = _best_of(lambda: len(possibilities(y, t_y)), repeat=1)
-    t_estimate = _best_of(lambda: estimate_m_value(y))
+    t_measure = best_of(lambda: len(possibilities(y, t_y)), repeat=1)
+    t_estimate = best_of(lambda: estimate_m_value(y))
     results.append(
         {
             "workload": "static-estimation",
@@ -146,8 +138,8 @@ def _workloads(quick: bool = False) -> list[dict]:
         guided = default_pipeline()
         fixed = default_pipeline()
         assert guided.run(program) == fixed.run_fixed_order(program)
-        t_fixed = _best_of(lambda p=program: fixed.run_fixed_order(p))
-        t_guided = _best_of(lambda p=program: guided.run(p))
+        t_fixed = best_of(lambda p=program: fixed.run_fixed_order(p))
+        t_guided = best_of(lambda p=program: guided.run(p))
         results.append(
             {
                 "workload": label,
@@ -220,8 +212,8 @@ def test_adaptive_backend_beats_eager_on_tight_family():
     x, _t = tight_family(300)
     engine = Engine()
     assert _first_world(engine, "auto", x) == _first_world(engine, "eager", x)
-    t_eager = _best_of(lambda: _first_world(engine, "eager", x))
-    t_auto = _best_of(lambda: _first_world(engine, "auto", x))
+    t_eager = best_of(lambda: _first_world(engine, "eager", x))
+    t_auto = best_of(lambda: _first_world(engine, "auto", x))
     assert t_auto * 2 <= t_eager, (t_auto, t_eager)
 
 

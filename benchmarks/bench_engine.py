@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import json
 import pathlib
-import time
+
+from harness import best_of
 
 from repro.core.normalize import Normalize
 from repro.engine import Engine
@@ -54,15 +55,6 @@ def _design(width: int):
     )
 
 
-def _best_of(fn, repeat: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def _workloads() -> list[dict]:
     results: list[dict] = []
 
@@ -70,8 +62,8 @@ def _workloads() -> list[dict]:
     engine = Engine()
     x = _family(10)
     assert engine.run(NAIVE, x) == NAIVE.apply(x)
-    t_direct = _best_of(lambda: NAIVE.apply(x))
-    t_engine = _best_of(lambda: engine.run(NAIVE, x, intern=False))
+    t_direct = best_of(lambda: NAIVE.apply(x))
+    t_engine = best_of(lambda: engine.run(NAIVE, x, intern=False))
     results.append(
         {
             "workload": "optimized-query",
@@ -97,8 +89,8 @@ def _workloads() -> list[dict]:
         for _ in range(repeats):
             engine.run(program, value)
 
-    t_direct = _best_of(direct_loop)
-    t_engine = _best_of(engine_loop)
+    t_direct = best_of(direct_loop)
+    t_engine = best_of(engine_loop)
     results.append(
         {
             "workload": "repeated-normalization",
@@ -114,8 +106,8 @@ def _workloads() -> list[dict]:
     engine = Engine()
     xs = vset(*range(400))
     assert engine.run(FUSED_CHAIN, xs) == FUSED_CHAIN.apply(xs)
-    t_direct = _best_of(lambda: FUSED_CHAIN.apply(xs))
-    t_engine = _best_of(lambda: engine.run(FUSED_CHAIN, xs, intern=False))
+    t_direct = best_of(lambda: FUSED_CHAIN.apply(xs))
+    t_engine = best_of(lambda: engine.run(FUSED_CHAIN, xs, intern=False))
     results.append(
         {
             "workload": "straight-line",
@@ -147,8 +139,8 @@ def test_engine_not_slower_on_repeated_normalization():
     engine = Engine()
     value = _design(6)
     program = Normalize()
-    direct = _best_of(lambda: [program.apply(value) for _ in range(10)])
-    compiled = _best_of(lambda: [engine.run(program, value) for _ in range(10)])
+    direct = best_of(lambda: [program.apply(value) for _ in range(10)])
+    compiled = best_of(lambda: [engine.run(program, value) for _ in range(10)])
     # The memo makes this a blowout; 1.0 with margin keeps timing noise out.
     assert compiled <= direct * 1.2
     assert engine.interner.stats()["normalize_hits"] >= 9
@@ -157,8 +149,8 @@ def test_engine_not_slower_on_repeated_normalization():
 def test_engine_not_slower_on_optimized_query():
     engine = Engine()
     x = _family(8)
-    direct = _best_of(lambda: NAIVE.apply(x))
-    compiled = _best_of(lambda: engine.run(NAIVE, x, intern=False))
+    direct = best_of(lambda: NAIVE.apply(x))
+    compiled = best_of(lambda: engine.run(NAIVE, x, intern=False))
     assert compiled <= direct * 1.2
 
 

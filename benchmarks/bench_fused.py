@@ -27,7 +27,8 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import time
+
+from harness import best_of
 
 from repro.core.costs import tight_family
 from repro.engine import Engine
@@ -44,22 +45,13 @@ FUSED_CHAIN = Compose(SetMap(DOUBLE), Compose(SetMap(DOUBLE), SetMap(DOUBLE)))
 FLATTEN = Compose(SetMu(), SetMap(OrToSet()))
 
 
-def _best_of(fn, repeat: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def _compare(engine: Engine, query, value, workload: str, extra: dict) -> dict:
     """Time eager / fused on one (query, value) pair."""
     assert engine.run(query, value, backend="fused") == engine.run(
         query, value, backend="eager"
     )
     times = {
-        backend: _best_of(
+        backend: best_of(
             lambda b=backend: engine.run(query, value, backend=b, intern=False)
         )
         for backend in ("eager", "fused")
@@ -132,8 +124,8 @@ def test_fused_beats_eager_on_shard_workload():
     assert engine.run(FUSED_CHAIN, xs, backend="fused") == engine.run(
         FUSED_CHAIN, xs, backend="eager"
     )
-    t_eager = _best_of(lambda: engine.run(FUSED_CHAIN, xs, backend="eager", intern=False))
-    t_fused = _best_of(lambda: engine.run(FUSED_CHAIN, xs, backend="fused", intern=False))
+    t_eager = best_of(lambda: engine.run(FUSED_CHAIN, xs, backend="eager", intern=False))
+    t_fused = best_of(lambda: engine.run(FUSED_CHAIN, xs, backend="fused", intern=False))
     # Locally this measures ~5x; 1.5 keeps timing noise out of CI while
     # still failing if fusion stops paying for the arena encode/decode.
     assert t_fused * 1.5 <= t_eager, (t_fused, t_eager)

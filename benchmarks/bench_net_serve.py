@@ -42,6 +42,8 @@ import statistics
 import sys
 import time
 
+from harness import best_of
+
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
 
 from loadgen import LoadSpec, run_spec  # noqa: E402 — tools/ path above
@@ -74,15 +76,6 @@ def _multi_world_batch(total: int, distinct: int, width: int) -> list:
     pool = [value_to_json(_design(width, salt=100 * s)) for s in range(distinct)]
     rng = random.Random(0)
     return [pool[rng.randrange(distinct)] for _ in range(total)]
-
-
-def _best_of(fn, repeat: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 # -- workload 1: open-loop sweeps over a live server -------------------------
@@ -138,8 +131,8 @@ def _metrics_overhead(quick: bool) -> dict:
     with_metrics = asyncio.run(_run_many(batch, True))
     without = asyncio.run(_run_many(batch, False))
     assert with_metrics == without, "metrics must never change results"
-    t_off = _best_of(lambda: asyncio.run(_run_many(batch, False)))
-    t_on = _best_of(lambda: asyncio.run(_run_many(batch, True)))
+    t_off = best_of(lambda: asyncio.run(_run_many(batch, False)))
+    t_on = best_of(lambda: asyncio.run(_run_many(batch, True)))
     return {
         "workload": "metrics-overhead",
         "inputs": total,

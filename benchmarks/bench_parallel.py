@@ -29,7 +29,8 @@ import argparse
 import json
 import pathlib
 import random
-import time
+
+from harness import best_of
 
 from repro.io import run_json, run_json_many, run_text, run_text_many, value_to_json
 from repro.values.values import format_value, vorset, vpair, vset
@@ -52,15 +53,6 @@ def _multi_world_batch(total: int, distinct: int, width: int) -> list:
     return [pool[rng.randrange(distinct)] for _ in range(total)]
 
 
-def _best_of(fn, repeat: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def _workloads(quick: bool = False) -> list[dict]:
     results: list[dict] = []
     total, distinct, width = (60, 6, 5) if quick else (240, 12, 7)
@@ -70,8 +62,8 @@ def _workloads(quick: bool = False) -> list[dict]:
     # 1. batched-json-serving: run_json_many vs the sequential loop.
     expected = [run_json(query, v) for v in batch]
     assert run_json_many(query, batch) == expected
-    t_seq = _best_of(lambda: [run_json(query, v) for v in batch])
-    t_many = _best_of(lambda: run_json_many(query, batch))
+    t_seq = best_of(lambda: [run_json(query, v) for v in batch])
+    t_many = best_of(lambda: run_json_many(query, batch))
     results.append(
         {
             "workload": "batched-json-serving",
@@ -86,8 +78,8 @@ def _workloads(quick: bool = False) -> list[dict]:
     # 2. batched-text-serving: the same shape in the paper notation.
     texts = [format_value(_design(width, salt=100 * (i % distinct))) for i in range(total)]
     assert run_text_many(query, texts) == [run_text(query, t) for t in texts]
-    t_seq = _best_of(lambda: [run_text(query, t) for t in texts])
-    t_many = _best_of(lambda: run_text_many(query, texts))
+    t_seq = best_of(lambda: [run_text(query, t) for t in texts])
+    t_many = best_of(lambda: run_text_many(query, texts))
     results.append(
         {
             "workload": "batched-text-serving",
@@ -131,8 +123,8 @@ def test_run_json_many_beats_sequential_loop():
     batch = _multi_world_batch(total=80, distinct=8, width=6)
     query = "normalize"
     assert run_json_many(query, batch) == [run_json(query, v) for v in batch]
-    t_seq = _best_of(lambda: [run_json(query, v) for v in batch])
-    t_many = _best_of(lambda: run_json_many(query, batch))
+    t_seq = best_of(lambda: [run_json(query, v) for v in batch])
+    t_many = best_of(lambda: run_json_many(query, batch))
     # One normalization per distinct world instead of one per input makes
     # this a blowout; 0.8 keeps timing noise out of CI.
     assert t_many <= t_seq * 0.8, (t_many, t_seq)

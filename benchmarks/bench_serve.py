@@ -45,6 +45,8 @@ import pathlib
 import random
 import time
 
+from harness import best_of
+
 from repro.engine import Engine, ProcessBackend, default_process_count, faults
 from repro.engine.faults import FaultPlan, FaultRule
 from repro.errors import DeadlineExceeded, Overloaded
@@ -76,15 +78,6 @@ def _multi_world_batch(total: int, distinct: int, width: int) -> list:
 def _cpu_bound_input(elements: int, width: int, salt: int = 0):
     """A wide set of independent designs: ``map(normalize)`` shards it."""
     return vset(*(_design(width, salt=salt * 10_000 + 17 * i) for i in range(elements)))
-
-
-def _best_of(fn, repeat: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 async def _serve_concurrently(query: str, batch: list) -> tuple[list, dict]:
@@ -173,8 +166,8 @@ def _workloads(quick: bool = False) -> list[dict]:
     expected = [run_json(query, v) for v in batch]
     served, stats = asyncio.run(_serve_concurrently(query, batch))
     assert served == expected, "async serving must be structurally exact"
-    t_seq = _best_of(lambda: [run_json(query, v) for v in batch])
-    t_async = _best_of(lambda: asyncio.run(_serve_concurrently(query, batch)))
+    t_seq = best_of(lambda: [run_json(query, v) for v in batch])
+    t_async = best_of(lambda: asyncio.run(_serve_concurrently(query, batch)))
     results.append(
         {
             "workload": "async-batched-serving",
@@ -235,10 +228,10 @@ def _workloads(quick: bool = False) -> list[dict]:
     assert sum(outcomes.values()) == burst, "every request must resolve"
 
     plain_batch = _multi_world_batch(total, distinct, width)
-    t_plain = _best_of(
+    t_plain = best_of(
         lambda: asyncio.run(_serve_concurrently("normalize", plain_batch))
     )
-    t_robust = _best_of(
+    t_robust = best_of(
         lambda: asyncio.run(_serve_armed("normalize", plain_batch))
     )
     results.append(
@@ -305,8 +298,8 @@ def test_async_serving_beats_sequential_loop_on_duplicates():
     served, stats = asyncio.run(_serve_concurrently(query, batch))
     assert served == expected
     assert stats["deduped_inputs"] > 0
-    t_seq = _best_of(lambda: [run_json(query, v) for v in batch])
-    t_async = _best_of(lambda: asyncio.run(_serve_concurrently(query, batch)))
+    t_seq = best_of(lambda: [run_json(query, v) for v in batch])
+    t_async = best_of(lambda: asyncio.run(_serve_concurrently(query, batch)))
     # Deduplication evaluates each distinct world once; 0.8 keeps timing
     # noise out of CI.
     assert t_async <= t_seq * 0.8, (t_async, t_seq)
@@ -336,8 +329,8 @@ def test_robustness_layer_steady_state_overhead_is_small():
     armed, stats = asyncio.run(_serve_armed("normalize", batch))
     assert armed == plain, "the robustness guards must not change results"
     assert stats["shed"] == 0 and stats["timeouts"] == 0
-    t_plain = _best_of(lambda: asyncio.run(_serve_concurrently("normalize", batch)))
-    t_armed = _best_of(lambda: asyncio.run(_serve_armed("normalize", batch)))
+    t_plain = best_of(lambda: asyncio.run(_serve_concurrently("normalize", batch)))
+    t_armed = best_of(lambda: asyncio.run(_serve_armed("normalize", batch)))
     assert t_armed <= t_plain * 1.5, (t_armed, t_plain)
 
 

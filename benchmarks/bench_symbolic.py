@@ -32,7 +32,8 @@ import argparse
 import json
 import pathlib
 import random
-import time
+
+from harness import best_of_with_result
 
 from repro.core.costs import tight_family
 from repro.core.normalize import Normalize
@@ -48,16 +49,6 @@ OUT_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_symbolic.json"
 COUNT_QUERY = Normalize()
 
 
-def _best_of(fn, repeat: int = 3):
-    best = float("inf")
-    result = None
-    for _ in range(repeat):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 def _eager_count(engine: Engine, x) -> int:
     return len(set(engine.possibilities(COUNT_QUERY, x, backend="eager", intern=False)))
 
@@ -71,8 +62,8 @@ def _workloads(quick: bool = False) -> list[dict]:
     x, _t = tight_family(k)
     choice = engine.choose_backend(COUNT_QUERY, x, world_query=True)
     assert choice.backend == "symbolic", choice
-    t_eager, n_eager = _best_of(lambda: _eager_count(engine, x), repeat=1)
-    t_symbolic, n_symbolic = _best_of(
+    t_eager, n_eager = best_of_with_result(lambda: _eager_count(engine, x), repeat=1)
+    t_symbolic, n_symbolic = best_of_with_result(
         lambda: engine.count_worlds(COUNT_QUERY, x, backend="auto", intern=False)
     )
     assert n_symbolic == n_eager == 3**k, (n_symbolic, n_eager)
@@ -92,15 +83,15 @@ def _workloads(quick: bool = False) -> list[dict]:
     # 2. beyond-enumeration: k = 19 puts 3^k past 10^9 worlds.
     k_big = 19
     x, _t = tight_family(k_big)
-    t_count, n = _best_of(
+    t_count, n = best_of_with_result(
         lambda: engine.count_worlds(COUNT_QUERY, x, backend="auto", intern=False)
     )
     assert n == 3**k_big, n
-    t_exists, witness = _best_of(
+    t_exists, witness = best_of_with_result(
         lambda: engine.exists(COUNT_QUERY, x, backend="auto", intern=False)
     )
     assert witness is True
-    t_certain, _c = _best_of(
+    t_certain, _c = best_of_with_result(
         lambda: engine.certain(COUNT_QUERY, x, backend="auto", intern=False)
     )
     results.append(
@@ -153,8 +144,8 @@ def test_symbolic_count_beats_eager_100x_on_tight_family():
     in-reach size, answers equal."""
     engine = Engine()
     x, _t = tight_family(9)
-    t_eager, n_eager = _best_of(lambda: _eager_count(engine, x), repeat=1)
-    t_symbolic, n_symbolic = _best_of(
+    t_eager, n_eager = best_of_with_result(lambda: _eager_count(engine, x), repeat=1)
+    t_symbolic, n_symbolic = best_of_with_result(
         lambda: engine.count_worlds(COUNT_QUERY, x, backend="auto", intern=False)
     )
     assert n_symbolic == n_eager == 3**9

@@ -13,7 +13,7 @@ injection harness:
   (decided by the plan's seeded RNG, so a given seed replays the same
   fault schedule);
 * instrumented code calls ``faults.fire("site.name")`` at the named
-  sites; with no plan installed the call is one module-global read, so
+  sites; with no plan installed the call is two module-global reads, so
   production paths pay nothing;
 * plans are installed programmatically (:func:`install` /
   :func:`clear`, or the :func:`active_plan` context manager) or through
@@ -35,8 +35,8 @@ Fault kinds:
 ``slow``
     sleep for the rule's ``delay`` seconds (drives deadline coverage);
 ``malform``
-    corrupt the payload passed to :func:`fire` (drives the stdio
-    server's malformed-frame handling).
+    corrupt the payload passed to :func:`fire` (drives the serving
+    protocol's malformed-frame handling on every transport).
 
 ``REPRO_FAULTS`` spec syntax — semicolon-separated entries; an optional
 ``seed=N`` entry, then ``site:kind[:times[:delay]]`` rules where
@@ -76,7 +76,7 @@ SITES = (
     "process.worker_fused",  # worker entry for fused arena slices
     "process.worker_ping",  # worker entry for warm()'s ping task
     "serve.eval",  # AsyncEngine's executor-side batch evaluation
-    "serve.frame",  # stdio server's per-line frame decoding
+    "serve.frame",  # every transport's frame decoding (serve/proto.answer)
 )
 
 KINDS = ("error", "crash", "slow", "malform")

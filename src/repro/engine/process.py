@@ -51,9 +51,10 @@ Transport and supervision:
   :class:`~repro.engine.supervisor.CircuitBreaker`; while it is open,
   :meth:`ProcessBackend.healthy` answers ``False`` and the adaptive
   selector routes around the backend until the breaker half-opens and a
-  probe succeeds.  Inside a *daemonic* process (a ``NetServer`` router
-  worker, say) no pool is started at all — daemonic processes may not
-  have children — and every shard runs inline.
+  probe succeeds.  Inside a *daemonic* process (a
+  ``multiprocessing`` worker of some caller's own pool, say) no pool is
+  started at all — daemonic processes may not have children — and every
+  shard runs inline.
 
 Requests carrying a deadline (:mod:`repro.engine.deadline`) are
 enforced coordinator-side: shard futures are awaited with
@@ -297,8 +298,9 @@ class ProcessBackend(Backend):
     def _executor(self) -> ProcessPoolExecutor | None:
         """The worker pool, started on first use; ``None`` means inline.
 
-        A daemonic process (a ``NetServer`` router worker) may not have
-        children, so it never starts a pool and evaluates in-process.
+        A daemonic process (a worker of some caller's own
+        ``multiprocessing`` pool) may not have children, so it never
+        starts a pool and evaluates in-process.
         """
         if self.max_workers <= 1 or multiprocessing.current_process().daemon:
             return None

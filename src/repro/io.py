@@ -43,7 +43,6 @@ __all__ = [
     "value_to_text",
     "value_from_text",
     "parsed_morphism",
-    "program_digest",
     "run_text",
     "run_json",
     "run_text_many",
@@ -184,25 +183,6 @@ def parsed_morphism(program):
     if isinstance(program, Morphism):
         return program
     return _parse_morphism_cached(program)
-
-
-def program_digest(program) -> str:
-    """A stable hex digest of a program's text — the cache-affinity key.
-
-    The multi-process serving front-end (:mod:`repro.serve.net`) routes
-    requests to workers by this digest, so every request for one program
-    lands on the worker whose plan cache, parse memo and interner are
-    already hot for it.  *program* is surface-syntax text or a
-    pre-resolved :class:`~repro.lang.morphisms.Morphism` (digested by its
-    canonical ``describe()`` rendering, so text and resolved forms of the
-    same program agree).
-    """
-    import hashlib
-
-    from repro.lang.morphisms import Morphism
-
-    text = program.describe() if isinstance(program, Morphism) else str(program)
-    return hashlib.sha1(text.encode("utf-8", "replace")).hexdigest()
 
 
 def _deadline_scope(timeout: float | None):

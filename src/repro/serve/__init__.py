@@ -1,8 +1,7 @@
 """The serving layer: an asyncio front-end over the batched engine.
 
 ``repro.engine`` turned the paper's evaluator into a library;
-``repro.serve`` turns the library into a *service*.  The package has two
-faces:
+``repro.serve`` turns the library into a *service*:
 
 * :class:`AsyncEngine` (:mod:`repro.serve.server`) — the embeddable
   front-end: admit JSON queries concurrently from many clients,
@@ -10,13 +9,15 @@ faces:
   equal inputs, and fan each batch into
   :func:`repro.io.run_json_many` off the event loop;
 * ``python -m repro.serve`` (:mod:`repro.serve.__main__`) — a JSON-lines
-  stdio server speaking the same protocol, for driving the service from
-  another process or a shell pipe;
+  stdio server, for driving the service from another process or a
+  shell pipe;
 * :class:`NetServer` (:mod:`repro.serve.net`, also
   ``python -m repro.serve.net``) — the TCP/HTTP front-end: NDJSON frames
   and a minimal ``POST /run`` / ``GET /stats`` HTTP path on one port,
-  per-client token-bucket rate limits, and a multi-process worker mode
-  routed by program digest;
+  with per-client token-bucket rate limits;
+* :mod:`repro.serve.proto` — the wire protocol both transports speak:
+  one dispatcher (:func:`~repro.serve.proto.answer`) decodes every
+  frame, runs its op and maps every failure to a structured error frame;
 * :mod:`repro.serve.metrics` — the latency observability layer:
   ring-buffer histograms (:class:`RingHistogram`) behind
   :class:`ServerMetrics`, recording admission/queue/execute/total

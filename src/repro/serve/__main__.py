@@ -1,18 +1,11 @@
 """``python -m repro.serve`` — a JSON-lines stdio server over AsyncEngine.
 
 Protocol: one JSON object per input line, one JSON object per output
-line (order may interleave; match on ``id``).
-
-Request::
-
-    {"id": 1, "program": "normalize", "value": {"orset": [...]}}
-    {"id": 2, "program": "normalize", "values": [{...}, {...}]}
-
-Response::
-
-    {"id": 1, "result": {...}}
-    {"id": 2, "results": [{...}, {...}]}
-    {"id": 1, "error": "...", "code": "malformed"}
+line (order may interleave; match on ``id``).  The frames — runs,
+``values`` batches, ``{"op": "count"}`` world counts and
+``{"op": "stats"}`` snapshots — are the ones :mod:`repro.serve.proto`
+documents, answered by its dispatcher exactly as
+:class:`~repro.serve.net.NetServer` answers them.
 
 Requests on different lines are admitted concurrently, so consecutive
 lines land in the same micro-batch and duplicate inputs are evaluated
@@ -23,18 +16,17 @@ stderr.
 The framing layer is hardened against hostile or broken peers: input
 lines longer than ``--max-line`` are rejected with a structured error
 frame (``"code": "oversized"``) and skipped to the next newline instead
-of buffering without bound; malformed JSON and malformed value
-encodings answer ``"code": "malformed"``; shed requests answer
-``"code": "overloaded"`` with a ``retry_after`` hint; expired deadlines
-answer ``"code": "deadline"``; over-budget inputs answer
-``"code": "cost"``.  ``--idle-timeout`` closes the server when no line
-arrives for that many seconds — a dead peer cannot hold the process
-open forever.
+of buffering without bound; every other failure is mapped to its
+structured frame by :func:`repro.serve.proto.error_frame`.
+``--idle-timeout`` closes the server when no line arrives for that many
+seconds — a dead peer cannot hold the process open forever.
 
-Flags: ``--backend`` (default ``auto``), ``--window`` (batching window,
-seconds), ``--max-batch``, ``--timeout`` (per-request deadline,
-seconds), ``--max-pending``, ``--cost-budget``, ``--max-line`` (bytes),
-``--idle-timeout`` (seconds), ``--quiet`` (suppress the stats line).
+Flags: the engine flags shared with ``python -m repro.serve.net``
+(``--backend``, default ``auto``; ``--window``, the batching window in
+seconds; ``--max-batch``; ``--timeout``, the per-request deadline in
+seconds; ``--max-pending``; ``--cost-budget``; ``--max-line`` in
+characters), plus ``--idle-timeout`` (seconds) and ``--quiet``
+(suppress the stats line).
 """
 
 from __future__ import annotations
@@ -45,7 +37,13 @@ import json
 import sys
 import threading
 
-from repro.serve.proto import DEFAULT_MAX_LINE, error_frame as _error_frame
+from repro.serve.proto import (
+    OversizedFrame,
+    add_engine_flags,
+    answer,
+    engine_from_flags,
+    error_frame,
+)
 from repro.serve.server import AsyncEngine
 
 __all__ = ["main", "amain"]
@@ -54,24 +52,12 @@ __all__ = ["main", "amain"]
 _OVERSIZED = object()
 
 
-async def _handle(engine: AsyncEngine, line: str, stdout) -> None:
-    from repro.engine import faults
-
-    request_id = None
-    try:
-        line = faults.fire("serve.frame", line)
-        request = json.loads(line)
-        request_id = request.get("id")
-        program = request["program"]
-        if "values" in request:
-            payload = {"results": await engine.run_many(program, request["values"])}
-        else:
-            payload = {"result": await engine.run_json(program, request["value"])}
-    except Exception as exc:  # noqa: BLE001 — every request error goes to the client
-        payload = _error_frame(exc)
-    if request_id is not None:
-        payload["id"] = request_id
+def _emit(payload: dict, stdout) -> None:
     print(json.dumps(payload, sort_keys=True), file=stdout, flush=True)
+
+
+async def _answer(engine: AsyncEngine, line: str, stdout) -> None:
+    _emit(await answer(line, engine), stdout)
 
 
 def _read_frame(stdin, max_line: int):
@@ -116,13 +102,7 @@ async def amain(
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve", description=__doc__.splitlines()[0]
     )
-    parser.add_argument("--backend", default="auto")
-    parser.add_argument("--window", type=float, default=0.002)
-    parser.add_argument("--max-batch", type=int, default=64)
-    parser.add_argument("--timeout", type=float, default=None)
-    parser.add_argument("--max-pending", type=int, default=1024)
-    parser.add_argument("--cost-budget", type=int, default=None)
-    parser.add_argument("--max-line", type=int, default=DEFAULT_MAX_LINE)
+    add_engine_flags(parser)
     parser.add_argument("--idle-timeout", type=float, default=None)
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
@@ -131,14 +111,7 @@ async def amain(
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
 
-    engine = AsyncEngine(
-        backend=args.backend,
-        batch_window=args.window,
-        max_batch=args.max_batch,
-        max_pending=args.max_pending,
-        default_timeout=args.timeout,
-        cost_budget=args.cost_budget,
-    )
+    engine = engine_from_flags(args)
     loop = asyncio.get_running_loop()
     pending: set[asyncio.Task] = set()
     frames: asyncio.Queue = asyncio.Queue()
@@ -168,15 +141,12 @@ async def amain(
             if not line:
                 break
             if line is _OVERSIZED:
-                frame = {
-                    "error": f"request line over {args.max_line} characters",
-                    "code": "oversized",
-                }
-                print(json.dumps(frame, sort_keys=True), file=stdout, flush=True)
+                message = f"request line over {args.max_line} characters"
+                _emit(error_frame(OversizedFrame(message)), stdout)
                 continue
             if not line.strip():
                 continue
-            task = asyncio.ensure_future(_handle(engine, line, stdout))
+            task = asyncio.ensure_future(_answer(engine, line, stdout))
             pending.add(task)
             task.add_done_callback(pending.discard)
             # Yield once so same-burst lines land in one batching window.

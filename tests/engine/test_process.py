@@ -296,8 +296,9 @@ class TestGracefulDegradation:
             backend.close()
 
     def test_daemonic_process_evaluates_inline(self):
-        # Daemonic processes (NetServer router workers) may not have
-        # children: the backend must evaluate in-process, not crash.
+        # Daemonic processes (workers of a caller's own multiprocessing
+        # pool) may not have children: the backend must evaluate
+        # in-process, not crash.
         ctx = multiprocessing.get_context()
         receiver, sender = ctx.Pipe(duplex=False)
         proc = ctx.Process(target=_run_in_daemon, args=(sender,), daemon=True)

@@ -6,8 +6,8 @@ evaluation, a slow worker, a malformed protocol frame, an overloaded
 queue — every ``run_json`` future finishes with either a result or a
 *typed* error (:class:`~repro.errors.Overloaded`,
 :class:`~repro.errors.DeadlineExceeded`,
-:class:`~repro.errors.CostBudgetExceeded`, ...), and the stdio server
-answers every line with a structured frame.
+:class:`~repro.errors.CostBudgetExceeded`, ...), and the serving
+transports answer every line with a structured frame.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.io import value_to_json
 from repro.serve import AsyncEngine
 from repro.serve.__main__ import amain
 from repro.values.values import vorset, vset
+from tests.serve.transports import run_stdio, run_tcp
 
 PAYLOAD = value_to_json(vset(1, 2, 3))
 
@@ -216,17 +217,6 @@ class TestCountDegradation:
         asyncio.run(main())
 
 
-def run_stdio(lines, argv=None):
-    """Drive the stdio server start-to-EOF; parsed response frames."""
-    stdin = io.StringIO("".join(lines))
-    stdout = io.StringIO()
-    stderr = io.StringIO()
-    asyncio.run(
-        amain(argv if argv is not None else ["--quiet"], stdin, stdout, stderr)
-    )
-    return [json.loads(line) for line in stdout.getvalue().splitlines()]
-
-
 class TestStdioHardening:
     def test_round_trip(self):
         frames = run_stdio(
@@ -254,13 +244,16 @@ class TestStdioHardening:
         assert frames[1] == {"id": 2, "result": PAYLOAD}
 
     def test_injected_frame_corruption_is_contained(self):
-        plan = FaultPlan(rules=(FaultRule("serve.frame", "malform", times=1),))
+        # The fault site sits in the shared dispatcher, so a corrupted
+        # frame is contained the same way on every transport.
         good = json.dumps({"id": 3, "program": "map(id)", "value": PAYLOAD}) + "\n"
-        with faults.active_plan(plan):
-            frames = run_stdio([good, good])
-        codes = [f.get("code") for f in frames]
-        assert codes.count("malformed") == 1
-        assert {"id": 3, "result": PAYLOAD} in frames
+        for run in (run_stdio, run_tcp):
+            plan = FaultPlan(rules=(FaultRule("serve.frame", "malform", times=1),))
+            with faults.active_plan(plan):
+                frames = run([good, good])
+            codes = [f.get("code") for f in frames]
+            assert codes.count("malformed") == 1, run.__name__
+            assert {"id": 3, "result": PAYLOAD} in frames, run.__name__
 
     def test_timeout_flag_reports_deadline_frames(self):
         good = json.dumps({"id": 4, "program": "map(id)", "value": PAYLOAD}) + "\n"

@@ -3,8 +3,7 @@
 Each test boots a real :class:`NetServer` on an ephemeral loopback port
 and talks to it over actual sockets: NDJSON frames (including ``count``
 and ``stats`` ops), the minimal HTTP path, per-client rate limiting
-with ``retry_after`` hints, oversized-line rejection, and the
-multi-process worker mode's digest-affinity routing.
+with ``retry_after`` hints, and oversized-line rejection.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import asyncio
 import json
 
-from repro.io import program_digest, run_json, value_to_json
+from repro.io import run_json, value_to_json
 from repro.serve import NetServer, RateLimiter
 from repro.values.values import vorset
 
@@ -246,32 +245,3 @@ class TestHttp:
         assert missing[0] == 404
         assert bad[0] == 400 and bad[2]["code"] == "malformed"
         assert stats[0] == 200
-
-
-class TestWorkerMode:
-    def test_digest_affinity_routes_one_program_to_one_worker(self):
-        async def main():
-            async with NetServer(workers=2, batch_window=0.001) as server:
-                frames = [
-                    {"id": i, "program": "normalize", "value": orset_json(i)}
-                    for i in range(6)
-                ]
-                responses = await request_frames(server.address, frames)
-                stats = await request_frames(
-                    server.address, [{"id": 99, "op": "stats"}]
-                )
-                return responses, stats[99]["stats"]
-
-        responses, stats = asyncio.run(main())
-        for i in range(6):
-            assert responses[i]["result"] == run_json("normalize", orset_json(i))
-        # One program digest → one worker; the other stayed cold.
-        assert sorted(stats["net"]["worker_frames"]) == [0, 6]
-        assert len(stats["workers"]) == 2
-        served = [w.get("requests", 0) for w in stats["workers"]]
-        assert sorted(served) == [0, 6]
-
-    def test_program_digest_is_stable_and_text_keyed(self):
-        assert program_digest("normalize") == program_digest("normalize")
-        assert program_digest("normalize") != program_digest("flatten")
-        assert len(program_digest("normalize")) == 40

@@ -1,0 +1,73 @@
+"""One wire protocol: every transport answers a frame the same way.
+
+:func:`repro.serve.proto.answer` is the only frame dispatcher, so the
+stdio server and a :class:`~repro.serve.NetServer` connection must give
+identical answers to the same request line — runs, batches, world
+counts, stats, and every kind of malformed frame.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from repro.io import run_json, value_to_json
+from repro.values.values import vorset, vset
+from tests.serve.transports import run_stdio, run_tcp
+
+WORLD = value_to_json(vorset(1, 2))
+#: A set of two 2-way or-sets: four worlds.
+TWO_CHOICES = value_to_json(vset(vorset(1, 2), vorset(3, 4)))
+
+
+def malformed(message: str, request_id=None) -> dict:
+    frame = {"code": "malformed", "error": message}
+    if request_id is not None:
+        frame["id"] = request_id
+    return frame
+
+
+#: name → (request frame or raw line, fields the answer must carry).
+CASES = {
+    "run": (
+        {"id": 1, "program": "normalize", "value": WORLD},
+        {"id": 1, "result": run_json("normalize", WORLD)},
+    ),
+    "values": (
+        {"id": 2, "program": "normalize", "values": [WORLD, TWO_CHOICES]},
+        {"id": 2, "results": [run_json("normalize", v) for v in (WORLD, TWO_CHOICES)]},
+    ),
+    "count": (
+        {"id": 3, "op": "count", "program": "normalize", "value": TWO_CHOICES},
+        {"id": 3, "result": {"count": 4, "approximate": False}},
+    ),
+    "stats": ({"id": 4, "op": "stats"}, {"id": 4}),
+    "unknown-op": (
+        {"id": 5, "op": "bogus", "program": "normalize", "value": WORLD},
+        malformed("unknown op 'bogus'", 5),
+    ),
+    "non-object": ([1, 2], malformed("malformed request frame: [1, 2]")),
+    "unparsable": ('{"id": 7, "program": nope', {"code": "malformed"}),
+    "missing-program": (
+        {"id": 8, "value": WORLD},
+        malformed("malformed request frame: missing 'program'", 8),
+    ),
+    "missing-value": (
+        {"id": 9, "program": "normalize"},
+        malformed("malformed request frame: missing 'value'", 9),
+    ),
+}
+
+
+@pytest.mark.parametrize("frame, expected", list(CASES.values()), ids=list(CASES))
+def test_stdio_and_tcp_answer_alike(frame, expected):
+    line = (frame if isinstance(frame, str) else json.dumps(frame)) + "\n"
+    (stdio,) = run_stdio([line], ["--quiet", "--backend", "eager"])
+    (tcp,) = run_tcp([line], backend="eager")
+    assert expected.items() <= stdio.items()
+    if "stats" in stdio:
+        # Both answer the engine's counters; NetServer adds its ``net``
+        # block, and latency figures differ run to run, so compare keys.
+        assert set(stdio.pop("stats")) == set(tcp.pop("stats")) - {"net"}
+    assert stdio == tcp

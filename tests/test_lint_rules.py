@@ -24,6 +24,8 @@ PRIMITIVES = "src/repro/lang/primitives.py"
 PROCESS = "src/repro/engine/process.py"
 COST_MODEL = "src/repro/engine/cost_model.py"
 ANALYSIS = "src/repro/engine/analysis.py"
+NET = "src/repro/serve/net.py"
+PROTO = "src/repro/serve/proto.py"
 
 
 def codes(source, path):
@@ -93,6 +95,35 @@ class TestLR003NormalizeInEstimators:
 
     def test_normalize_outside_estimators_is_fine(self):
         assert codes("w = normalize(v)\n", "src/repro/engine/backends.py") == []
+
+
+class TestLR004ErrorFramesOnlyInProto:
+    def test_hand_built_frame_flagged(self):
+        src = 'frame = {\n    "error": "too long",\n    "code": "oversized",\n}\n'
+        vs = check_source(src, NET)
+        assert [v.code for v in vs] == ["LR004"]
+        assert vs[0].line == 1
+        assert "proto" in vs[0].message
+
+    def test_any_serve_module_flagged(self):
+        src = 'payload = {"error": str(exc), "code": "malformed"}\n'
+        assert codes(src, "src/repro/serve/__main__.py") == ["LR004"]
+
+    def test_proto_may_build_frames(self):
+        src = 'frame = {"error": str(exc), "code": "deadline"}\n'
+        assert codes(src, PROTO) == []
+
+    def test_reads_docstrings_and_other_keys_pass(self):
+        src = (
+            '"""Answers {"code": "overloaded"} frames."""\n'
+            'if payload.get("code") == "overloaded":\n'
+            '    head = {"stats": snapshot, "id": 1}\n'
+        )
+        assert codes(src, NET) == []
+
+    def test_frames_outside_serve_are_fine(self):
+        src = 'row = {"code": "x"}\n'
+        assert codes(src, "tests/serve/test_net.py") == []
 
 
 class TestHarness:

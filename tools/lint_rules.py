@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint rules the generic linters cannot express.
 
-Three invariants of this engine are architectural, not stylistic, and a
+Four invariants of this engine are architectural, not stylistic, and a
 violation is a latent bug that no unit test reliably catches:
 
 * **LR001 — no lambdas in transport-path modules.**  The callables
@@ -22,6 +22,13 @@ violation is a latent bug that no unit test reliably catches:
   *without* building the ``3^(n/3)`` worlds.  A ``normalize``/
   ``possibilities`` call inside estimation code turns a static bound
   into the exponential work it was supposed to avoid.
+
+* **LR004 — only ``serve/proto.py`` builds error frames.**  Every
+  transport answers failures through :func:`repro.serve.proto.error_frame`,
+  the one exception→error-code mapping.  A dict literal with a
+  ``"code"`` key anywhere else in :mod:`repro.serve` is a hand-built
+  error frame, and the transports start to drift apart on error
+  semantics.
 
 Usage::
 
@@ -52,6 +59,10 @@ ESTIMATOR_MODULES = (
 
 #: The one module allowed to create/own DEFAULT_ENGINE (LR002).
 ENGINE_HOME = "src/repro/engine/__init__.py"
+
+#: The serving package, and the one module in it that builds error frames (LR004).
+SERVE_PACKAGE = "src/repro/serve/"
+PROTOCOL_HOME = "src/repro/serve/proto.py"
 
 #: Call targets forbidden in estimator modules: each materializes worlds.
 NORMALIZING_CALLS = frozenset(
@@ -105,6 +116,7 @@ def check_source(source: str, path: str) -> list[Violation]:
     transport = posix.endswith(TRANSPORT_PATH_MODULES)
     estimator = posix.endswith(ESTIMATOR_MODULES)
     engine_home = posix.endswith(ENGINE_HOME)
+    serve = SERVE_PACKAGE in posix and not posix.endswith(PROTOCOL_HOME)
 
     for node in ast.walk(tree):
         if transport and isinstance(node, ast.Lambda):
@@ -131,6 +143,13 @@ def check_source(source: str, path: str) -> list[Violation]:
                     f"{name}() inside cost-estimation code: estimators must "
                     "bound normalization without materializing worlds",
                 )
+        if serve and isinstance(node, ast.Dict) and _has_code_key(node):
+            report(
+                node,
+                "LR004",
+                "error frame built outside serve/proto.py: raise a typed "
+                "error and map it with proto.error_frame",
+            )
     return out
 
 
@@ -141,6 +160,12 @@ def _call_name(node: ast.Call) -> str | None:
     if isinstance(fn, ast.Attribute):
         return fn.attr
     return None
+
+
+def _has_code_key(node: ast.Dict) -> bool:
+    return any(
+        isinstance(key, ast.Constant) and key.value == "code" for key in node.keys
+    )
 
 
 def _roots_in_default_engine(node: ast.AST) -> bool:
