@@ -1,7 +1,27 @@
 """Normalization of complex objects (Section 4) and the ``normalize``
 primitive of or-NRA+.
 
-The engine follows the paper exactly:
+:func:`normalize` computes the normal form in closed form.  Proposition
+4.1 gives ``nf(t) = t`` when ``t`` has no or-sets and ``nf(t) = <t'>``
+(``t`` with every angle bracket removed) otherwise, and Theorem 4.2
+(Coherence) makes the normal form independent of the rewrite strategy.
+So ``normalize(x : t)`` is ``x`` in set form when ``t`` has no or-sets,
+and otherwise the or-set of ``x``'s distinct worlds, which the kernel
+builds bottom-up with duplicates removed at every level:
+
+* an atom is its own world;
+* a pair's worlds are the product of its components' worlds;
+* an or-set's worlds are the union of its members' worlds;
+* a set's or bag's worlds are the products of its members' worlds,
+  collapsed as sets;
+* a variant's worlds are its payload's worlds, injected.
+
+A value sitting under a type variable of the declared type has no
+rewrite redex inside it, so it is its own single world, in set form.
+
+The paper's rewrite loop stays as the reference
+(:func:`normalize_with_trace`, :func:`normalize_with_strategy`,
+:func:`coherence_witness`), and tests check the kernel against it:
 
 1. translate the object ``x : t`` into the multiset world
    (``x^d : t^d``) so duplicate or-sets are not collapsed prematurely;
@@ -11,9 +31,8 @@ The engine follows the paper exactly:
 3. when the type is in normal form, translate back (``(.)^s``), removing
    duplicates.
 
-Theorem 4.2 (Coherence) guarantees the result is independent of the
-strategy; :func:`normalize_with_strategy` and :func:`coherence_witness`
-let tests and benchmarks check this directly.
+Both paths start with the same check: a value that does not inhabit its
+declared type raises :class:`~repro.errors.OrNRATypeError`.
 """
 
 from __future__ import annotations
@@ -29,6 +48,7 @@ from repro.types.kinds import (
     SetType,
     Type,
     VariantType,
+    contains_orset,
     sets_to_bags,
 )
 from repro.types.rewrite import (
@@ -56,7 +76,10 @@ from repro.values.values import (
     SetValue,
     Value,
     Variant,
+    check_type,
+    format_value,
     infer_type,
+    sort_key,
 )
 
 from repro.lang.bag_ops import AlphaD
@@ -158,13 +181,32 @@ def apply_at(value: Value, at_type: Type, pos: Position, fn: Transformer) -> Val
 
 Strategy = Callable[[Sequence[Redex]], Redex]
 
+#: An arena hook: given a node's sort key and the node (its children
+#: canonical), the arena's canonical copy — ``dict.setdefault``'s shape.
+Canon = Callable[[tuple, Value], Value]
+
+
+def _checked_type(value: Value, value_type: Type | None) -> Type:
+    """The type to normalize *value* at: inferred, or declared and checked.
+
+    Without the check the rewrite loop would return values outside
+    ``nf(t)`` for ill-typed input (``normalize(<1>, int)`` gave ``<1>``).
+    """
+    if value_type is None:
+        return infer_type(value)
+    if not check_type(value, value_type):
+        raise OrNRATypeError(
+            f"normalize: {format_value(value)} does not inhabit {value_type!r}"
+        )
+    return value_type
+
 
 def normalize_with_trace(
     value: Value, value_type: Type | None = None, strategy: Strategy = innermost_strategy
 ) -> tuple[Value, list[Redex]]:
-    """Normalize, also returning the (position, rule) trace that was used."""
-    if value_type is None:
-        value_type = infer_type(value)
+    """Normalize by the paper's rewrite loop, also returning its
+    (position, rule) trace — the reference the kernel is checked against."""
+    value_type = _checked_type(value, value_type)
     current_type = sets_to_bags(value_type)
     current = to_bags(value)
     trace: list[Redex] = []
@@ -185,10 +227,115 @@ def _subtype(t: Type, pos: Position) -> Type:
     return subtype_at(t, pos)
 
 
-def normalize(value: Value, value_type: Type | None = None) -> Value:
-    """``normalize_t : t -> nf(t)`` with the default (innermost) strategy."""
-    result, _ = normalize_with_trace(value, value_type)
-    return result
+def normalize(
+    value: Value, value_type: Type | None = None, *, arena: Canon | None = None
+) -> Value:
+    """``normalize_t : t -> nf(t)``, by the closed form of Proposition 4.1.
+
+    *arena* is the engine's internal hook
+    (:meth:`repro.engine.interning.Interner.normalize`): given a node's
+    sort key and the node, whose children are canonical, it returns the
+    arena's canonical copy.  Without it the kernel hash-conses into a
+    table of its own, keyed by sort key, for the duration of the call.
+    Either way every node the kernel compares is canonical, so worlds
+    are deduplicated by identity.
+    """
+    # repro.engine imports this module, so the checkpoint is bound late.
+    from repro.engine.deadline import checkpoint
+
+    value_type = _checked_type(value, value_type)
+    if arena is None:
+        # Sort keys are injective, so they can key a hash-consing table.
+        arena = {}.setdefault
+    return _normal_form(value, value_type, arena, checkpoint)
+
+
+def _normal_form(
+    value: Value, value_type: Type, arena: Canon, checkpoint: Callable[[str], None]
+) -> Value:
+    """The kernel: ``x`` in set form, or the or-set of its distinct worlds."""
+    # The sort key of every canon this call got back from the arena, so a
+    # new node's key is built from its children's (in the layout of
+    # repro.values.values.sort_key: pair 2, set 3, or-set 4, variant 6).
+    keys: dict[int, tuple] = {}
+
+    def canon(key: tuple, node: Value) -> Value:
+        found = arena(key, node)
+        keys[id(found)] = key
+        return found
+
+    def collect(cls: type, tag: int, elems: list[Value]) -> Value:
+        # A set or or-set of `elems`, built as its constructor would but
+        # sorted by the keys already at hand instead of recomputed ones.
+        distinct = {keys[id(e)]: e for e in elems}
+        order = sorted(distinct)
+        node = object.__new__(cls)
+        object.__setattr__(node, "elems", tuple([distinct[k] for k in order]))
+        return canon((tag, len(order), tuple(order)), node)
+
+    def worlds(v: Value, t: Type) -> list[Value]:
+        # Distinct canonical worlds of `v : t`.  A type variable `t` makes
+        # `v` opaque: it is passed down, so or-sets below it stay or-sets.
+        cls = type(v)
+        if cls is Pair:
+            product = type(t) is ProdType
+            firsts = worlds(v.fst, t.left if product else t)
+            seconds = worlds(v.snd, t.right if product else t)
+            out = []
+            for f in firsts:
+                checkpoint("normalize")
+                key = keys[id(f)]
+                out.extend([canon((2, key, keys[id(s)]), Pair(f, s)) for s in seconds])
+            return out
+        if cls is OrSetValue:
+            if type(t) is not OrSetType:
+                return [collect(OrSetValue, 4, [worlds(m, t)[0] for m in v.elems])]
+            union = {}
+            for m in v.elems:
+                for w in worlds(m, t.elem):
+                    union[id(w)] = w
+            return list(union.values())
+        if cls is SetValue or cls is BagValue:
+            elem_type = t.elem if type(t) in (SetType, BagType) else t
+            fixed = []  # the worlds of one-world members, in every world
+            branching = []
+            for m in v.elems:
+                member = worlds(m, elem_type)
+                if not member:
+                    return []
+                if len(member) == 1:
+                    fixed.append(member[0])
+                else:
+                    branching.append(member)
+            if not branching:
+                return [collect(SetValue, 3, fixed)]
+            chosen = {id(w): w for member in branching for w in member}
+            # Fold the branching members in, deduplicating the choices made
+            # so far as sets of ids: choices that collide merge early.
+            choices = {frozenset()}
+            for member in branching:
+                checkpoint("normalize")
+                picks = [frozenset((id(w),)) for w in member]
+                choices = {c | p for c in choices for p in picks}
+            out = []
+            for choice in choices:
+                checkpoint("normalize")
+                out.append(collect(SetValue, 3, fixed + [chosen[i] for i in choice]))
+            return out
+        if cls is Variant:
+            if type(t) is VariantType:
+                t = t.left if v.side == 0 else t.right
+            side = v.side
+            return [
+                canon((6, side, keys[id(w)]), Variant(side, w))
+                for w in worlds(v.payload, t)
+            ]
+        return [canon(sort_key(v), v)]
+
+    found = worlds(value, value_type)
+    if contains_orset(value_type):
+        return collect(OrSetValue, 4, found)
+    return found[0]
 
 
 def normalize_with_strategy(

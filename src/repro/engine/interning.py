@@ -17,21 +17,28 @@ sort order (and, worse, the normal form) for each copy.  The
 * :meth:`Interner.normalize` memoizes :func:`repro.core.normalize.normalize`
   keyed on the interned object's *identity* (plus the declared type), so
   repeated normalization of the same object — the dominant cost in
-  possible-worlds workloads — is computed once.
+  possible-worlds workloads — is computed once.  A miss runs the
+  normal-form kernel *inside* the arena: every node it creates is the
+  arena's canon from the start, its sort key built from its children's
+  cached keys, so the normal form needs no second interning pass.
 
 The arena holds strong references by design (identity-keyed caches
 require it), so it is *bounded*: past ``max_size`` entries the arena
 evicts **least-recently-used** entries one at a time — every intern hit
 touches its entry, so the hot working set stays resident while cold
 values (and *their* cached sort keys and normal forms, keyed by the
-evicted object's id) leave together.  ``stats()["evictions"]`` counts
-evicted entries; pass ``max_size=None`` for the old unbounded behaviour,
-or call :meth:`Interner.clear` to release everything by hand.
+evicted object's id) leave together.  The recency order is keyed by
+the canon's id, so touching an entry — and re-interning an object that
+already is its canon — costs no structural rehash.
+``stats()["evictions"]`` counts evicted entries; pass ``max_size=None``
+for the old unbounded behaviour, or call :meth:`Interner.clear` to
+release everything by hand.
 
 All public methods are thread-safe: one :class:`threading.RLock` guards
 the arena and the derived-result caches, which is what makes the shared
 ``DEFAULT_ENGINE`` safe to hammer from the serving layer's executor
-threads.
+threads.  The normal-form kernel mutates the arena, so it runs under
+that lock too.
 """
 
 from __future__ import annotations
@@ -76,12 +83,14 @@ class Interner:
 
     def __init__(self, max_size: int | None = DEFAULT_MAX_ARENA_SIZE) -> None:
         self.max_size = max_size
-        self._arena: OrderedDict[Value, Value] = OrderedDict()
+        # Structural lookup, and the LRU order keyed by the canon's id.
+        self._arena: dict[Value, Value] = {}
+        self._recency: OrderedDict[int, Value] = OrderedDict()
         self._sort_keys: dict[int, tuple] = {}
         self._normal_forms: dict[int, dict[Type | None, Value]] = {}
         self._bound_plans: dict[int, tuple[object, object]] = {}
-        # RLock: normalize() interns, and leaf_apply-driven normalize
-        # calls may arrive while intern() already holds the lock.
+        # RLock: leaf_apply-driven normalize calls may arrive while
+        # intern() already holds the lock.
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -100,16 +109,34 @@ class Interner:
             return canon
 
     def _intern(self, value: Value) -> Value:
-        canon = self._arena.get(value)
+        # An id the arena pins is a live canon: re-interning one is an
+        # identity check, not a structural rehash.
+        canon = value if id(value) in self._recency else self._arena.get(value)
         if canon is not None:
             self.hits += 1
-            self._arena.move_to_end(value)  # touch: LRU keeps hot entries
+            self._recency.move_to_end(id(canon))  # touch: LRU keeps hot entries
             return canon
-        self.misses += 1
-        canon = self._rebuild(value)
-        self._arena[canon] = canon
-        # The arena pins `canon`, so caching by id() is sound.
-        self._sort_keys[id(canon)] = sort_key(canon)
+        node = self._rebuild(value)
+        # sort_key reads the children's cached keys (and recomputes the
+        # key of a child evicted under a canon that is still live).
+        return self._canon(sort_key(node), node)
+
+    def _canon(self, key: tuple, node: Value) -> Value:
+        """The canonical copy of *node*, whose children are canonical.
+
+        *key* is the node's sort key.  This is also the normal-form
+        kernel's arena hook; the kernel builds each key from the keys of
+        the canons it got back, so it never reads the sort-key cache.
+        """
+        canon = self._arena.setdefault(node, node)
+        if canon is node:
+            self.misses += 1
+            self._recency[id(node)] = node
+            # The arena pins `node`, so caching by id() is sound.
+            self._sort_keys[id(node)] = key
+        else:
+            self.hits += 1
+            self._recency.move_to_end(id(canon))
         return canon
 
     def _rebuild(self, value: Value) -> Value:
@@ -130,7 +157,7 @@ class Interner:
     def is_interned(self, value: Value) -> bool:
         """Is *value* (this exact object) the arena's canonical copy?"""
         with self._lock:
-            return self._arena.get(value) is value
+            return id(value) in self._recency
 
     def _trim(self) -> None:
         """Evict LRU entries until the arena is back within ``max_size``.
@@ -146,10 +173,11 @@ class Interner:
         if self.max_size is None:
             return
         floor = max(self.max_size, 1)
-        while len(self._arena) > floor:
-            _key, canon = self._arena.popitem(last=False)
-            self._sort_keys.pop(id(canon), None)
-            self._normal_forms.pop(id(canon), None)
+        while len(self._recency) > floor:
+            key, canon = self._recency.popitem(last=False)
+            del self._arena[canon]
+            self._sort_keys.pop(key, None)
+            self._normal_forms.pop(key, None)
             self.evictions += 1
 
     # -- derived results ---------------------------------------------------
@@ -161,49 +189,39 @@ class Interner:
             return self._sort_keys[id(canon)]
 
     def normalize(self, value: Value, value_type: Type | None = None) -> Value:
-        """Memoized :func:`repro.core.normalize.normalize`.
+        """Memoized :func:`repro.core.normalize.normalize`, built in the arena.
 
         The key is the *identity* of the interned input (plus the
         declared type), so equal inputs share one normalization no matter
-        how many structurally distinct copies the caller holds.
-
-        The lock is held only around the memo lookups and inserts — the
-        normalization itself runs outside it, so concurrent workers
-        normalizing *different* inputs do not serialize on one arena
-        (first-insert-wins on the rare duplicated computation).
+        how many structurally distinct copies the caller holds.  A miss
+        runs the kernel with this arena as its hash-consing table, under
+        the lock: the normal form comes back canonical, node by node, and
+        the arena is trimmed only after the kernel returns, because its
+        identity-based deduplication needs every node it compares to stay
+        the current canon.
         """
         from repro.core.normalize import normalize as _normalize
 
         with self._lock:
-            canon = self.intern(value)
-            by_type = self._normal_forms.get(id(canon))
-            cached = by_type.get(value_type) if by_type is not None else None
-            if cached is not None:
-                self.normalize_hits += 1
-                return cached
-        raw = _normalize(canon, value_type)
-        with self._lock:
-            # `canon` is pinned by this frame, but the LRU may have
-            # evicted its entry in between: re-intern so the memo key's
-            # id is arena-pinned again (a no-op hit in the common case).
-            with use_sort_key_cache(self._sort_keys):
-                canon = self._intern(canon)
+            try:
+                with use_sort_key_cache(self._sort_keys):
+                    canon = self._intern(value)
                 by_type = self._normal_forms.get(id(canon))
                 cached = by_type.get(value_type) if by_type is not None else None
                 if cached is not None:
                     self.normalize_hits += 1
                     return cached
                 self.normalize_misses += 1
-                result = self._intern(raw)
-            # Interning a large normal form may have pushed `canon` far
-            # down the LRU order; re-touch it so the trim below evicts
-            # the normal form's nested entries before the memo's key —
-            # otherwise the memo would die for exactly the expensive
-            # inputs it exists for.
-            self._arena.move_to_end(canon)
-            self._normal_forms.setdefault(id(canon), {})[value_type] = result
-            self._trim()
-            return result
+                result = _normalize(canon, value_type, arena=self._canon)
+                # The kernel's nodes went in after `canon`; re-touch it so
+                # the trim evicts them before the memo's key — otherwise
+                # the memo would die for exactly the expensive inputs it
+                # exists for.
+                self._recency.move_to_end(id(canon))
+                self._normal_forms.setdefault(id(canon), {})[value_type] = result
+                return result
+            finally:
+                self._trim()
 
     # -- plan integration --------------------------------------------------
 
@@ -260,6 +278,7 @@ class Interner:
         """Drop the arena and every derived-result cache."""
         with self._lock:
             self._arena.clear()
+            self._recency.clear()
             self._sort_keys.clear()
             self._normal_forms.clear()
             self._bound_plans.clear()

@@ -136,6 +136,24 @@ class TestTypeConformance:
             assert normalize(value, t) == value
 
 
+class TestIllTypedInput:
+    """A value outside its declared type raises on both paths, instead of
+    normalizing to a value outside ``nf(t)``."""
+
+    @pytest.mark.parametrize(
+        "text, declared",
+        [("<1>", "int"), ('{<"a">}', "{<int>}"), ("(<1, 2>, 3)", "<int> * string")],
+    )
+    def test_declared_type_is_checked(self, text, declared):
+        x, t = parse_value(text), parse_type(declared)
+        with pytest.raises(OrNRATypeError):
+            normalize(x, t)
+        with pytest.raises(OrNRATypeError):
+            normalize_with_strategy(x, t, innermost_strategy)
+        with pytest.raises(OrNRATypeError):
+            Normalize(t).apply(x)
+
+
 class TestPossibilities:
     def test_possibilities_wrap(self):
         assert possibilities(vset(1, 2)) == (vset(1, 2),)

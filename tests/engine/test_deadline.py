@@ -12,6 +12,9 @@ supervised recovery is built from: the seeded-backoff
 
 from __future__ import annotations
 
+import importlib
+from types import SimpleNamespace
+
 import pytest
 
 from repro import engine as E
@@ -31,7 +34,7 @@ from repro.lang.morphisms import Compose, Id, PairOf
 from repro.lang.orset_ops import OrToSet
 from repro.lang.primitives import plus
 from repro.lang.set_ops import SetMap, SetMu
-from repro.values.values import vorset, vset
+from repro.values.values import vorset, vpair, vset
 
 DOUBLE = Compose(plus(), PairOf(Id(), Id()))
 
@@ -133,6 +136,50 @@ class TestIoTimeouts:
     def test_generous_timeout_returns_result(self):
         payload = value_to_json(vset(1, 2))
         assert run_json("map(id)", payload, timeout=60.0) == payload
+
+
+class TestNormalizeLeafDeadline:
+    """The ``normalize`` leaf checks the deadline inside its own loops.
+
+    The deadline module's clock is frozen until the leaf starts and then
+    jumps past the deadline, so every check before the leaf passes and
+    only a checkpoint inside the leaf can raise.
+    """
+
+    @pytest.fixture
+    def expires_in_leaf(self, monkeypatch):
+        import repro.engine.deadline as deadline_module
+
+        # The module, not the function `repro.core` re-exports by its name.
+        core_normalize = importlib.import_module("repro.core.normalize")
+        now = [0.0]
+        monkeypatch.setattr(
+            deadline_module, "time", SimpleNamespace(monotonic=lambda: now[0])
+        )
+        kernel = core_normalize.normalize
+
+        def expire_then_normalize(*args, **kwargs):
+            now[0] = 1e9
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(core_normalize, "normalize", expire_then_normalize)
+
+    DESIGN = value_to_json(
+        vpair(vset(*(vorset(10 * i, 10 * i + 5) for i in range(1, 7))), vorset(1, 2))
+    )
+
+    def test_direct_leaf_raises(self, expires_in_leaf):
+        with pytest.raises(DeadlineExceeded):
+            run_json("normalize", self.DESIGN, timeout=60.0)
+
+    def test_interned_leaf_raises(self, expires_in_leaf):
+        with pytest.raises(DeadlineExceeded):
+            run_json_many("normalize", [self.DESIGN], timeout=60.0)
+
+    def test_leaf_answers_without_deadline(self, expires_in_leaf):
+        assert run_json("normalize", self.DESIGN) == run_json_many(
+            "normalize", [self.DESIGN]
+        )[0]
 
 
 class TestCircuitBreaker:

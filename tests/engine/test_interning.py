@@ -1,10 +1,23 @@
 """Tests for the hash-consing arena and its derived-result caches."""
 
-from repro.core.normalize import normalize
-from repro.engine.interning import Interner
+import sys
+import threading
+
+import pytest
+
+from repro.core.normalize import normalize, normalize_with_strategy
+from repro.engine.interning import DEFAULT_MAX_ARENA_SIZE, Interner
+from repro.types.rewrite import innermost_strategy
 from repro.values.values import (
+    BagValue,
+    OrSetValue,
+    Pair,
+    SetValue,
+    Variant,
     sort_key,
     vbag,
+    vinl,
+    vinr,
     vorset,
     vpair,
     vset,
@@ -149,3 +162,115 @@ class TestBoundedArena:
         from repro.engine.interning import DEFAULT_MAX_ARENA_SIZE
 
         assert Interner().max_size == DEFAULT_MAX_ARENA_SIZE
+
+
+def design(width, base=0):
+    """A Section 4 design: ``({<a_i, b_i> : i <= width}, <c, d>)``."""
+    return vpair(
+        vset(*(vorset(base + 10 * i, base + 10 * i + 5) for i in range(1, width + 1))),
+        vorset(base + 1, base + 2),
+    )
+
+
+def assert_canonical(v):
+    """Every collection in *v* equals its rebuild by the public constructor."""
+    for node in nodes(v):
+        if isinstance(node, (SetValue, OrSetValue, BagValue)):
+            assert type(node)(node.elems).elems == node.elems
+
+
+def nodes(v):
+    """Every node of *v*, root first."""
+    yield v
+    if isinstance(v, (SetValue, OrSetValue, BagValue)):
+        for e in v.elems:
+            yield from nodes(e)
+    elif isinstance(v, Pair):
+        yield from nodes(v.fst)
+        yield from nodes(v.snd)
+    elif isinstance(v, Variant):
+        yield from nodes(v.payload)
+
+
+class TestArenaBuiltNormalForms:
+    """The kernel builds normal forms straight into the arena."""
+
+    def test_normal_form_is_interned_node_by_node(self):
+        interner = Interner()
+        result = interner.normalize(design(4))
+        assert interner.is_interned(result)
+        assert all(interner.is_interned(w) for w in result.elems)
+        assert interner.intern(result) is result
+
+    def test_kernel_keys_match_sort_key(self):
+        # The kernel builds each key from its children's; the cached key
+        # must equal the one sort_key computes from scratch.
+        from repro.types.kinds import SetType, TypeVar
+
+        interner = Interner()
+        mixed = vpair(vset(vinl(vorset(1, 2)), vinr(vorset(3))), design(3))
+        opaque = (vset(vorset(1, 2), vorset()), SetType(TypeVar("a")))
+        for x, t in ((mixed, None), opaque):
+            for result in (normalize(x, t), interner.normalize(x, t)):
+                assert_canonical(result)
+                for node in nodes(result):
+                    assert interner.sort_key(node) == sort_key(node)
+
+    def test_reintern_of_a_canon_keeps_it_recent(self):
+        # Re-interning the canon itself takes the identity path, which
+        # must still touch the entry, as a structural hit does.
+        interner = Interner(max_size=8)
+        canon = interner.intern(vorset(777))
+        for i in range(50):
+            interner.intern(vorset(i, i + 1))
+            assert interner.intern(canon) is canon
+        assert interner.is_interned(canon)
+        assert interner.stats()["evictions"] > 0
+
+    def test_eviction_under_live_canons(self):
+        # max_size=16 is far below one normal form's node count, so every
+        # trim evicts children of canons the caller still holds.
+        interner = Interner(max_size=16)
+        for i in range(12):
+            x = design(6, base=1000 * (i % 4))
+            result = interner.normalize(x)
+            assert result == normalize_with_strategy(x, None, innermost_strategy)
+            assert_canonical(result)
+            for j in range(12):
+                interner.intern(vset(vorset(50_000 + 100 * i + j), j))
+        assert interner.stats()["evictions"] > 0
+
+    @pytest.mark.parametrize("max_size", [DEFAULT_MAX_ARENA_SIZE, 64])
+    def test_threads_share_one_arena(self, max_size):
+        # 8 threads, more than the cores, with a short switch interval;
+        # at max_size=64 other threads' trims land between the kernels.
+        interner = Interner(max_size=max_size)
+        designs = [design(3 + i % 4, base=1000 * i) for i in range(8)]
+        expected = [normalize(x) for x in designs]
+        results: list = [None] * len(designs)
+        errors: list = []
+
+        def work(i):
+            try:
+                for r in range(6):
+                    interner.intern(vorset(100_000 * (i + 1) + r))
+                    results[i] = interner.normalize(design(3 + i % 4, base=1000 * i))
+                    assert_canonical(results[i])
+            except BaseException as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert results == expected
+        if max_size == DEFAULT_MAX_ARENA_SIZE:
+            assert all(interner.is_interned(got) for got in results)

@@ -12,17 +12,21 @@ from hypothesis import strategies as st
 from repro.types.kinds import (
     BOOL,
     INT,
+    BagType,
     OrSetType,
     ProdType,
     SetType,
     Type,
+    VariantType,
 )
 from repro.values.values import (
     Atom,
+    BagValue,
     OrSetValue,
     Pair,
     SetValue,
     Value,
+    Variant,
     boolean,
 )
 
@@ -38,14 +42,27 @@ __all__ = [
 base_types = st.sampled_from([INT, BOOL])
 
 
-def object_types(max_depth: int = 3, allow_orset: bool = True) -> st.SearchStrategy[Type]:
-    """Random object types up to *max_depth*."""
+def object_types(
+    max_depth: int = 3,
+    allow_orset: bool = True,
+    variants: bool = False,
+    bags: bool = False,
+) -> st.SearchStrategy[Type]:
+    """Random object types up to *max_depth*.
+
+    *variants* and *bags* opt in to the variant and bag constructors;
+    without them the distribution is the original one.
+    """
     extend_choices = [
         lambda c: st.tuples(c, c).map(lambda p: ProdType(*p)),
         lambda c: c.map(SetType),
     ]
     if allow_orset:
         extend_choices.append(lambda c: c.map(OrSetType))
+    if variants:
+        extend_choices.append(lambda c: st.tuples(c, c).map(lambda p: VariantType(*p)))
+    if bags:
+        extend_choices.append(lambda c: c.map(BagType))
 
     def extend(children: st.SearchStrategy[Type]) -> st.SearchStrategy[Type]:
         return st.one_of(*[make(children) for make in extend_choices])
@@ -90,14 +107,29 @@ def value_of(
             min_size=min_width,
             max_size=max_width,
         ).map(OrSetValue)
+    if isinstance(t, BagType):
+        return st.lists(
+            value_of(t.elem, max_width, min_width),
+            min_size=min_width,
+            max_size=max_width,
+        ).map(BagValue)
+    if isinstance(t, VariantType):
+        return st.one_of(
+            value_of(t.left, max_width, min_width).map(lambda v: Variant(0, v)),
+            value_of(t.right, max_width, min_width).map(lambda v: Variant(1, v)),
+        )
     return _atoms(t)
 
 
 def typed_values(
-    max_depth: int = 3, max_width: int = 3, min_width: int = 0
+    max_depth: int = 3,
+    max_width: int = 3,
+    min_width: int = 0,
+    variants: bool = False,
+    bags: bool = False,
 ) -> st.SearchStrategy[tuple[Value, Type]]:
-    """Random ``(value, type)`` pairs."""
-    return object_types(max_depth).flatmap(
+    """Random ``(value, type)`` pairs (variants and bags are opt-in)."""
+    return object_types(max_depth, variants=variants, bags=bags).flatmap(
         lambda t: st.tuples(value_of(t, max_width, min_width), st.just(t))
     )
 
