@@ -8,17 +8,18 @@ family):
 * **tight-family-count** — the acceptance workload: the exact world
   count of ``normalize`` over the Theorem 6.5 tight family.  The eager
   baseline materializes and deduplicates every world; the symbolic
-  backend compiles the or-set choices to CNF, traces DPLL into a
-  d-DNNF and counts in circuit-linear time.  Target: >= 100x at the
-  largest in-reach size.
+  backend counts by Prop. 6.1's recursion over the input (a sum over
+  or-set branches, a product over set members), in time linear in the
+  input.  Target: >= 100x at the largest in-reach size.
 * **beyond-enumeration** — the same query at ``k = 19`` (3^19 ~ 1.16e9
   worlds, past the 10^9 acceptance bar, unreachable for enumeration):
   records that the exact count comes back in milliseconds and equals
   3^19, and that ``exists``/``certain`` answer at the same scale.
-* **exactness** — not a timing: random or-set values cross-checked
-  against the brute-force worlds oracle — the count is *exact* on both
-  the certificate path and the enumeration fallback; a mismatch fails
-  the run (and CI, via the pytest entry points).
+* **exactness** — not a timing: random or-set values counted by the
+  symbolic backend (over the identity plan) and cross-checked against
+  the brute-force worlds oracle — the count is *exact* on both the
+  certificate path and the enumeration fallback; a mismatch fails the
+  run (and CI, via the pytest entry points).
 
 Run ``python benchmarks/bench_symbolic.py`` (add ``--quick`` for CI
 smoke sizes) to print the table and write ``BENCH_symbolic.json`` next
@@ -39,14 +40,19 @@ from repro.core.costs import tight_family
 from repro.core.normalize import Normalize
 from repro.core.worlds import worlds
 from repro.engine import Engine
-from repro.engine.symbolic import ChoiceSpace
+from repro.engine.plan import compile_plan
+from repro.engine.symbolic import ChoiceSpace, SymbolicBackend
 from repro.gen import random_orset_value
+from repro.lang.morphisms import Id
 
 OUT_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_symbolic.json"
 
 #: Whole-value normalization: the output's or-set of worlds *is* the
 #: world set, so any enumerating count pays for all 3^k of them.
 COUNT_QUERY = Normalize()
+
+#: The identity plan: the exactness gate counts random values as given.
+ID_PLAN = compile_plan(Id())
 
 
 def _eager_count(engine: Engine, x) -> int:
@@ -108,13 +114,12 @@ def _workloads(quick: bool = False) -> list[dict]:
     # 3. exactness: the regression gate (not a timing).
     samples = 150 if quick else 400
     rng = random.Random(0)
+    symbolic = SymbolicBackend()
     exact_hits = 0
     for _ in range(samples):
         v, _t = random_orset_value(rng, max_depth=3, max_width=3, min_width=0)
-        space = ChoiceSpace(v)
-        truth = len(worlds(v))
-        assert space.count_worlds() == truth, str(v)
-        exact_hits += space.exact
+        assert symbolic.count_worlds(ID_PLAN, v) == len(worlds(v)), str(v)
+        exact_hits += ChoiceSpace(v).exact
     results.append(
         {
             "workload": "exactness",
@@ -165,9 +170,10 @@ def test_auto_routes_beyond_enumeration_queries_symbolic():
 def test_counts_are_exact_against_brute_force():
     """CI gate: symbolic counts equal the worlds oracle on random values."""
     rng = random.Random(1)
+    symbolic = SymbolicBackend()
     for _ in range(100):
         v, _t = random_orset_value(rng, max_depth=3, max_width=3, min_width=0)
-        assert ChoiceSpace(v).count_worlds() == len(worlds(v)), str(v)
+        assert symbolic.count_worlds(ID_PLAN, v) == len(worlds(v)), str(v)
 
 
 def main() -> None:

@@ -499,8 +499,8 @@ class Engine:
         """``|worlds(run(program, value))|`` — the paper's ``m``.
 
         With ``backend="auto"`` (or ``"symbolic"``), supported plans are
-        answered on the compiled choice space: exact counts in time
-        linear in the *input*, even when the count itself is
+        answered by recursion over the traced input: exact counts in
+        time linear in the *input*, even when the count itself is
         astronomical.  Other backends count by deduplicated enumeration.
         """
         plan, concrete, interner = self._world_query_setup(
@@ -555,9 +555,10 @@ class Engine:
         of a normalized or-set database), and the result is the
         intersection of their element sets, as a canonical ``SetValue``.
         Raises :class:`~repro.errors.OrNRAValueError` when the output
-        has no worlds at all (inconsistency).  The symbolic route
-        answers each membership with one SAT call instead of
-        intersecting exponentially many worlds.
+        has no worlds at all (inconsistency).  The symbolic route reads
+        the answer off the members' own worlds (an element is certain
+        iff it is some member's only world) instead of intersecting
+        exponentially many worlds.
         """
         plan, concrete, interner = self._world_query_setup(
             program, value, optimize, intern

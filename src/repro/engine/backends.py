@@ -29,7 +29,8 @@ imported (which :mod:`repro.engine` always does): the multiprocess
 sharded spine walk :class:`~repro.engine.process.ProcessBackend`
 (``BACKENDS["process"]``), the fused columnar kernels of
 :class:`~repro.engine.columnar.FusedBackend` (``BACKENDS["fused"]``) and
-the knowledge-compilation :class:`~repro.engine.symbolic.SymbolicBackend`
+the closed-form world queries of
+:class:`~repro.engine.symbolic.SymbolicBackend`
 (``BACKENDS["symbolic"]``).
 
 Callers rarely pick from :data:`BACKENDS` by hand: ``backend="auto"``

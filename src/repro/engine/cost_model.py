@@ -30,10 +30,11 @@ Three consumers sit on top of the estimator:
 * :func:`estimate_morphism_cost` is the weighted static cost the
   optimizer's best-first scheduler minimizes (normalization-class
   operators carry the Section 6 exponential risk and weigh accordingly);
-* :func:`select_backend` picks the execution backend per call — eager
-  for small estimated world counts, streaming when the estimate says the
-  normal form is huge (existential consumers then short-circuit off the
-  lazy spine), fused or process (with estimate-proportional shard sizes)
+* :func:`select_backend` picks the execution backend per call —
+  symbolic for world queries on a traceable spine, eager for small
+  estimated world counts, streaming when the estimate says the normal
+  form is huge (existential consumers then short-circuit off the lazy
+  spine), fused or process (with estimate-proportional shard sizes)
   when the top-level spine is wide.
 """
 
@@ -88,7 +89,6 @@ __all__ = [
     "plan_profile",
     "BackendChoice",
     "select_backend",
-    "SYMBOLIC_WORLDS",
     "SMALL_WORLDS",
     "WIDE_SPINE",
     "STREAM_NORM_SIZE",
@@ -103,16 +103,6 @@ __all__ = [
 #: At or below this many estimated worlds, eager execution (with its
 #: maximal memo reuse) beats the laziness bookkeeping.
 SMALL_WORLDS = 64
-
-#: Past this many estimated worlds a whole-world-set consumer
-#: (count/certain/possible/exists) is routed to the symbolic backend
-#: (when the plan's spine has a world-preserving trace): enumerating
-#: backends pay per world, while the knowledge-compilation path is
-#: linear in the *value* — measured crossover is well under a hundred
-#: worlds on the tight family, so only the eager-trivial range is kept
-#: out.  First-witness consumers are *not* routed here (streaming's
-#: lazy spine wins those); see ``select_backend``'s ``world_query``.
-SYMBOLIC_WORLDS = 1 << 8
 
 #: Top-level collections at least this wide are worth sharding.
 WIDE_SPINE = 32
@@ -582,15 +572,15 @@ def select_backend(
     """Pick the backend — eager/streaming/process/fused/symbolic —
     for this (plan, value) call.
 
-    * **small** estimated world count → ``eager`` (closure execution and
-      maximal memo reuse win outright);
     * **world queries** (count/certain/possible/exists — consumers that
       quantify over the *whole* world set, flagged ``world_query=True``)
-      past :data:`SYMBOLIC_WORLDS` estimated worlds, over a plan whose
-      spine the symbolic trace supports → ``symbolic`` (the
-      knowledge-compilation backend answers without enumerating a single
-      world; a first-witness consumer is better served by streaming, so
-      ``existential`` alone does not trigger this);
+      over a plan whose spine the symbolic trace supports → ``symbolic``,
+      before the input is estimated at all: the closed-form recursion is
+      linear in the input and measured no slower than eager even on
+      one-world inputs.  A first-witness consumer is better served by
+      streaming, so ``existential`` alone does not trigger this;
+    * **small** estimated world count → ``eager`` (closure execution and
+      maximal memo reuse win outright);
     * **existential** consumers over a huge estimated world count →
       ``streaming`` (the first witness comes off the lazy spine before
       any normal form is materialized);
@@ -613,14 +603,12 @@ def select_backend(
     default — means the in-process backends only, so direct callers never
     receive a ``"process"`` decision they did not sign up for.
     """
-    est = estimate_value(value)
-    profile = plan_profile(plan)
     names = (
         ("eager", "streaming", "fused", "symbolic")
         if available is None
         else available
     )
-    if world_query and est.worlds > SYMBOLIC_WORLDS and "symbolic" in names:
+    if world_query and "symbolic" in names:
         # Imported lazily: the symbolic module imports the backends
         # registry, which this module must not import at load time.
         from repro.engine.symbolic import plan_supports_symbolic
@@ -628,9 +616,11 @@ def select_backend(
         if plan_supports_symbolic(plan):
             return BackendChoice(
                 "symbolic",
-                f"~{est.worlds} estimated worlds is beyond enumeration; "
-                "the compiled choice space answers without building any",
+                "world query on a traceable spine; answered in closed form "
+                "over the input, without enumerating worlds",
             )
+    est = estimate_value(value)
+    profile = plan_profile(plan)
     if (
         existential
         and est.worlds > SMALL_WORLDS

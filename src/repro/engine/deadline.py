@@ -10,10 +10,9 @@ context variable:
   ``timeout=``) wraps evaluation in :func:`deadline_scope`;
 * the evaluation loops call :func:`checkpoint` at their natural stage
   boundaries — per plan node in the sharded walk, per element on the
-  streaming spine, per fused columnar stage, per solver restart and per
-  membership SAT call in the symbolic backend, per input in
-  ``Engine.run_many`` — and the first checkpoint past the deadline
-  raises.
+  streaming spine, per fused columnar stage, per enumerated world in
+  the symbolic backend, per input in ``Engine.run_many`` — and the
+  first checkpoint past the deadline raises.
 
 Checkpoints are *cooperative*: with no deadline installed the cost is
 one context-variable read, so backends pay nothing on the common path

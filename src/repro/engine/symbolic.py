@@ -4,7 +4,7 @@ Every other backend materializes or iterates possible worlds, so the
 Section 6 lower bound (``3^(n/3)`` worlds on the tight family) is a wall
 for all of them — streaming short-circuits the *first* witness but
 counting, certainty and emptiness still touch every world.  This backend
-goes around the wall with knowledge compilation:
+goes around the wall in two steps:
 
 1. **trace** — :func:`trace_worlds` walks the plan's spine carrying a
    *surrogate* value whose world set provably equals the world set of
@@ -14,26 +14,28 @@ goes around the wall with knowledge compilation:
    ``worlds(normalize(x)) = worlds(x)``, the same argument covers
    ``alpha`` and ``ormap(normalize)``, and skipping them is exactly what
    makes the surrogate linear-sized where the output is exponential.
-2. **compile** — :class:`ChoiceSpace` encodes the surrogate's or-set
-   choices as CNF over *binary* selector variables: an ``n``-branch
-   or-site gets ``ceil(log2 n)`` bit variables (so even a
-   thousand-branch site costs ten variables and a handful of
-   range clauses, never a quadratic exactly-one ladder), guard clauses
-   pin every site beneath an unselected branch to its canonical first
-   pattern (so irrelevant choices do not multiply the count), and an
-   empty or-site (``< >`` denotes no worlds) contributes a clause
-   forbidding its guarding branch outright.  The CNF's models are in
-   bijection with the value's world-generating choice vectors, and
-   :func:`repro.sat.ddnnf.compile_ddnnf` turns it into a d-DNNF.
-3. **query** — on the circuit, satisfiability answers ``exists`` in
-   O(1), lazy model enumeration streams (decoded, deduplicated) worlds,
-   the model count gives ``count_worlds`` in circuit-linear time
-   whenever the space's *injectivity certificate* proves models map
-   one-to-one onto distinct worlds, and certain/possible membership is
-   one CDCL call (:func:`repro.sat.dpll.dpll_sat`) per candidate.
+2. **recurse** — :class:`ChoiceSpace` answers the queries by structural
+   recursion over the surrogate.  Or-NRA values are trees, so the worlds
+   of a pair, set or bag are the product of its components' worlds and
+   the worlds of an or-set the union of its branches' worlds (the
+   possible-worlds reading behind Theorem 4.2):
 
-Everything degrades soundly: unsupported plans, non-injective spaces and
-non-flat membership structures fall back to the eager enumeration path,
+   * ``exists`` — every component has a world, and every or-set on the
+     way has a branch that does;
+   * ``count_worlds`` — Prop. 6.1's recursion, a sum over or-set
+     branches and a product over components, exact whenever the
+     *injectivity certificate* proves distinct choices give distinct
+     worlds;
+   * ``possible`` — the union of a collection's members' worlds;
+   * ``certain`` — the members' worlds that are their member's only
+     world (members choose independently, so nothing else is in every
+     world).
+
+   These enumerate at most the worlds of single members; only
+   ``possibilities`` streams the value's own worlds, lazily.
+
+Everything degrades soundly: unsupported plans and counts the
+certificate cannot vouch for fall back to the eager enumeration path,
 so :meth:`SymbolicBackend.execute`/``possibilities`` stay conformant
 with every other backend on every program (the differential suite runs
 them against the direct interpreter), while supported queries at
@@ -42,14 +44,14 @@ them against the direct interpreter), while supported queries at
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import islice
+from math import prod
 from typing import Iterator
 
 from repro.core.normalize import Normalize
 from repro.errors import OrNRATypeError, OrNRAValueError
 from repro.lang.orset_ops import Alpha, OrMap
-from repro.sat.cnf import CNF, Clause
-from repro.sat.ddnnf import DDNNF, compile_ddnnf
-from repro.sat.dpll import dpll_sat, dpll_solve
 from repro.values.values import (
     Atom,
     BagValue,
@@ -119,6 +121,12 @@ def trace_worlds(plan: Plan, value: Value) -> Value:
     structurally the intermediate — from there only further
     world-preserving steps are allowed.  Anything else raises
     :exc:`SymbolicUnsupported` and the caller falls back to eager.
+
+    ``normalize`` also collapses bags into sets, so its output's worlds
+    are the *set-collapsed* worlds of its input; a skipped ``normalize``
+    or ``ormap(normalize)`` over a value holding a bag is refused too.
+    (Collapsing the surrogate would merge equal bag members, which are
+    independent choices.)
     """
     current = value
     virtual = False
@@ -129,6 +137,8 @@ def trace_worlds(plan: Plan, value: Value) -> Value:
         src = node.source
         if node.op == "leaf" and isinstance(src, Normalize):
             # Theorem 4.2: worlds(normalize(x)) == worlds(x).  Skip.
+            if _has_bag(current):
+                raise SymbolicUnsupported("normalize collapses bags")
             virtual = True
             continue
         if node.op == "map" and isinstance(src, OrMap) and _body_is_world_preserving(
@@ -138,6 +148,8 @@ def trace_worlds(plan: Plan, value: Value) -> Value:
             # members' world sets is unchanged member by member.
             if not isinstance(current, OrSetValue):
                 raise SymbolicUnsupported("ormap over a non-or-set")
+            if _has_bag(current):
+                raise SymbolicUnsupported("normalize collapses bags")
             virtual = True
             continue
         if node.op == "leaf" and isinstance(src, Alpha):
@@ -162,313 +174,189 @@ def trace_worlds(plan: Plan, value: Value) -> Value:
     return current
 
 
+def _has_bag(v: Value) -> bool:
+    if isinstance(v, BagValue):
+        return True
+    if isinstance(v, (SetValue, OrSetValue)):
+        return any(_has_bag(e) for e in v.elems)
+    if isinstance(v, Pair):
+        return _has_bag(v.fst) or _has_bag(v.snd)
+    if isinstance(v, Variant):
+        return _has_bag(v.payload)
+    return False
+
+
 # -- the choice space --------------------------------------------------------
 
 
 class ChoiceSpace:
-    """The CNF choice encoding of one value, with decoder and certificate.
+    """The world structure of one traced value, queried by recursion.
 
-    Each multi-branch or-site with ``n`` branches gets ``ceil(log2 n)``
-    *bit* variables; the little-endian bit pattern picks the branch.
-    Binary selectors keep wide or-sites linear where one-hot exactly-one
-    constraints are quadratic — a 1000-branch site is 10 variables and a
-    few clauses.  Clauses:
+    Or-NRA values are trees, so choices in different components are
+    independent: an atom or unit is its own world, the worlds of a pair,
+    set or bag pick one world per component, a variant's are its
+    payload's, and an or-set's are the union of its branches' worlds
+    (``< >`` has none).  Every query recurses over that structure.  Only
+    ``iter_worlds`` enumerates the value's worlds; ``certain_members``
+    and ``possible_members`` enumerate single members' worlds, and
+    ``count_worlds`` and ``satisfiable`` enumerate none.
 
-    * range clauses forbidding the unused patterns ``n .. 2^width - 1``
-      (one clause per zero bit of ``n - 1``, standard lexicographic
-      bound), so patterns are in bijection with branches;
-    * guard clauses: a site's *guard* is the conjunction of bit literals
-      selecting every enclosing or-branch on the path from the root.
-      ``(bit -> g)`` for each guard literal ``g`` pins the site to its
-      canonical all-zero pattern whenever any enclosing branch is not
-      chosen, so irrelevant choices do not multiply the count.  (The
-      guard must be the *whole* path condition: a site nested beneath a
-      canonically-pinned branch is just as irrelevant as the pinned
-      site itself.)
-    * ``(~g_1 | ... | ~g_m)`` for an empty or-site (``< >`` has no
-      worlds, so the branch leading to one is infeasible); an unguarded
-      empty site contributes the empty clause — zero worlds.
-
-    ``exact`` is the injectivity certificate: when it holds, CNF models
-    are in bijection with *distinct* worlds and the d-DNNF model count
-    is the exact world count.  When it fails (sibling branches sharing
-    atoms can collapse two choices into one world), counting falls back
-    to deduplicated enumeration — still correct, no longer sub-world.
+    ``exact`` is the injectivity certificate: when it holds, distinct
+    canonical choice vectors yield distinct worlds, so the Σ/Π count of
+    choice vectors is the world count.  When it fails (sibling branches
+    sharing atoms can collapse two choices into one world),
+    :meth:`count_worlds` refuses and the backend counts by enumeration.
     """
 
     def __init__(self, value: Value) -> None:
         self.value = value
-        self._n_vars = 0
-        self._clauses: list[Clause] = []
-        self.root = self._build(value, ())
-        self.exact = _injective(value)
-        self._circuit: DDNNF | None = None
 
-    # -- construction -------------------------------------------------------
-
-    def _fresh(self) -> int:
-        self._n_vars += 1
-        return self._n_vars
-
-    def _build(self, v: Value, guard: tuple[int, ...]):
-        if isinstance(v, (Atom, UnitValue)):
-            return ("leaf", v)
-        if isinstance(v, Pair):
-            return ("pair", self._build(v.fst, guard), self._build(v.snd, guard))
-        if isinstance(v, Variant):
-            return ("variant", v.side, self._build(v.payload, guard))
-        if isinstance(v, (SetValue, BagValue)):
-            kind = "set" if isinstance(v, SetValue) else "bag"
-            return (kind, tuple(self._build(e, guard) for e in v.elems))
-        if isinstance(v, OrSetValue):
-            branches = v.elems
-            if not branches:
-                self._clauses.append(frozenset(-g for g in guard))
-                return ("or", (), ())
-            if len(branches) == 1:
-                return ("or", (), (self._build(branches[0], guard),))
-            n = len(branches)
-            width = (n - 1).bit_length()
-            bits = tuple(self._fresh() for _ in range(width))
-            # Forbid patterns > n-1: one clause per zero bit of n-1, each
-            # saying "not (agree with n-1 above position t and exceed it
-            # at t)" — the lexicographic upper-bound encoding.
-            top = n - 1
-            for t in range(width):
-                if (top >> t) & 1:
-                    continue
-                lits = [-bits[t]]
-                for s in range(t + 1, width):
-                    lits.append(-bits[s] if (top >> s) & 1 else bits[s])
-                self._clauses.append(frozenset(lits))
-            # Pin to the all-zero pattern when any enclosing branch is
-            # not chosen: bit -> g for every guard literal.
-            for bit in bits:
-                for g in guard:
-                    self._clauses.append(frozenset((-bit, g)))
-            subs = tuple(
-                self._build(branch, guard + _pattern(bits, i))
-                for i, branch in enumerate(branches)
-            )
-            return ("or", bits, subs)
-        raise OrNRAValueError(f"not a value: {v!r}")
-
-    # -- the compiled artifacts ---------------------------------------------
-
-    def cnf(self) -> CNF:
-        return CNF(self._n_vars, tuple(self._clauses))
-
-    def circuit(self) -> DDNNF:
-        if self._circuit is None:
-            self._circuit = compile_ddnnf(self.cnf())
-        return self._circuit
-
-    # -- decoding -----------------------------------------------------------
-
-    def decode(self, model: dict[int, bool]) -> Value:
-        """The world selected by the total *model* (mirrors ``iter_worlds``)."""
-
-        def walk(node) -> Value:
-            tag = node[0]
-            if tag == "leaf":
-                return node[1]
-            if tag == "pair":
-                return Pair(walk(node[1]), walk(node[2]))
-            if tag == "variant":
-                return Variant(node[1], walk(node[2]))
-            if tag == "set":
-                return SetValue(walk(e) for e in node[1])
-            if tag == "bag":
-                return BagValue(walk(e) for e in node[1])
-            bits, subs = node[1], node[2]
-            if not bits:
-                return walk(subs[0])
-            index = 0
-            for t, bit in enumerate(bits):
-                if model.get(bit):
-                    index |= 1 << t
-            return walk(subs[index if index < len(subs) else 0])
-
-        return walk(self.root)
-
-    # -- queries ------------------------------------------------------------
+    @cached_property
+    def exact(self) -> bool:
+        return _injective(self.value)
 
     def satisfiable(self) -> bool:
-        if self._circuit is not None:
-            return self._circuit.satisfiable()
-        return dpll_sat(self.cnf())
+        return _has_world(self.value)
 
     def iter_worlds(self) -> Iterator[Value]:
-        """Distinct worlds, lazily.
-
-        Once the circuit is compiled, enumeration walks its model paths.
-        Before that it runs CDCL with blocking clauses — each next
-        solution is one :func:`~repro.sat.dpll.dpll_solve` call, so the
-        *first* witness never pays for knowledge compilation (the case
-        that matters when a wide or-site makes the circuit expensive but
-        a single model is easy).
-        """
-        if self._circuit is not None:
-            yield from self._iter_circuit()
-        else:
-            yield from self._iter_cdcl()
-
-    def _iter_circuit(self) -> Iterator[Value]:
-        seen: set[Value] = set()
-        for model in self.circuit().iter_models():
-            checkpoint("symbolic model enumeration")
-            world = self.decode(model)
-            if world not in seen:
-                seen.add(world)
-                yield world
-
-    def _iter_cdcl(self) -> Iterator[Value]:
-        seen: set[Value] = set()
-        clauses = list(self._clauses)
-        n = self._n_vars
-        while True:
-            # One checkpoint per solver restart: each blocking-clause
-            # round is a fresh CDCL solve, the natural boundary at which
-            # a deadline can interrupt enumeration.
-            checkpoint("symbolic solver restart")
-            model = dpll_solve(CNF(n, tuple(clauses)))
-            if model is None:
-                return
-            # The partial model stands for every completion over its
-            # unassigned variables; expand them (lazily) so free bits
-            # reach the decoder, then block the assigned core.
-            free = [v for v in range(1, n + 1) if v not in model]
-            for mask in range(1 << len(free)):
-                filled = dict(model)
-                for j, v in enumerate(free):
-                    filled[v] = bool((mask >> j) & 1)
-                world = self.decode(filled)
-                if world not in seen:
-                    seen.add(world)
-                    yield world
-            if not model:
-                return
-            clauses.append(
-                frozenset(-v if positive else v for v, positive in model.items())
-            )
+        """Distinct worlds, lazily, with a deadline checkpoint per world."""
+        return _distinct_worlds(self.value)
 
     def count_worlds(self) -> int:
-        """Exact ``|worlds(value)|`` — circuit-linear when ``exact``,
-        deduplicated enumeration otherwise."""
-        if self.exact:
-            return self.circuit().model_count()
-        self.circuit()  # exhaustive anyway; paths beat repeated solving
-        return sum(1 for _ in self.iter_worlds())
-
-    def member_sites(self):
-        """The flat membership structure for certain/possible queries.
-
-        When the root is a set/bag whose members are each either fixed
-        (choice-free) or a single or-site with fixed branches, membership
-        of an element in a world is decided by one site's bit pattern —
-        returns ``(fixed_values, [(patterns, branch_values)])`` with one
-        bit-literal conjunction per branch.  Raises
-        :exc:`SymbolicUnsupported` on any deeper nesting (callers fall
-        back to enumeration).
-        """
-        if self.root[0] not in ("set", "bag"):
-            raise SymbolicUnsupported("root is not a collection")
-        fixed: list[Value] = []
-        sites: list[tuple[tuple[tuple[int, ...], ...], tuple[Value, ...]]] = []
-        for member in self.root[1]:
-            while member[0] == "or" and not member[1] and member[2]:
-                member = member[2][0]
-            if member[0] == "or" and not member[2]:
-                # An empty or-site: the whole space has no worlds — the
-                # callers' satisfiability check raises for it.
-                continue
-            if _node_is_fixed(member):
-                fixed.append(_fixed_value(member))
-                continue
-            if member[0] != "or" or not member[1]:
-                raise SymbolicUnsupported("nested choices in a member")
-            bits, subs = member[1], member[2]
-            if not all(_node_is_fixed(sub) for sub in subs):
-                raise SymbolicUnsupported("nested choices in a member")
-            patterns = tuple(_pattern(bits, i) for i in range(len(subs)))
-            sites.append((patterns, tuple(_fixed_value(sub) for sub in subs)))
-        return fixed, sites
+        """Exact ``|worlds(value)|`` — Prop. 6.1's recursion, sums over
+        or-set branches and products over components.  Raises
+        :exc:`SymbolicUnsupported` unless ``exact``."""
+        if not self.exact:
+            raise SymbolicUnsupported("choices may collide; count by enumeration")
+        return _choice_count(self.value)
 
     def certain_members(self) -> frozenset[Value]:
-        """Elements present in *every* world: one UNSAT check each."""
-        fixed, sites = self.member_sites()
+        """Elements present in *every* world."""
         if not self.satisfiable():
             raise OrNRAValueError("certain() of an inconsistent value (no worlds)")
-        certain = set(fixed)
-        candidates: dict[Value, list[tuple[int, ...]]] = {}
-        for patterns, values in sites:
-            for pattern, branch_value in zip(patterns, values, strict=True):
-                candidates.setdefault(branch_value, []).append(pattern)
-        base = self._clauses
-        for candidate, patterns in candidates.items():
-            checkpoint("symbolic certain membership")
-            if candidate in certain:
-                continue
-            # Certain iff "no world omits it": CNF plus, per occurrence,
-            # a clause denying that branch's bit pattern is UNSAT.
-            blocked = tuple(base) + tuple(
-                frozenset(-lit for lit in pattern) for pattern in patterns
-            )
-            if not dpll_sat(CNF(self._n_vars, blocked)):
-                certain.add(candidate)
-        return frozenset(certain)
+        return frozenset(_certain(self.value))
 
     def possible_members(self) -> frozenset[Value]:
-        """Elements present in *some* world: one SAT check each."""
-        fixed, sites = self.member_sites()
+        """Elements present in *some* world."""
         if not self.satisfiable():
             raise OrNRAValueError("possible() of an inconsistent value (no worlds)")
-        possible = set(fixed)
-        base = self._clauses
-        for patterns, values in sites:
-            for pattern, branch_value in zip(patterns, values, strict=True):
-                checkpoint("symbolic possible membership")
-                if branch_value in possible:
-                    continue
-                chosen = tuple(base) + tuple(
-                    frozenset((lit,)) for lit in pattern
-                )
-                if dpll_sat(CNF(self._n_vars, chosen)):
-                    possible.add(branch_value)
-        return frozenset(possible)
+        return frozenset(_possible(self.value))
 
 
-def _pattern(bits: tuple[int, ...], index: int) -> tuple[int, ...]:
-    """The bit-literal conjunction selecting branch *index* of a site."""
-    return tuple(
-        bit if (index >> t) & 1 else -bit for t, bit in enumerate(bits)
-    )
+def _distinct_worlds(v: Value) -> Iterator[Value]:
+    """The distinct worlds of *v*, lazily; one deadline checkpoint per
+    enumerated world, before deduplication."""
+    if not _has_world(v):
+        return
+    seen: set[Value] = set()
+    for world in _worlds(v):
+        checkpoint("symbolic world enumeration")
+        if world not in seen:
+            seen.add(world)
+            yield world
 
 
-def _node_is_fixed(node) -> bool:
-    tag = node[0]
-    if tag == "leaf":
-        return True
-    if tag == "pair":
-        return _node_is_fixed(node[1]) and _node_is_fixed(node[2])
-    if tag == "variant":
-        return _node_is_fixed(node[2])
-    if tag in ("set", "bag"):
-        return all(_node_is_fixed(e) for e in node[1])
-    return False  # an or-site
+def _worlds(v: Value) -> Iterator[Value]:
+    """The worlds of *v*, which has at least one, possibly repeated.
+
+    Lazy at every level: ``core.worlds.iter_worlds`` stores every
+    member's worlds before a set's first world, but here a set or bag
+    steps through its members' worlds like an odometer, re-enumerating
+    a member when the one before it advances, and or-set branches
+    without a world are skipped.  So every component reached has a
+    world, and the work between two worlds is polynomial in the size of
+    *v* — which is what makes one checkpoint per world a deadline bound.
+    """
+    if isinstance(v, OrSetValue):
+        for branch in v.elems:
+            if _has_world(branch):
+                yield from _worlds(branch)
+    elif isinstance(v, (SetValue, BagValue)):
+        members = v.elems
+        streams = [_worlds(member) for member in members]
+        choice = [next(stream) for stream in streams]
+        while True:
+            yield type(v)(choice)
+            for i in reversed(range(len(members))):
+                world = next(streams[i], None)
+                if world is not None:
+                    choice[i] = world
+                    break
+            else:
+                return
+            for j in range(i + 1, len(members)):
+                streams[j] = _worlds(members[j])
+                choice[j] = next(streams[j])
+    elif isinstance(v, Pair):
+        for fst in _worlds(v.fst):
+            for snd in _worlds(v.snd):
+                yield Pair(fst, snd)
+    elif isinstance(v, Variant):
+        for payload in _worlds(v.payload):
+            yield Variant(v.side, payload)
+    else:
+        yield v  # atoms and unit
 
 
-def _fixed_value(node) -> Value:
-    tag = node[0]
-    if tag == "leaf":
-        return node[1]
-    if tag == "pair":
-        return Pair(_fixed_value(node[1]), _fixed_value(node[2]))
-    if tag == "variant":
-        return Variant(node[1], _fixed_value(node[2]))
-    if tag == "set":
-        return SetValue(_fixed_value(e) for e in node[1])
-    return BagValue(_fixed_value(e) for e in node[1])
+def _has_world(v: Value) -> bool:
+    if isinstance(v, OrSetValue):
+        return any(_has_world(branch) for branch in v.elems)
+    if isinstance(v, (SetValue, BagValue)):
+        return all(_has_world(member) for member in v.elems)
+    if isinstance(v, Pair):
+        return _has_world(v.fst) and _has_world(v.snd)
+    if isinstance(v, Variant):
+        return _has_world(v.payload)
+    return True  # atoms and unit
+
+
+def _choice_count(v: Value) -> int:
+    if isinstance(v, OrSetValue):
+        return sum(_choice_count(branch) for branch in v.elems)
+    if isinstance(v, (SetValue, BagValue)):
+        return prod(_choice_count(member) for member in v.elems)
+    if isinstance(v, Pair):
+        return _choice_count(v.fst) * _choice_count(v.snd)
+    if isinstance(v, Variant):
+        return _choice_count(v.payload)
+    return 1  # atoms and unit
+
+
+def _certain(v: Value) -> set[Value]:
+    """Elements of every world of *v*, which has at least one world."""
+    if isinstance(v, OrSetValue):
+        live = (branch for branch in v.elems if _has_world(branch))
+        result = _certain(next(live))
+        for branch in live:
+            if not result:
+                break
+            result &= _certain(branch)
+        return result
+    if isinstance(v, (SetValue, BagValue)):
+        # Members choose independently, so an element is in every world
+        # iff it is some member's only world: otherwise every member can
+        # pick a world other than it.  Two distinct worlds settle that.
+        certain: set[Value] = set()
+        for member in v.elems:
+            first = list(islice(_distinct_worlds(member), 2))
+            if len(first) == 1:
+                certain.add(first[0])
+        return certain
+    # Atoms, units, pairs and variants have no collection worlds.
+    raise _not_a_collection(next(_distinct_worlds(v)))
+
+
+def _possible(v: Value) -> set[Value]:
+    """Elements of some world of *v*, which has at least one world."""
+    if isinstance(v, OrSetValue):
+        possible: set[Value] = set()
+        for branch in v.elems:
+            if _has_world(branch):
+                possible |= _possible(branch)
+        return possible
+    if isinstance(v, (SetValue, BagValue)):
+        return {w for member in v.elems for w in _distinct_worlds(member)}
+    raise _not_a_collection(next(_distinct_worlds(v)))
 
 
 # -- the injectivity certificate ---------------------------------------------
@@ -535,16 +423,17 @@ def _injective(v: Value) -> bool:
 
 
 class SymbolicBackend(Backend):
-    """Knowledge-compilation execution for world queries.
+    """Closed-form world queries over the traced value.
 
     ``execute`` delegates to eager — a symbolic representation has
     nothing to add when the caller wants the materialized output value,
     and delegation keeps the backend conformant on arbitrary programs.
     The wins are the world-query methods: ``possibilities`` (lazy
-    decoded model enumeration), :meth:`count_worlds`, :meth:`exists`,
-    :meth:`certain` and :meth:`possible`, all running on the compiled
-    circuit when the trace supports the plan and falling back to eager
-    enumeration when it does not.
+    distinct worlds of the traced value), :meth:`count_worlds`,
+    :meth:`exists`, :meth:`certain` and :meth:`possible`, all answered
+    by the :class:`ChoiceSpace` recursion when the trace supports the
+    plan and by eager enumeration when it does not (or, for a count,
+    when the injectivity certificate fails).
     """
 
     name = "symbolic"
@@ -558,7 +447,7 @@ class SymbolicBackend(Backend):
         return self._eager.execute(plan, value, interner)
 
     def space(self, plan: Plan, value: Value) -> ChoiceSpace | None:
-        """The compiled choice space, or ``None`` when unsupported."""
+        """The traced value's choice space, or ``None`` when unsupported."""
         try:
             return ChoiceSpace(trace_worlds(plan, value))
         except SymbolicUnsupported:
@@ -578,7 +467,7 @@ class SymbolicBackend(Backend):
         self, plan: Plan, value: Value, interner: Interner | None = None
     ) -> int:
         space = self.space(plan, value)
-        if space is None:
+        if space is None or not space.exact:
             return _dedup_count(self._eager.possibilities(plan, value, interner))
         return space.count_worlds()
 
@@ -596,25 +485,17 @@ class SymbolicBackend(Backend):
         self, plan: Plan, value: Value, interner: Interner | None = None
     ) -> frozenset[Value]:
         space = self.space(plan, value)
-        if space is not None:
-            try:
-                return space.certain_members()
-            except SymbolicUnsupported:
-                worlds = space.iter_worlds()
-                return _certain_of_worlds(worlds)
-        return _certain_of_worlds(self._eager.possibilities(plan, value, interner))
+        if space is None:
+            return _certain_of_worlds(self._eager.possibilities(plan, value, interner))
+        return space.certain_members()
 
     def possible(
         self, plan: Plan, value: Value, interner: Interner | None = None
     ) -> frozenset[Value]:
         space = self.space(plan, value)
-        if space is not None:
-            try:
-                return space.possible_members()
-            except SymbolicUnsupported:
-                worlds = space.iter_worlds()
-                return _possible_of_worlds(worlds)
-        return _possible_of_worlds(self._eager.possibilities(plan, value, interner))
+        if space is None:
+            return _possible_of_worlds(self._eager.possibilities(plan, value, interner))
+        return space.possible_members()
 
 
 def _dedup_count(worlds: Iterator[Value]) -> int:
@@ -624,7 +505,11 @@ def _dedup_count(worlds: Iterator[Value]) -> int:
 def _world_elements(world: Value) -> frozenset[Value]:
     if isinstance(world, (SetValue, BagValue, OrSetValue)):
         return frozenset(world.elems)
-    raise OrNRATypeError(
+    raise _not_a_collection(world)
+
+
+def _not_a_collection(world: Value) -> OrNRATypeError:
+    return OrNRATypeError(
         f"certain/possible expect collection-valued worlds, got {world!r}"
     )
 

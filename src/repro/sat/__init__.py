@@ -1,11 +1,11 @@
-"""The Section 6 SAT reduction — and the solver stack grown out of it.
+"""The Section 6 SAT reduction and its reference solver.
 
 CNF encoding and the FD predicate (:mod:`repro.sat.cnf`), the
 normalization-based satisfiability backends
-(:mod:`repro.sat.via_normalization`), a CDCL solver with an exact model
-counter (:mod:`repro.sat.dpll`), and d-DNNF knowledge compilation
-(:mod:`repro.sat.ddnnf`) — the machinery behind the engine's symbolic
-backend (:mod:`repro.engine.symbolic`).
+(:mod:`repro.sat.via_normalization`), and the CDCL solver they are
+checked against (:mod:`repro.sat.dpll`).  The engine does not use this
+package: its symbolic backend answers world queries by recursion over
+values (:mod:`repro.engine.symbolic`).
 """
 
 from repro.sat.cnf import (
@@ -20,15 +20,13 @@ from repro.sat.cnf import (
     random_cnf,
     satisfies_fd,
 )
-from repro.sat.ddnnf import DDNNF, compile_ddnnf
-from repro.sat.dpll import count_models, dpll_sat, dpll_solve
+from repro.sat.dpll import dpll_sat, dpll_solve
 from repro.sat.via_normalization import sat_eager, sat_lazy, sat_witness
 
 __all__ = [
     "CNF", "VAR_BASE", "random_cnf", "encode_cnf", "encoded_type",
     "decode_choice", "satisfies_fd", "fd_predicate", "assignment_satisfies",
     "all_assignments",
-    "dpll_sat", "dpll_solve", "count_models",
-    "DDNNF", "compile_ddnnf",
+    "dpll_sat", "dpll_solve",
     "sat_eager", "sat_lazy", "sat_witness",
 ]

@@ -1,4 +1,4 @@
-"""A CDCL SAT solver and an exact model counter (#SAT).
+"""A CDCL SAT solver: the reference solver for the Section 6 reduction.
 
 Originally a recursive textbook DPLL; now a small conflict-driven
 clause-learning solver in the MiniSat lineage:
@@ -13,11 +13,8 @@ clause-learning solver in the MiniSat lineage:
   first unique implication point (1-UIP), the learned clause is added
   and the solver backjumps non-chronologically.
 
-:func:`count_models` is the exact #SAT counter used by the symbolic
-backend as an independent cross-check: unit propagation, connected
-component decomposition (variable-disjoint residual formulas multiply)
-and caching on residual formulas — the same decomposition the d-DNNF
-compiler (:mod:`repro.sat.ddnnf`) traces into a circuit.
+The normalization-based satisfiability backends
+(:mod:`repro.sat.via_normalization`) are checked against it.
 
 The public contract is unchanged: :func:`dpll_solve` returns a
 satisfying (possibly partial — variables in no clause stay unassigned)
@@ -31,7 +28,7 @@ from typing import Iterable
 
 from repro.sat.cnf import CNF, Clause
 
-__all__ = ["dpll_sat", "dpll_solve", "count_models"]
+__all__ = ["dpll_sat", "dpll_solve"]
 
 
 class _CDCL:
@@ -236,130 +233,3 @@ def dpll_solve(cnf: CNF) -> dict[int, bool] | None:
 def dpll_sat(cnf: CNF) -> bool:
     """Is *cnf* satisfiable?"""
     return dpll_solve(cnf) is not None
-
-
-# -- exact model counting (#SAT) ---------------------------------------------
-
-
-def _reduce(clauses: frozenset[Clause], lit: int) -> frozenset[Clause] | None:
-    """Assign *lit* true; ``None`` signals an empty (conflicting) clause."""
-    out: set[Clause] = set()
-    for clause in clauses:
-        if lit in clause:
-            continue
-        if -lit in clause:
-            reduced = clause - {-lit}
-            if not reduced:
-                return None
-            out.add(reduced)
-        else:
-            out.add(clause)
-    return frozenset(out)
-
-
-def _clause_vars(clauses: Iterable[Clause]) -> set[int]:
-    return {abs(lit) for clause in clauses for lit in clause}
-
-
-def _bcp(
-    clauses: frozenset[Clause],
-) -> tuple[frozenset[Clause] | None, list[int]]:
-    """Exhaustive unit propagation: (residual or ``None`` on conflict,
-    the literals forced, in propagation order)."""
-    forced: list[int] = []
-    current = clauses
-    while True:
-        unit = next((c for c in current if len(c) == 1), None)
-        if unit is None:
-            return current, forced
-        lit = next(iter(unit))
-        reduced = _reduce(current, lit)
-        if reduced is None:
-            return None, forced
-        forced.append(lit)
-        current = reduced
-
-
-def _components(clauses: frozenset[Clause]) -> list[frozenset[Clause]]:
-    """Partition into variable-disjoint connected components."""
-    by_var: dict[int, list[Clause]] = defaultdict(list)
-    for clause in clauses:
-        for lit in clause:
-            by_var[abs(lit)].append(clause)
-    unvisited = set(clauses)
-    components: list[frozenset[Clause]] = []
-    while unvisited:
-        seed = next(iter(unvisited))
-        frontier = [seed]
-        unvisited.discard(seed)
-        component = {seed}
-        while frontier:
-            clause = frontier.pop()
-            for lit in clause:
-                for other in by_var[abs(lit)]:
-                    if other in unvisited:
-                        unvisited.discard(other)
-                        component.add(other)
-                        frontier.append(other)
-        components.append(frozenset(component))
-    return components
-
-
-def _count(clauses: frozenset[Clause], memo: dict) -> int:
-    """Models of *clauses* over exactly the variables occurring in them."""
-    if not clauses:
-        return 1
-    if frozenset() in clauses:
-        return 0
-    cached = memo.get(clauses)
-    if cached is not None:
-        return cached
-    n_before = len(_clause_vars(clauses))
-    residual, forced = _bcp(clauses)
-    if residual is None:
-        memo[clauses] = 0
-        return 0
-    n_forced = len(forced)
-    if not residual:
-        # Everything either forced (factor 1) or freed (factor 2).
-        result = 1 << (n_before - n_forced)
-        memo[clauses] = result
-        return result
-    residual_vars = _clause_vars(residual)
-    freed = n_before - n_forced - len(residual_vars)
-    parts = _components(residual)
-    if n_forced or freed or len(parts) > 1:
-        result = 1 << freed
-        for part in parts:
-            result *= _count(part, memo)
-    else:
-        # One connected, unit-free component: branch on a frequent var.
-        occurrences: dict[int, int] = defaultdict(int)
-        for clause in residual:
-            for lit in clause:
-                occurrences[abs(lit)] += 1
-        var = max(sorted(occurrences), key=occurrences.__getitem__)
-        result = 0
-        for lit in (var, -var):
-            branch = _reduce(residual, lit)
-            if branch is None:
-                continue
-            branch_vars = _clause_vars(branch)
-            gap = len(residual_vars) - 1 - len(branch_vars)
-            result += _count(branch, memo) << gap
-    memo[clauses] = result
-    return result
-
-
-def count_models(cnf: CNF) -> int:
-    """The exact number of total assignments over ``1..n_vars`` satisfying
-    *cnf* — #SAT by unit propagation, component decomposition and caching.
-
-    Agrees with brute force over :func:`repro.sat.cnf.all_assignments`
-    (property-tested) but runs in time governed by the formula's
-    component structure rather than ``2^n_vars``.
-    """
-    clauses = frozenset(cnf.clauses)
-    constrained = _clause_vars(clauses)
-    free = cnf.n_vars - len(constrained)
-    return _count(clauses, {}) << free

@@ -408,8 +408,9 @@ class AsyncEngine:
 
         def exact() -> int:
             with deadline_scope(deadline):
-                # The symbolic count path is one solver call — make sure
-                # an already-spent deadline fails here, not after it.
+                # The symbolic count path has no checkpoint of its own —
+                # make sure an already-spent deadline fails here, not
+                # after it.
                 checkpoint("count dispatch")
                 faults.fire("serve.eval")
                 return count_worlds_json(program, value_json)

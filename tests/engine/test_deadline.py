@@ -106,6 +106,49 @@ class TestBackendCheckpoints:
             with pytest.raises(DeadlineExceeded):
                 eng.certain(Id(), x, backend="symbolic")
 
+    def test_symbolic_possible_raises(self):
+        from repro.core.costs import tight_family
+
+        x, _t = tight_family(6)
+        eng = E.Engine()
+        with deadline_scope(Deadline.after(0.0)):
+            with pytest.raises(DeadlineExceeded):
+                eng.possible(Id(), x, backend="symbolic")
+
+    def test_symbolic_world_stream_stops_at_deadline(self):
+        # No world satisfies the predicate, so exists() walks all 3^19
+        # worlds unless the per-world checkpoint stops it.
+        from repro.core.costs import tight_family
+        from repro.core.normalize import Normalize
+
+        x, _t = tight_family(19)
+        eng = E.Engine()
+        with deadline_scope(Deadline.after(0.2)):
+            with pytest.raises(DeadlineExceeded):
+                eng.exists(Normalize(), x, lambda w: False, backend="symbolic")
+
+    def test_symbolic_world_stream_is_lazy_below_a_set(self):
+        # The set's one member has 3^19 worlds; they are enumerated one
+        # at a time, so the first checkpoint comes before the last world.
+        from repro.core.costs import tight_family
+        from repro.core.normalize import Normalize
+
+        x, _t = tight_family(19)
+        eng = E.Engine()
+        with deadline_scope(Deadline.after(0.2)):
+            with pytest.raises(DeadlineExceeded):
+                eng.exists(Normalize(), vset(x), lambda w: False, backend="symbolic")
+
+    def test_symbolic_certain_stops_after_two_worlds_per_member(self):
+        # The inner set has 3^19 worlds; two of them settle that it
+        # gives no certain element.
+        from repro.core.costs import tight_family
+
+        x, _t = tight_family(19)
+        eng = E.Engine()
+        with deadline_scope(Deadline.after(5.0)):
+            assert eng.certain(Id(), vset(vset(x)), backend="symbolic") == vset()
+
     def test_result_identical_when_deadline_is_generous(self):
         plan_input = vset(vorset(1, 2), vorset(3, 4))
         program = Compose(SetMu(), SetMap(OrToSet()))

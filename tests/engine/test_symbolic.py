@@ -3,15 +3,15 @@
 Three layers of differential evidence:
 
 * :class:`ChoiceSpace` against the possible-worlds oracle
-  (:func:`repro.core.worlds.worlds`) on random values — world sets,
-  exact counts through both the certificate and the fallback path, and
-  the certain/possible membership queries;
-* the backend against eager enumeration on random programs — the same
-  world sets *and* the same error types, whether the trace supports the
-  plan or falls back;
+  (:func:`repro.core.worlds.worlds`) on random values with bags,
+  variants and empty or-sets — world sets, exact counts, emptiness and
+  the certain/possible membership queries, error types included;
+* the backend against eager enumeration on random programs and values —
+  the same answers to every world query *and* the same error types,
+  whether the trace supports the plan or falls back;
 * the engine entry points (``count_worlds``/``certain``/``possible``/
   ``exists``) against brute force, including the ``backend="auto"``
-  routing that sends huge supported world queries symbolic.
+  routing that sends supported world queries symbolic.
 """
 
 import random
@@ -20,10 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import io
 from repro.core.costs import tight_family
 from repro.core.normalize import Normalize
 from repro.core.worlds import worlds
 from repro.engine import BACKENDS, Engine
+from repro.engine.plan import compile_plan
 from repro.engine.symbolic import (
     ChoiceSpace,
     SymbolicBackend,
@@ -31,20 +33,29 @@ from repro.engine.symbolic import (
     plan_supports_symbolic,
     trace_worlds,
 )
-from repro.errors import OrNRAError, OrNRAValueError
+from repro.errors import OrNRAError, OrNRATypeError, OrNRAValueError
 from repro.gen import random_orset_value
-from repro.lang.morphisms import Compose
+from repro.lang.morphisms import Compose, Id
 from repro.lang.orset_ops import OrMap, SetToOr
 from repro.morphgen import random_lossless_morphism
-from repro.values.values import SetValue, vorset, vset
+from repro.values.values import BagValue, SetValue, vorset, vset
 
-from tests.strategies import typed_orset_values
+from tests.strategies import typed_orset_values, typed_values
 
 ENGINE = Engine()
 
 #: Whole-value normalization over the tight family: eager must build
 #: all 3^k worlds, the choice space never builds one.
 TIGHT_QUERY = Normalize()
+
+#: The identity plan: the traced value is the input itself.
+ID_PLAN = compile_plan(Id())
+
+#: Values with bags, variants and empty collections whose type mentions
+#: an or-set, so every draw has choices for the backends to disagree on.
+WORLD_VALUES = typed_orset_values(
+    max_depth=3, max_width=3, min_width=0, variants=True, bags=True
+)
 
 
 def certain_of(world_set):
@@ -62,22 +73,55 @@ def possible_of(world_set):
     return frozenset(out)
 
 
+def members_oracle(world_set, combine):
+    """certain/possible over an explicit world set, with the typed errors."""
+    if not world_set:
+        raise OrNRAValueError("no worlds")
+    if not all(isinstance(w, (SetValue, BagValue)) for w in world_set):
+        raise OrNRATypeError("worlds are not collections")
+    return combine(world_set)
+
+
+def outcome(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or the type of the OrNRAError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except OrNRAError as exc:
+        return type(exc)
+
+
 class TestChoiceSpaceOracle:
     @settings(max_examples=60, deadline=None)
     @given(typed_orset_values(max_depth=3, max_width=3, min_width=0))
     def test_world_set_matches_oracle(self, pair):
         value, _t = pair
         truth = frozenset(worlds(value))
+        assert frozenset(ChoiceSpace(value).iter_worlds()) == truth
+
+    @settings(max_examples=150, deadline=None)
+    @given(typed_values(max_depth=4, max_width=3, min_width=0, variants=True, bags=True))
+    def test_every_query_matches_oracle(self, pair):
+        value, _t = pair
+        world_set = worlds(value)
         space = ChoiceSpace(value)
-        assert frozenset(space.iter_worlds()) == truth  # CDCL route
-        space.circuit()
-        assert frozenset(space.iter_worlds()) == truth  # circuit route
+        listed = list(space.iter_worlds())
+        assert len(listed) == len(world_set)
+        assert frozenset(listed) == world_set
+        assert space.satisfiable() == bool(world_set)
+        if space.exact:
+            assert space.count_worlds() == len(world_set)
+        assert outcome(space.certain_members) == outcome(
+            members_oracle, world_set, certain_of
+        )
+        assert outcome(space.possible_members) == outcome(
+            members_oracle, world_set, possible_of
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(typed_orset_values(max_depth=3, max_width=3, min_width=0))
     def test_count_matches_oracle(self, pair):
         value, _t = pair
-        assert ChoiceSpace(value).count_worlds() == len(worlds(value))
+        assert SymbolicBackend().count_worlds(ID_PLAN, value) == len(worlds(value))
 
     def test_exact_count_without_enumeration(self):
         x, _t = tight_family(19)
@@ -86,29 +130,25 @@ class TestChoiceSpaceOracle:
         assert space.count_worlds() == 3**19  # > 10^9, milliseconds
 
     def test_wide_orsite_stays_linear(self):
-        # One 500-branch or-site: the binary encoding needs 9 bits and a
-        # few range clauses, never a quadratic exactly-one ladder.
-        v = vorset(*range(500))
-        space = ChoiceSpace(v)
-        assert space.cnf().n_vars == 9
-        assert len(space.cnf().clauses) < 12
-        assert space.count_worlds() == 500
+        # One 500-branch or-site counts by one sum over its branches.
+        assert ChoiceSpace(vorset(*range(500))).count_worlds() == 500
 
     def test_nested_sites_under_canonical_branch_do_not_overcount(self):
-        # Regression: the guard must be the whole path condition.  A
-        # choice nested beneath the canonically-pinned first branch of
-        # an unselected site is irrelevant and must not multiply the
-        # count (this value has 5 worlds, not 6).
+        # A choice nested beneath an unchosen branch is irrelevant and
+        # must not multiply the count (this value has 5 worlds, not 6).
         v = vorset(vorset(vorset(1, 2), vorset(3, 4)), 5)
         assert ChoiceSpace(v).count_worlds() == len(worlds(v)) == 5
 
     def test_collision_value_falls_back_to_enumeration(self):
         # <1,2>,<2,3>,<1,3> can collapse two choice vectors into one
-        # world; the certificate refuses and counting dedups.
+        # world; the certificate refuses and the backend counts by
+        # deduplicated enumeration.
         v = vset(vorset(1, 2), vorset(2, 3), vorset(1, 3))
         space = ChoiceSpace(v)
         assert not space.exact
-        assert space.count_worlds() == len(worlds(v))
+        with pytest.raises(SymbolicUnsupported):
+            space.count_worlds()
+        assert SymbolicBackend().count_worlds(ID_PLAN, v) == len(worlds(v))
 
     def test_empty_orset_means_no_worlds(self):
         space = ChoiceSpace(vset(vorset()))
@@ -122,18 +162,27 @@ class TestChoiceSpaceOracle:
         if not isinstance(value, SetValue):
             return
         space = ChoiceSpace(value)
-        try:
-            got_certain = space.certain_members()
-            got_possible = space.possible_members()
-        except SymbolicUnsupported:
-            return
         world_set = list(worlds(value))
-        assert got_certain == certain_of(world_set)
-        assert got_possible == possible_of(world_set)
+        assert space.certain_members() == certain_of(world_set)
+        assert space.possible_members() == possible_of(world_set)
 
     def test_certain_of_inconsistent_value_raises(self):
         with pytest.raises(OrNRAValueError):
             ChoiceSpace(vset(vorset(), vorset(1))).certain_members()
+
+
+def possibility_set(program, value, **options):
+    return frozenset(ENGINE.possibilities(program, value, **options))
+
+
+#: Every world query the symbolic backend answers, as engine calls.
+WORLD_QUERIES = (
+    possibility_set,
+    ENGINE.count_worlds,
+    ENGINE.certain,
+    ENGINE.possible,
+    ENGINE.exists,
+)
 
 
 class TestBackendConformance:
@@ -141,30 +190,19 @@ class TestBackendConformance:
         Normalize(),
         Compose(OrMap(Normalize()), SetToOr()),
         Compose(Normalize(), SetToOr()),
+        Id(),
     ]
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        typed_orset_values(max_depth=3, max_width=3, min_width=0),
-        st.integers(0, 2),
-    )
+    @settings(max_examples=80, deadline=None)
+    @given(WORLD_VALUES, st.integers(0, 3))
     def test_world_sets_and_errors_match_eager(self, pair, which):
         value, _t = pair
         q = self.QUERIES[which]
-        symbolic = BACKENDS["symbolic"]
-        try:
-            expected = frozenset(ENGINE.possibilities(q, value, backend="eager"))
-            expected_error = None
-        except OrNRAError as exc:
-            expected, expected_error = None, type(exc)
-        try:
-            got = frozenset(ENGINE.possibilities(q, value, backend="symbolic"))
-            got_error = None
-        except OrNRAError as exc:
-            got, got_error = None, type(exc)
-        assert got == expected
-        assert got_error == expected_error
-        assert isinstance(symbolic, SymbolicBackend)
+        for query in WORLD_QUERIES:
+            assert outcome(query, q, value, backend="symbolic") == outcome(
+                query, q, value, backend="eager"
+            ), query
+        assert isinstance(BACKENDS["symbolic"], SymbolicBackend)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -189,27 +227,31 @@ class TestBackendConformance:
 
 class TestEngineWorldQueries:
     @settings(max_examples=40, deadline=None)
-    @given(typed_orset_values(max_depth=3, max_width=3, min_width=1))
+    @given(WORLD_VALUES)
     def test_count_matches_brute_force_on_all_routes(self, pair):
         value, _t = pair
         brute = len(set(ENGINE.possibilities(TIGHT_QUERY, value, backend="eager")))
         for backend in ("auto", "symbolic", "eager"):
             assert ENGINE.count_worlds(TIGHT_QUERY, value, backend=backend) == brute
 
-    @settings(max_examples=30, deadline=None)
-    @given(typed_orset_values(max_depth=2, max_width=3, min_width=1))
+    @settings(max_examples=40, deadline=None)
+    @given(WORLD_VALUES)
     def test_certain_and_possible_match_brute_force(self, pair):
         value, _t = pair
-        if not isinstance(value, SetValue):
-            return
         world_set = list(ENGINE.possibilities(TIGHT_QUERY, value, backend="eager"))
-        if not all(isinstance(w, (SetValue,)) for w in world_set):
-            return
-        expected_certain = SetValue(certain_of(world_set))
-        expected_possible = SetValue(possible_of(world_set))
+        expected_certain = outcome(
+            lambda: SetValue(members_oracle(world_set, certain_of))
+        )
+        expected_possible = outcome(
+            lambda: SetValue(members_oracle(world_set, possible_of))
+        )
         for backend in ("auto", "symbolic", "eager"):
-            assert ENGINE.certain(TIGHT_QUERY, value, backend=backend) == expected_certain
-            assert ENGINE.possible(TIGHT_QUERY, value, backend=backend) == expected_possible
+            assert outcome(
+                ENGINE.certain, TIGHT_QUERY, value, backend=backend
+            ) == expected_certain
+            assert outcome(
+                ENGINE.possible, TIGHT_QUERY, value, backend=backend
+            ) == expected_possible
 
     def test_exists_with_and_without_predicate(self):
         v = vset(vorset(1, 2), vorset(2, 3))
@@ -234,6 +276,9 @@ class TestEngineWorldQueries:
         # eager route agree on every query.
         for k in (2, 3, 5):
             x, _t = tight_family(k)
+            assert ENGINE.choose_backend(
+                TIGHT_QUERY, x, world_query=True
+            ).backend == "symbolic"
             assert ENGINE.count_worlds(TIGHT_QUERY, x) == len(
                 set(ENGINE.possibilities(TIGHT_QUERY, x, backend="eager"))
             )
@@ -255,6 +300,10 @@ class TestEngineWorldQueries:
         assert "symbolic" in text
 
 
+#: Nine copies of <1, 2> in one bag.
+NINE_CHOICES = "[|" + ", ".join(["<1, 2>"] * 9) + "|]"
+
+
 class TestTrace:
     def test_supported_plans(self):
         for q in TestBackendConformance.QUERIES:
@@ -262,7 +311,6 @@ class TestTrace:
 
     def test_unsupported_plan_refuses(self):
         from repro.lang.set_ops import SetMap
-        from repro.lang.morphisms import Id
 
         # optimize=False: the pipeline would rewrite map(id) to id,
         # which *is* supported.
@@ -281,3 +329,25 @@ class TestTrace:
             assert frozenset(worlds(surrogate)) == frozenset(
                 ENGINE.possibilities(q, v, backend="eager")
             )
+
+    def test_normalize_over_a_bag_refuses(self):
+        # normalize collapses bags into sets, so the input's bag worlds
+        # are not the output's worlds.
+        plan = ENGINE.compile(Normalize(), True)
+        with pytest.raises(SymbolicUnsupported):
+            trace_worlds(plan, BagValue([vorset(1, 2)]))
+        ormap = ENGINE.compile(Compose(OrMap(Normalize()), SetToOr()), True)
+        with pytest.raises(SymbolicUnsupported):
+            trace_worlds(ormap, vset(BagValue([vorset(1, 2)])))
+
+    def test_bag_count_matches_run(self):
+        # The bag's 10 distinct bag worlds collapse to 3 set worlds.
+        normal_form = io.run_text("normalize", NINE_CHOICES)
+        assert normal_form == "<{1}, {2}, {1, 2}>"
+        assert io.count_worlds_text("normalize", NINE_CHOICES) == 3
+
+    def test_bag_certain_matches_eager(self):
+        empty_in_bag = BagValue([BagValue([])])
+        eager = ENGINE.certain(Normalize(), empty_in_bag, backend="eager")
+        assert eager == vset(vset())
+        assert ENGINE.certain(Normalize(), empty_in_bag, backend="symbolic") == eager

@@ -1,4 +1,4 @@
-"""Tests for the CDCL solver and the exact model counter."""
+"""Tests for the CDCL solver."""
 
 import random
 import sys
@@ -7,15 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sat.cnf import CNF, all_assignments, random_cnf
-from repro.sat.dpll import count_models, dpll_sat, dpll_solve
+from repro.sat.dpll import dpll_sat, dpll_solve
 
 
 def brute_force_sat(cnf: CNF) -> bool:
     return any(cnf.is_satisfied_by(a) for a in all_assignments(cnf.n_vars))
-
-
-def brute_force_count(cnf: CNF) -> int:
-    return sum(1 for a in all_assignments(cnf.n_vars) if cnf.is_satisfied_by(a))
 
 
 @st.composite
@@ -85,11 +81,6 @@ class TestAgainstBruteForce:
     def test_sat_matches_brute_force(self, cnf):
         assert dpll_sat(cnf) == brute_force_sat(cnf)
 
-    @settings(max_examples=150, deadline=None)
-    @given(small_cnfs())
-    def test_count_models_matches_brute_force(self, cnf):
-        assert count_models(cnf) == brute_force_count(cnf)
-
     @settings(max_examples=100, deadline=None)
     @given(small_cnfs())
     def test_solutions_are_models(self, cnf):
@@ -149,29 +140,3 @@ class TestIterativeSolver:
             frozenset({-4, -5}),
         )
         assert not dpll_sat(CNF(5, clauses))
-
-
-class TestModelCounter:
-    def test_empty_formula_counts_all_assignments(self):
-        assert count_models(CNF(4, ())) == 16
-
-    def test_unit_halves_the_space(self):
-        assert count_models(CNF(4, (frozenset({2}),))) == 8
-
-    def test_contradiction_counts_zero(self):
-        assert count_models(CNF(3, (frozenset({1}), frozenset({-1})))) == 0
-
-    def test_monotone_chain(self):
-        # x1 -> x2 -> ... -> xn has n+1 models (the monotone prefixes).
-        n = 12
-        clauses = tuple(frozenset({-i, i + 1}) for i in range(1, n))
-        assert count_models(CNF(n, clauses)) == n + 1
-
-    def test_independent_components_multiply(self):
-        # (x1 | x2) and (x3 | x4) are var-disjoint: 3 * 3 models.
-        cnf = CNF(4, (frozenset({1, 2}), frozenset({3, 4})))
-        assert count_models(cnf) == 9
-
-    def test_free_variables_double_the_count(self):
-        cnf = CNF(6, (frozenset({1, 2}),))  # vars 3..6 unconstrained
-        assert count_models(cnf) == 3 * 16

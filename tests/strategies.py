@@ -73,11 +73,15 @@ def object_types(
     return strategy
 
 
-def orset_types(max_depth: int = 3) -> st.SearchStrategy[Type]:
+def orset_types(
+    max_depth: int = 3, variants: bool = False, bags: bool = False
+) -> st.SearchStrategy[Type]:
     """Types guaranteed to mention the or-set constructor."""
     from repro.types.kinds import contains_orset
 
-    return object_types(max_depth).filter(contains_orset)
+    return object_types(max_depth, variants=variants, bags=bags).filter(
+        contains_orset
+    )
 
 
 def _atoms(t: Type) -> st.SearchStrategy[Value]:
@@ -135,9 +139,14 @@ def typed_values(
 
 
 def typed_orset_values(
-    max_depth: int = 3, max_width: int = 3, min_width: int = 0
+    max_depth: int = 3,
+    max_width: int = 3,
+    min_width: int = 0,
+    variants: bool = False,
+    bags: bool = False,
 ) -> st.SearchStrategy[tuple[Value, Type]]:
-    """Random ``(value, type)`` pairs whose type mentions or-sets."""
-    return orset_types(max_depth).flatmap(
+    """Random ``(value, type)`` pairs whose type mentions or-sets
+    (variants and bags are opt-in)."""
+    return orset_types(max_depth, variants, bags).flatmap(
         lambda t: st.tuples(value_of(t, max_width, min_width), st.just(t))
     )

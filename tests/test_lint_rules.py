@@ -26,6 +26,7 @@ COST_MODEL = "src/repro/engine/cost_model.py"
 ANALYSIS = "src/repro/engine/analysis.py"
 NET = "src/repro/serve/net.py"
 PROTO = "src/repro/serve/proto.py"
+SYMBOLIC = "src/repro/engine/symbolic.py"
 
 
 def codes(source, path):
@@ -124,6 +125,27 @@ class TestLR004ErrorFramesOnlyInProto:
     def test_frames_outside_serve_are_fine(self):
         src = 'row = {"code": "x"}\n'
         assert codes(src, "tests/serve/test_net.py") == []
+
+
+class TestLR005NoSatInEngine:
+    def test_from_import_flagged(self):
+        src = "import math\nfrom repro.sat.dpll import dpll_sat\n"
+        vs = check_source(src, SYMBOLIC)
+        assert [v.code for v in vs] == ["LR005"]
+        assert vs[0].line == 2
+
+    def test_every_import_form_flagged(self):
+        src = "import repro.sat.cnf\nfrom repro.sat import CNF\nfrom repro import sat\n"
+        assert codes(src, "src/repro/engine/cost_model.py") == ["LR005"] * 3
+
+    def test_other_repro_imports_pass(self):
+        src = "from repro.core.worlds import iter_worlds\nfrom repro import values\n"
+        assert codes(src, SYMBOLIC) == []
+
+    def test_sat_outside_the_engine_is_fine(self):
+        src = "from repro.sat.dpll import dpll_sat\n"
+        assert codes(src, "benchmarks/bench_sat_hardness.py") == []
+        assert codes(src, "src/repro/sat/via_normalization.py") == []
 
 
 class TestHarness:

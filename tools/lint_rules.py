@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint rules the generic linters cannot express.
 
-Four invariants of this engine are architectural, not stylistic, and a
+Five invariants of this engine are architectural, not stylistic, and a
 violation is a latent bug that no unit test reliably catches:
 
 * **LR001 — no lambdas in transport-path modules.**  The callables
@@ -29,6 +29,13 @@ violation is a latent bug that no unit test reliably catches:
   ``"code"`` key anywhere else in :mod:`repro.serve` is a hand-built
   error frame, and the transports start to drift apart on error
   semantics.
+
+* **LR005 — the engine does not import ``repro.sat``.**  World queries
+  are answered by structural recursion over values
+  (:mod:`repro.engine.symbolic`); :mod:`repro.sat` is the paper's
+  Section 6 reduction and its reference solver.  A solver call back in
+  the engine reintroduces the per-candidate SAT loops the recursion
+  replaced.
 
 Usage::
 
@@ -63,6 +70,10 @@ ENGINE_HOME = "src/repro/engine/__init__.py"
 #: The serving package, and the one module in it that builds error frames (LR004).
 SERVE_PACKAGE = "src/repro/serve/"
 PROTOCOL_HOME = "src/repro/serve/proto.py"
+
+#: The engine package, which must not import the SAT package (LR005).
+ENGINE_PACKAGE = "src/repro/engine/"
+SAT_PACKAGE = "repro.sat"
 
 #: Call targets forbidden in estimator modules: each materializes worlds.
 NORMALIZING_CALLS = frozenset(
@@ -117,6 +128,7 @@ def check_source(source: str, path: str) -> list[Violation]:
     estimator = posix.endswith(ESTIMATOR_MODULES)
     engine_home = posix.endswith(ENGINE_HOME)
     serve = SERVE_PACKAGE in posix and not posix.endswith(PROTOCOL_HOME)
+    engine = ENGINE_PACKAGE in posix
 
     for node in ast.walk(tree):
         if transport and isinstance(node, ast.Lambda):
@@ -150,7 +162,28 @@ def check_source(source: str, path: str) -> list[Violation]:
                 "error frame built outside serve/proto.py: raise a typed "
                 "error and map it with proto.error_frame",
             )
+        if engine and _imports_sat(node):
+            report(
+                node,
+                "LR005",
+                "repro.sat imported in the engine: world queries recurse "
+                "over values; the SAT package is the Section 6 reduction",
+            )
     return out
+
+
+def _is_sat_module(name: str) -> bool:
+    return name == SAT_PACKAGE or name.startswith(SAT_PACKAGE + ".")
+
+
+def _imports_sat(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(_is_sat_module(alias.name) for alias in node.names)
+    if isinstance(node, ast.ImportFrom) and node.module is not None:
+        return _is_sat_module(node.module) or (
+            node.module == "repro" and any(alias.name == "sat" for alias in node.names)
+        )
+    return False
 
 
 def _call_name(node: ast.Call) -> str | None:
