@@ -31,13 +31,12 @@ to this file; under pytest the same workloads assert both gates.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import pathlib
 import pickle
 import random
 
-from harness import best_of
+from harness import best_of, write_results
 
 from repro.core.normalize import Normalize
 from repro.engine import columnar
@@ -305,7 +304,7 @@ def main() -> None:
                 f"  on    {row['verified_s'] * 1000:8.2f} ms"
                 f"  overhead {row['overhead_pct']:+5.1f}%"
             )
-    OUT_PATH.write_text(json.dumps({"results": results}, indent=2) + "\n")
+    write_results(OUT_PATH, results)
     print(f"\nwrote {OUT_PATH}")
 
 

@@ -30,11 +30,10 @@ adaptive win and estimator soundness.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import random
 
-from harness import best_of
+from harness import best_of, write_results
 
 from repro.core.costs import estimate_m_value, m_value, tight_family
 from repro.core.normalize import Normalize
@@ -189,7 +188,7 @@ def main() -> None:
             f"{row['workload']:<26} {base * 1000:>14.2f}"
             f" {new * 1000:>16.2f} {row['speedup']:>7.1f}x"
         )
-    OUT_PATH.write_text(json.dumps({"results": results}, indent=2) + "\n")
+    write_results(OUT_PATH, results)
     print(f"\nwrote {OUT_PATH}")
 
 

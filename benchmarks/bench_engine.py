@@ -30,10 +30,9 @@ generous margins.
 
 from __future__ import annotations
 
-import json
 import pathlib
 
-from harness import best_of
+from harness import best_of, write_results
 
 from repro.core.costs import tight_family
 from repro.core.normalize import Normalize, normalize, normalize_with_strategy
@@ -163,7 +162,7 @@ def main() -> None:
             f"{label:<34} {slow * 1000:>12.2f} {fast * 1000:>12.2f} {row['speedup']:>7.1f}x"
         )
     print("(normalize-kernel rows: rewrite loop vs kernel)")
-    OUT_PATH.write_text(json.dumps({"results": results}, indent=2) + "\n")
+    write_results(OUT_PATH, results)
     print(f"\nwrote {OUT_PATH}")
 
 

@@ -25,10 +25,9 @@ beats eager on the shard-regression shape.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 
-from harness import best_of
+from harness import best_of, write_results
 
 from repro.core.costs import tight_family
 from repro.engine import Engine
@@ -101,7 +100,7 @@ def main() -> None:
             f"{row['workload']:<22} {row['eager_s'] * 1000:>11.2f}"
             f" {row['fused_s'] * 1000:>11.2f} {row['fused_vs_eager']:>8.1f}x"
         )
-    OUT_PATH.write_text(json.dumps({"results": results}, indent=2) + "\n")
+    write_results(OUT_PATH, results)
     print(f"\nwrote {OUT_PATH}")
 
 

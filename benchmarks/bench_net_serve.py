@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import pathlib
 import random
 import statistics
 import sys
 import time
 
-from harness import best_of
+from harness import best_of, write_results
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
 
@@ -270,7 +269,7 @@ def main() -> None:
                 f" learned={row['rank_error_learned']:.3f}"
                 f" sound={row['sound_world_bound']}"
             )
-    OUT_PATH.write_text(json.dumps({"results": results}, indent=2) + "\n")
+    write_results(OUT_PATH, results)
     print(f"\nwrote {OUT_PATH}")
     if args.gate is not None:
         overhead = next(

@@ -9,8 +9,8 @@ compile-and-run engine:
   client without a batch API writes — ``[run_json(q, v) for v in vs]`` —
   which re-parses the program and normalizes every input from scratch
   (``run_json`` cannot pin the default arena, so it does not intern).
-  ``run_json_many`` parses and compiles once and shares one batch-scoped
-  interner, so each distinct world is normalized once.
+  ``run_json_many`` parses and compiles once and dedupes structurally
+  equal inputs, so each distinct world is normalized once.
 * **batched-text-serving** — the same shape through the paper-notation
   endpoint (``run_text_many`` vs a ``run_text`` loop).
 
@@ -26,11 +26,10 @@ entry point beats the sequential loop.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import random
 
-from harness import best_of
+from harness import best_of, write_results
 
 from repro.io import run_json, run_json_many, run_text, run_text_many, value_to_json
 from repro.values.values import format_value, vorset, vpair, vset
@@ -102,7 +101,7 @@ def main() -> None:
             f"{row['workload']:<26} {row['sequential_s'] * 1000:>14.2f}"
             f" {row['run_many_s'] * 1000:>13.2f} {row['speedup']:>7.1f}x"
         )
-    OUT_PATH.write_text(json.dumps({"results": results}, indent=2) + "\n")
+    write_results(OUT_PATH, results)
     print(f"\nwrote {OUT_PATH}")
 
 

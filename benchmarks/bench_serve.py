@@ -40,12 +40,11 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import pathlib
 import random
 import time
 
-from harness import best_of
+from harness import best_of, write_results
 
 from repro.engine import Engine, ProcessBackend, default_process_count, faults
 from repro.engine.faults import FaultPlan, FaultRule
@@ -274,7 +273,7 @@ def main() -> None:
             f"{row['workload']:<28} {base * 1000:>14.2f}"
             f" {new * 1000:>12.2f} {row['speedup']:>7.1f}x"
         )
-    OUT_PATH.write_text(json.dumps({"results": results}, indent=2) + "\n")
+    write_results(OUT_PATH, results)
     print(f"\nwrote {OUT_PATH}")
 
 

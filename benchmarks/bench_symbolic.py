@@ -30,11 +30,10 @@ the auto routing, and exactness.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import random
 
-from harness import best_of_with_result
+from harness import best_of_with_result, write_results
 
 from repro.core.costs import tight_family
 from repro.core.normalize import Normalize
@@ -198,7 +197,7 @@ def main() -> None:
                 f"{row['workload']:<22} exact on {row['samples']} samples"
                 f" (certificate rate {row['certificate_rate']:.0%})"
             )
-    OUT_PATH.write_text(json.dumps({"results": results}, indent=2) + "\n")
+    write_results(OUT_PATH, results)
     print(f"\nwrote {OUT_PATH}")
 
 

@@ -373,7 +373,6 @@ class Engine:
         backend: str = "auto",
         optimize: bool = True,
         intern: bool = True,
-        interner: Interner | None = None,
     ) -> list[Value]:
         """Run *program* on every input in *values*: compile once, dedupe.
 
@@ -387,17 +386,13 @@ class Engine:
         ``backend="auto"`` (the default) re-selects the backend per
         distinct input — a batch can mix small eager inputs with wide
         sharded ones — and takes the batch hook when every distinct
-        input selects the process backend.
-
-        *interner* overrides the engine's arena for this batch — pass a
-        fresh :class:`Interner` to share memoized normal forms *within*
-        the batch without pinning anything in the engine afterwards
-        (this is what :func:`repro.io.run_json_many` does).
+        input selects the process backend.  ``intern`` routes inputs
+        and results through the engine's arena, as in :meth:`run`.
         """
         if backend != "auto":
             self._backend(backend)  # validate the name up front
         plan = self.compile(program, optimize)
-        arena = interner if interner is not None else (self.interner if intern else None)
+        arena = self.interner if intern else None
         concrete = [ensure_value(v) for v in values]
         if arena is not None:
             concrete = [arena.intern(v) for v in concrete]

@@ -102,9 +102,9 @@ class EagerBackend(Backend):
         checkpoint("eager execution")
         if interner is None:
             return plan.bind()(value)
-        # The interner owns the bound-closure memo (not the plan): a
-        # plan cached by the engine outlives any batch-scoped arena, and
-        # a plan-side entry would pin that arena for the plan's lifetime.
+        # The interner owns the bound-closure memo (not the plan): an
+        # arena is passed per call, a plan can outlive any arena that
+        # runs it, and a plan-side entry would pin that arena.
         return interner.bound_plan(plan)(value)
 
 

@@ -242,11 +242,11 @@ class Interner:
         """The plan's executable closure with this arena's leaf executor.
 
         The memo lives on the *interner*, not the plan: the bound
-        closures close over ``self``, so caching them on the (engine-
-        cached, long-lived) plan would pin a batch-scoped arena for the
-        plan's lifetime.  Here everything dies with the interner.  The
-        stored ``(plan, fn)`` pair keeps the plan alive so its ``id``
-        cannot be recycled into a stale hit.
+        closures close over ``self``, and a plan (cached, shared, run by
+        any backend with any arena) can outlive this arena, which a
+        plan-side entry would pin.  Here everything dies with the
+        interner.  The stored ``(plan, fn)`` pair keeps the plan alive so
+        its ``id`` cannot be recycled into a stale hit.
         """
         key = id(plan)
         with self._lock:

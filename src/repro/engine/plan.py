@@ -139,9 +139,9 @@ class Plan:
         memoized version); *cache_key* identifies that substitution so
         repeated binds are free.  Pass ``cache=False`` to skip the
         plan-side memo entirely — callers whose *leaf_apply* closes over
-        shorter-lived state (a batch-scoped interner) must own the
-        caching themselves, or the plan would pin that state for its own
-        lifetime.
+        shorter-lived state (an :class:`~repro.engine.interning.Interner`
+        the plan may outlive) must own the caching themselves, or the
+        plan would pin that state for its own lifetime.
         """
         if not cache:
             return self._bind_fresh(leaf_apply)

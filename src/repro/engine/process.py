@@ -34,11 +34,10 @@ Transport and supervision:
   rebind.  Values cross the boundary as ordinary pickles.  The worker
   entry points are module-level functions, not closures: a
   lambda-capturing closure would not survive the trip.
-* **per-worker interner** — every worker process owns a private
-  :class:`~repro.engine.interning.Interner` (keyed on ``os.getpid()`` so
-  a forked arena is never reused), giving shard-local hash-consing and
-  memoized ``normalize``; the coordinator merges shard results in order
-  and the caller's arena re-interns the final value.
+* **no worker arena** — workers bind plain leaves, so a ``normalize``
+  leaf runs the kernel with its own call-scoped table, as
+  ``Normalize.apply`` does; the coordinator merges shard results in
+  order, and an arena the caller passes re-interns the final value.
 * **graceful degradation** — a plan that does not pickle (a user
   primitive wrapping a lambda, say) falls back to eager execution in the
   coordinating process (counted in ``stats()["pickle_fallbacks"]``), and
@@ -160,26 +159,15 @@ def _bind_subtree(
 # -- worker side -------------------------------------------------------------
 #
 # Everything below the pool boundary is module-level (picklable by
-# reference under every multiprocessing start method).  Worker state is
-# keyed on the worker's pid so a forked parent arena is never mistaken
-# for the worker's own.
+# reference under every multiprocessing start method).  A worker caches
+# plans by payload digest and their bound closures beside them; neither
+# holds per-process state, so a forked copy of the parent's is harmless.
 
-_WORKER_STATE: dict = {"pid": None}
-
-
-def _worker_state() -> dict:
-    state = _WORKER_STATE
-    if state.get("pid") != os.getpid():
-        state.clear()
-        state["pid"] = os.getpid()
-        state["interner"] = Interner()
-        state["plans"] = {}
-        state["bound"] = {}
-    return state
+_WORKER_STATE: dict = {"plans": {}, "bound": {}}
 
 
 def _worker_plan(payload: bytes) -> tuple[dict, bytes, Plan]:
-    state = _worker_state()
+    state = _WORKER_STATE
     key = hashlib.sha1(payload).digest()
     plan = state["plans"].get(key)
     if plan is None:
@@ -191,30 +179,22 @@ def _worker_plan(payload: bytes) -> tuple[dict, bytes, Plan]:
     return state, key, plan
 
 
-def _bind_body(plan: Plan, interner: Interner, idx: int) -> Callable[[Value], Value]:
-    """Stage-body binder for :func:`repro.engine.columnar.compile_stages`."""
-    return _bind_subtree(plan, idx, interner.leaf_apply)
-
-
 def _run_chunk_remote(
     payload: bytes, body_idx: int | None, chunk: list[Value]
 ) -> list[Value]:
     """Worker entry point: run one plan subtree over one shard.
 
     *body_idx* selects the subtree (``None`` means the whole plan — the
-    :meth:`ProcessBackend.run_values` batch path).  Inputs are interned
-    into the worker's private arena so repeated elements share one
-    memoized normalization within the worker.
+    :meth:`ProcessBackend.run_values` batch path).
     """
     faults.fire("process.worker_chunk")
     state, key, plan = _worker_plan(payload)
     idx = plan.root if body_idx is None else body_idx
-    interner: Interner = state["interner"]
     fn = state["bound"].get((key, idx))
     if fn is None:
-        fn = _bind_subtree(plan, idx, interner.leaf_apply)
+        fn = _bind_subtree(plan, idx, None)
         state["bound"][(key, idx)] = fn
-    return [fn(interner.intern(e)) for e in chunk]
+    return [fn(e) for e in chunk]
 
 
 def _run_fused_slice_remote(
@@ -229,12 +209,10 @@ def _run_fused_slice_remote(
     """
     faults.fire("process.worker_fused")
     state, key, plan = _worker_plan(payload)
-    interner: Interner = state["interner"]
     stages = state["bound"].get((key, node_idx, "fused"))
     if stages is None:
         stages = compile_stages(
-            plan.nodes[node_idx],
-            functools.partial(_bind_body, plan, interner),
+            plan.nodes[node_idx], functools.partial(_bind_subtree, plan, leaf=None)
         )
         state["bound"][(key, node_idx, "fused")] = stages
     out = run_stages(stages, Arena(kind, bases, raws))

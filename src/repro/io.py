@@ -339,14 +339,13 @@ def run_text_many(
 ) -> list[str]:
     """Batched :func:`run_text`: parse and compile once, dedupe.
 
-    Unlike a loop of ``run_text`` calls, the batch shares one
-    *batch-scoped* interner — structurally equal inputs (and their
-    memoized normal forms) are computed once — and nothing stays pinned
-    in the default engine's arena after the call returns.  *morphism_text*
+    Unlike a loop of ``run_text`` calls, structurally equal inputs are
+    computed once.  Like ``run_text``, values are not interned, so
+    nothing stays pinned in the default engine's arena.  *morphism_text*
     may also be a pre-resolved Morphism; *timeout* bounds the whole
     batch's evaluation (see :func:`run_text`).
     """
-    from repro.engine import DEFAULT_ENGINE, Interner
+    from repro.engine import DEFAULT_ENGINE
     from repro.lang.parser import parse_value
 
     with _deadline_scope(timeout):
@@ -354,7 +353,7 @@ def run_text_many(
             parsed_morphism(morphism_text),
             [parse_value(text) for text in value_texts],
             backend=backend,
-            interner=Interner(),
+            intern=False,
         )
     return [format_value(r) for r in results]
 
@@ -372,22 +371,21 @@ def run_json_many(
     micro-batch into: the program is parsed and compiled once (parses
     are LRU-memoized across calls via :func:`parsed_morphism`, so a
     serving loop pays the parse once per query text, not per batch),
-    structurally equal inputs are computed once (one batch-scoped
-    interner shares memoized normal forms across the whole batch), and
-    distinct inputs fan out across worker processes when the batch runs
-    on the process backend (see :meth:`repro.engine.Engine.run_many`).
-    Results come back in input order; nothing is pinned in the default
-    engine's arena afterwards.  *morphism_text* may also be a
-    pre-resolved Morphism; *timeout* bounds the whole batch's
-    evaluation (see :func:`run_text`).
+    structurally equal inputs are computed once, and distinct inputs
+    fan out across worker processes when the batch runs on the process
+    backend (see :meth:`repro.engine.Engine.run_many`).  Results come
+    back in input order.  Values are not interned (see :func:`run_text`),
+    so nothing is pinned in the default engine's arena.  *morphism_text*
+    may also be a pre-resolved Morphism; *timeout* bounds the whole
+    batch's evaluation (see :func:`run_text`).
     """
-    from repro.engine import DEFAULT_ENGINE, Interner
+    from repro.engine import DEFAULT_ENGINE
 
     with _deadline_scope(timeout):
         results = DEFAULT_ENGINE.run_many(
             parsed_morphism(morphism_text),
             [value_from_json(v) for v in values_json],
             backend=backend,
-            interner=Interner(),
+            intern=False,
         )
     return [value_to_json(r) for r in results]

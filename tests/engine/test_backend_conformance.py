@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.normalize import Normalize
 from repro.engine import BACKENDS, Backend, Engine, ProcessBackend
 from repro.errors import OrNRATypeError
 from repro.gen import random_orset_value
@@ -37,6 +38,7 @@ from repro.lang.set_ops import SetMap, SetMu
 from repro.morphgen import random_lossless_morphism
 from repro.values.values import vorset, vset
 
+from tests.engine.test_interning import design
 from tests.strategies import typed_orset_values
 
 # One engine for the whole module so plan/interner caches and the
@@ -100,9 +102,18 @@ class TestResultConformance:
     def test_run_many_conformance(self):
         q = Compose(SetMu(), SetMap(OrToSet()))
         batch = [vset(vorset(i, i + 1), vorset(i + 2)) for i in range(6)] * 2
-        reference = [q(v) for v in batch]
-        for name in ALL_BACKENDS:
-            assert ENGINE.run_many(q, batch, backend=name) == reference, name
+        # map(normalize) over sets of designs: overlapping windows repeat
+        # a design across inputs and the batch repeats whole inputs, so
+        # intern=False runs every normalize leaf unmemoized (on process,
+        # in workers that hold no arena).
+        designs = [design(4, base=100 * b) for b in range(4)]
+        design_batch = [vset(*designs[i : i + 2]) for i in range(3)] * 2
+        for program, values in ((q, batch), (SetMap(Normalize()), design_batch)):
+            reference = [program(v) for v in values]
+            for name in ALL_BACKENDS:
+                for intern in (True, False):
+                    results = ENGINE.run_many(program, values, backend=name, intern=intern)
+                    assert results == reference, (name, intern, program.describe())
 
 
 class TestPossibilitiesConformance:

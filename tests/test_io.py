@@ -137,10 +137,11 @@ class TestBatchedEndpoints:
 
     def test_run_json_many_pins_nothing_in_default_engine(self):
         from repro.engine import DEFAULT_ENGINE
-        from repro.io import run_json_many
+        from repro.io import run_json_many, run_text_many
 
         before = len(DEFAULT_ENGINE.interner)
         run_json_many("normalize", [value_to_json(vset(vorset(7000, 7001)))])
+        run_text_many("normalize", ["{<7002, 7003>}"])
         assert len(DEFAULT_ENGINE.interner) == before
 
     def test_run_text_many_matches_run_text(self):
@@ -151,11 +152,13 @@ class TestBatchedEndpoints:
         assert run_text_many(query, texts) == [run_text(query, t) for t in texts]
 
     def test_run_json_many_backend_selectable(self):
+        from repro.engine import BACKENDS
         from repro.io import run_json, run_json_many
 
-        batch = [value_to_json(vset(vorset(vpair(1, 10), vpair(2, 20))))]
+        a = value_to_json(vset(vorset(vpair(1, 10), vpair(2, 20))))
+        b = value_to_json(vset(vorset(vpair(3, 30)), vorset(vpair(4, 40))))
+        batch = [a, b, a]
         query = "ormap(map(pi_1)) o alpha"
-        for backend in ("eager", "streaming"):
-            assert run_json_many(query, batch, backend=backend) == [
-                run_json(query, batch[0])
-            ]
+        expected = [run_json(query, v) for v in batch]
+        for backend in [*BACKENDS, "auto"]:
+            assert run_json_many(query, batch, backend=backend) == expected, backend

@@ -148,6 +148,31 @@ class TestLR005NoSatInEngine:
         assert codes(src, "src/repro/sat/via_normalization.py") == []
 
 
+class TestLR006OneArena:
+    def test_bare_and_attribute_calls_flagged(self):
+        src = "a = Interner()\nb = interning.Interner(max_size=8)\n"
+        vs = check_source(src, "src/repro/io.py")
+        assert [(v.code, v.line) for v in vs] == [("LR006", 1), ("LR006", 2)]
+        assert "traced benchmark" in vs[0].message
+
+    def test_every_source_module_flagged(self):
+        assert codes("state = Interner()\n", PROCESS) == ["LR006"]
+        assert codes("arena = Interner()\n", "src/repro/serve/server.py") == ["LR006"]
+
+    def test_engine_module_and_other_trees_pass(self):
+        src = "arena = Interner()\n"
+        assert codes(src, "src/repro/engine/__init__.py") == []
+        assert codes(src, "tests/engine/test_interning.py") == []
+        assert codes(src, "benchmarks/bench_engine.py") == []
+
+    def test_references_without_a_call_pass(self):
+        src = "def f(arena: Interner | None = None):\n    return isinstance(arena, Interner)\n"
+        assert codes(src, "src/repro/engine/backends.py") == []
+
+    def test_allow_comment_suppresses(self):
+        assert codes("a = Interner()  # lint: allow-LR006\n", "src/repro/io.py") == []
+
+
 class TestHarness:
     def test_syntax_error_reported_not_raised(self):
         vs = check_source("def broken(:\n", "src/repro/engine/analysis.py")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint rules the generic linters cannot express.
 
-Five invariants of this engine are architectural, not stylistic, and a
+Six invariants of this engine are architectural, not stylistic, and a
 violation is a latent bug that no unit test reliably catches:
 
 * **LR001 — no lambdas in transport-path modules.**  The callables
@@ -36,6 +36,13 @@ violation is a latent bug that no unit test reliably catches:
   Section 6 reduction and its reference solver.  A solver call back in
   the engine reintroduces the per-candidate SAT loops the recursion
   replaced.
+
+* **LR006 — one arena per engine.**  Only ``repro/engine/__init__.py``,
+  where ``Engine.__init__`` builds each engine's arena, may call
+  ``Interner(``.  A scoped arena (per call, per batch, per worker)
+  hashes every input and output, and pays only when its scope
+  normalizes one value twice — its cost shows only in a traced
+  benchmark, not as an error.
 
 Usage::
 
@@ -74,6 +81,9 @@ PROTOCOL_HOME = "src/repro/serve/proto.py"
 #: The engine package, which must not import the SAT package (LR005).
 ENGINE_PACKAGE = "src/repro/engine/"
 SAT_PACKAGE = "repro.sat"
+
+#: The source tree, in which only ENGINE_HOME may create an arena (LR006).
+SOURCE_PACKAGE = "src/repro/"
 
 #: Call targets forbidden in estimator modules: each materializes worlds.
 NORMALIZING_CALLS = frozenset(
@@ -129,6 +139,7 @@ def check_source(source: str, path: str) -> list[Violation]:
     engine_home = posix.endswith(ENGINE_HOME)
     serve = SERVE_PACKAGE in posix and not posix.endswith(PROTOCOL_HOME)
     engine = ENGINE_PACKAGE in posix
+    source = SOURCE_PACKAGE in posix and not engine_home
 
     for node in ast.walk(tree):
         if transport and isinstance(node, ast.Lambda):
@@ -168,6 +179,14 @@ def check_source(source: str, path: str) -> list[Violation]:
                 "LR005",
                 "repro.sat imported in the engine: world queries recurse "
                 "over values; the SAT package is the Section 6 reduction",
+            )
+        if source and isinstance(node, ast.Call) and _call_name(node) == "Interner":
+            report(
+                node,
+                "LR006",
+                "Interner() outside repro/engine/__init__.py: a scoped arena "
+                "hashes every input and output, and its cost shows only in a "
+                "traced benchmark; use an Engine's arena (intern=True)",
             )
     return out
 
