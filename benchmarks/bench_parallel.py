@@ -45,9 +45,12 @@ def _design(width: int, salt: int = 0):
     )
 
 
-def _multi_world_batch(total: int, distinct: int, width: int) -> list:
-    """*total* JSON inputs drawn (shuffled, with repeats) from *distinct* worlds."""
-    pool = [value_to_json(_design(width, salt=100 * s)) for s in range(distinct)]
+def _multi_world_batch(
+    total: int, distinct: int, width: int, encode=value_to_json
+) -> list:
+    """*total* inputs drawn (shuffled, with repeats) from *distinct* worlds,
+    each encoded by *encode* (JSON by default, ``format_value`` for text)."""
+    pool = [encode(_design(width, salt=100 * s)) for s in range(distinct)]
     rng = random.Random(0)
     return [pool[rng.randrange(distinct)] for _ in range(total)]
 
@@ -126,6 +129,15 @@ def test_run_json_many_beats_sequential_loop():
     t_many = best_of(lambda: run_json_many(query, batch))
     # One normalization per distinct world instead of one per input makes
     # this a blowout; 0.8 keeps timing noise out of CI.
+    assert t_many <= t_seq * 0.8, (t_many, t_seq)
+
+
+def test_run_text_many_beats_sequential_loop():
+    texts = _multi_world_batch(total=80, distinct=8, width=6, encode=format_value)
+    query = "normalize"
+    assert run_text_many(query, texts) == [run_text(query, t) for t in texts]
+    t_seq = best_of(lambda: [run_text(query, t) for t in texts])
+    t_many = best_of(lambda: run_text_many(query, texts))
     assert t_many <= t_seq * 0.8, (t_many, t_seq)
 
 

@@ -79,7 +79,10 @@ from repro.values.values import (
     check_type,
     format_value,
     infer_type,
+    keyed_collection,
+    pair_key,
     sort_key,
+    variant_key,
 )
 
 from repro.lang.bag_ops import AlphaD
@@ -255,8 +258,7 @@ def _normal_form(
 ) -> Value:
     """The kernel: ``x`` in set form, or the or-set of its distinct worlds."""
     # The sort key of every canon this call got back from the arena, so a
-    # new node's key is built from its children's (in the layout of
-    # repro.values.values.sort_key: pair 2, set 3, or-set 4, variant 6).
+    # new node's key is built from its children's.
     keys: dict[int, tuple] = {}
 
     def canon(key: tuple, node: Value) -> Value:
@@ -264,14 +266,10 @@ def _normal_form(
         keys[id(found)] = key
         return found
 
-    def collect(cls: type, tag: int, elems: list[Value]) -> Value:
+    def collect(cls: type, elems: list[Value]) -> Value:
         # A set or or-set of `elems`, built as its constructor would but
         # sorted by the keys already at hand instead of recomputed ones.
-        distinct = {keys[id(e)]: e for e in elems}
-        order = sorted(distinct)
-        node = object.__new__(cls)
-        object.__setattr__(node, "elems", tuple([distinct[k] for k in order]))
-        return canon((tag, len(order), tuple(order)), node)
+        return canon(*keyed_collection(cls, {keys[id(e)]: e for e in elems}))
 
     def worlds(v: Value, t: Type) -> list[Value]:
         # Distinct canonical worlds of `v : t`.  A type variable `t` makes
@@ -285,11 +283,13 @@ def _normal_form(
             for f in firsts:
                 checkpoint("normalize")
                 key = keys[id(f)]
-                out.extend([canon((2, key, keys[id(s)]), Pair(f, s)) for s in seconds])
+                out.extend(
+                    [canon(pair_key(key, keys[id(s)]), Pair(f, s)) for s in seconds]
+                )
             return out
         if cls is OrSetValue:
             if type(t) is not OrSetType:
-                return [collect(OrSetValue, 4, [worlds(m, t)[0] for m in v.elems])]
+                return [collect(OrSetValue, [worlds(m, t)[0] for m in v.elems])]
             union = {}
             for m in v.elems:
                 for w in worlds(m, t.elem):
@@ -308,7 +308,7 @@ def _normal_form(
                 else:
                     branching.append(member)
             if not branching:
-                return [collect(SetValue, 3, fixed)]
+                return [collect(SetValue, fixed)]
             chosen = {id(w): w for member in branching for w in member}
             # Fold the branching members in, deduplicating the choices made
             # so far as sets of ids: choices that collide merge early.
@@ -320,21 +320,21 @@ def _normal_form(
             out = []
             for choice in choices:
                 checkpoint("normalize")
-                out.append(collect(SetValue, 3, fixed + [chosen[i] for i in choice]))
+                out.append(collect(SetValue, fixed + [chosen[i] for i in choice]))
             return out
         if cls is Variant:
             if type(t) is VariantType:
                 t = t.left if v.side == 0 else t.right
             side = v.side
             return [
-                canon((6, side, keys[id(w)]), Variant(side, w))
+                canon(variant_key(side, keys[id(w)]), Variant(side, w))
                 for w in worlds(v.payload, t)
             ]
         return [canon(sort_key(v), v)]
 
     found = worlds(value, value_type)
     if contains_orset(value_type):
-        return collect(OrSetValue, 4, found)
+        return collect(OrSetValue, found)
     return found[0]
 
 

@@ -30,7 +30,12 @@ from repro.values.values import (
     UnitValue,
     Value,
     Variant,
+    atom_key,
     format_value,
+    keyed_collection,
+    pair_key,
+    sort_key,
+    variant_key,
 )
 
 __all__ = [
@@ -55,47 +60,58 @@ __all__ = [
 
 
 def value_to_json(v: Value) -> object:
-    """Encode *v* as plain JSON-serializable data."""
-    if isinstance(v, UnitValue):
-        return {"unit": True}
-    if isinstance(v, Atom):
+    """Encode *v* as plain JSON-serializable data.
+
+    Dispatches on the exact class, as the normal-form kernel does, with
+    atoms and sets, the commonest nodes, tested first.
+    """
+    cls = type(v)
+    if cls is Atom:
         return {"atom": v.base, "value": v.value}
-    if isinstance(v, Pair):
-        return {"pair": [value_to_json(v.fst), value_to_json(v.snd)]}
-    if isinstance(v, SetValue):
+    if cls is SetValue:
         return {"set": [value_to_json(e) for e in v.elems]}
-    if isinstance(v, OrSetValue):
+    if cls is OrSetValue:
         return {"orset": [value_to_json(e) for e in v.elems]}
-    if isinstance(v, BagValue):
+    if cls is Pair:
+        return {"pair": [value_to_json(v.fst), value_to_json(v.snd)]}
+    if cls is BagValue:
         return {"bag": [value_to_json(e) for e in v.elems]}
-    if isinstance(v, Variant):
+    if cls is Variant:
         key = "inl" if v.side == 0 else "inr"
         return {key: value_to_json(v.payload)}
+    if cls is UnitValue:
+        return {"unit": True}
     raise OrNRAValueError(f"not a value: {v!r}")
-
-
-def _json_elements(data: dict, key: str) -> list[Value]:
-    elems = data[key]
-    if not isinstance(elems, list):
-        raise OrNRAValueError(
-            f"malformed value JSON: {key!r} expects a list of elements, got {elems!r}"
-        )
-    return [value_from_json(e) for e in elems]
 
 
 def value_from_json(data: object) -> Value:
     """Decode the JSON structure produced by :func:`value_to_json`.
 
+    The result is the value the constructors build: the same elements in
+    the same canonical order, and the same survivor among duplicates.
+    Each node's sort key is built once, from its children's keys, rather
+    than once for every collection above it.
+
     Every malformed fragment — a ``"pair"`` that is not a two-element
     list, a non-list ``"set"``/``"orset"``/``"bag"``, an ``"atom"``
-    without a ``"value"`` — raises :class:`~repro.errors.OrNRAValueError`
-    naming the offending fragment, never a bare ``ValueError`` or
-    ``TypeError`` from the decoding plumbing.
+    without a ``"value"``, a collection whose atoms of one base do not
+    compare — raises :class:`~repro.errors.OrNRAValueError` naming the
+    offending fragment, never a bare ``ValueError`` or ``TypeError``
+    from the decoding plumbing.
     """
+    return _decode(data)[1]
+
+
+_UNIT_KEY = sort_key(UNIT_VALUE)
+_COLLECTIONS = (("set", SetValue), ("orset", OrSetValue), ("bag", BagValue))
+
+
+def _decode(data: object) -> tuple[tuple, Value]:
+    """``(sort_key(v), v)`` for the value *v* that *data* encodes."""
     if not isinstance(data, dict):
         raise OrNRAValueError(f"malformed value JSON: {data!r}")
     if "unit" in data:
-        return UNIT_VALUE
+        return _UNIT_KEY, UNIT_VALUE
     if "atom" in data:
         if "value" not in data:
             raise OrNRAValueError(f"malformed value JSON: atom without a value: {data!r}")
@@ -104,24 +120,40 @@ def value_from_json(data: object) -> Value:
             raise OrNRAValueError(
                 f"malformed value JSON: atom value must be a scalar, got {payload!r}"
             )
-        return Atom(str(data["atom"]), payload)
+        leaf = Atom(str(data["atom"]), payload)
+        return atom_key(leaf), leaf
     if "pair" in data:
         sides = data["pair"]
         if not isinstance(sides, list) or len(sides) != 2:
             raise OrNRAValueError(
                 f"malformed value JSON: 'pair' expects [left, right], got {sides!r}"
             )
-        return Pair(value_from_json(sides[0]), value_from_json(sides[1]))
-    if "set" in data:
-        return SetValue(_json_elements(data, "set"))
-    if "orset" in data:
-        return OrSetValue(_json_elements(data, "orset"))
-    if "bag" in data:
-        return BagValue(_json_elements(data, "bag"))
+        fst_key, fst = _decode(sides[0])
+        snd_key, snd = _decode(sides[1])
+        return pair_key(fst_key, snd_key), Pair(fst, snd)
+    for name, cls in _COLLECTIONS:
+        if name in data:
+            elems = data[name]
+            if not isinstance(elems, list):
+                raise OrNRAValueError(
+                    f"malformed value JSON: {name!r} expects a list of elements, "
+                    f"got {elems!r}"
+                )
+            decoded = [_decode(e) for e in elems]
+            keyed = decoded if cls is BagValue else dict(decoded)
+            try:
+                return keyed_collection(cls, keyed)
+            except TypeError as exc:
+                raise OrNRAValueError(
+                    f"malformed value JSON: {name!r} holds atoms that do not "
+                    f"compare: {data!r}"
+                ) from exc
     if "inl" in data:
-        return Variant(0, value_from_json(data["inl"]))
+        key, payload = _decode(data["inl"])
+        return variant_key(0, key), Variant(0, payload)
     if "inr" in data:
-        return Variant(1, value_from_json(data["inr"]))
+        key, payload = _decode(data["inr"])
+        return variant_key(1, key), Variant(1, payload)
     raise OrNRAValueError(f"malformed value JSON: {data!r}")
 
 

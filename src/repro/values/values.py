@@ -21,6 +21,7 @@ from __future__ import annotations
 import threading as _threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from repro.errors import OrNRAValueError
@@ -62,6 +63,10 @@ __all__ = [
     "vinr",
     "sort_key",
     "use_sort_key_cache",
+    "atom_key",
+    "pair_key",
+    "variant_key",
+    "keyed_collection",
     "format_value",
     "infer_type",
     "check_type",
@@ -343,6 +348,55 @@ def sort_key(v: Value) -> tuple:
     if isinstance(v, Variant):
         return (6, v.side, sort_key(v.payload))
     raise OrNRAValueError(f"not a value: {v!r}")
+
+
+# Builders that already hold their children's sort keys (the normal-form
+# kernel, the JSON decoder) build a node's key from them with the helpers
+# below instead of re-walking the children through sort_key.  They lay
+# keys out exactly as sort_key does.
+
+
+def atom_key(a: Atom) -> tuple:
+    """``sort_key(a)`` of the atom *a*."""
+    return (1,) + _atom_key(a)
+
+
+def pair_key(fst_key: tuple, snd_key: tuple) -> tuple:
+    """The sort key of a pair, from its components' keys."""
+    return (2, fst_key, snd_key)
+
+
+def variant_key(side: int, payload_key: tuple) -> tuple:
+    """The sort key of an injection on *side*, from its payload's key."""
+    return (6, side, payload_key)
+
+
+_COLLECTION_TAGS = {SetValue: 3, OrSetValue: 4, BagValue: 5}
+
+
+def keyed_collection(
+    cls: type, keyed: dict[tuple, Value] | list[tuple[tuple, Value]]
+) -> tuple[tuple, Value]:
+    """A collection built from elements whose sort keys are at hand.
+
+    For a set or an or-set *keyed* maps each element's key to the
+    element; for a bag it lists ``(key, element)`` pairs.  Returns
+    ``(key, node)``: *node* is what ``cls(elements)`` builds (the same
+    elements in the same order, and the same survivor among equal keys
+    when *keyed* was filled in element order), and *key* equals
+    ``sort_key(node)``.  No element's key is recomputed.  Raises
+    ``TypeError`` when two keys do not compare, as the constructors do.
+    """
+    if cls is BagValue:
+        pairs = sorted(keyed, key=itemgetter(0))
+        order = tuple(map(itemgetter(0), pairs))
+        elems = tuple(map(itemgetter(1), pairs))
+    else:
+        order = tuple(sorted(keyed))
+        elems = tuple(map(keyed.__getitem__, order))
+    node = object.__new__(cls)
+    object.__setattr__(node, "elems", elems)
+    return (_COLLECTION_TAGS[cls], len(elems), order), node
 
 
 def format_value(v: Value) -> str:

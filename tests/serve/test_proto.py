@@ -19,6 +19,8 @@ from tests.serve.transports import run_stdio, run_tcp
 WORLD = value_to_json(vorset(1, 2))
 #: A set of two 2-way or-sets: four worlds.
 TWO_CHOICES = value_to_json(vset(vorset(1, 2), vorset(3, 4)))
+#: A set whose two int atoms hold values that do not compare.
+INCOMPARABLE = {"set": [{"atom": "int", "value": 1}, {"atom": "int", "value": "x"}]}
 
 
 def malformed(message: str, request_id=None) -> dict:
@@ -56,6 +58,14 @@ CASES = {
     "missing-value": (
         {"id": 9, "program": "normalize"},
         malformed("malformed request frame: missing 'value'", 9),
+    ),
+    "incomparable-atoms": (
+        {"id": 10, "program": "normalize", "value": INCOMPARABLE},
+        {"id": 10, "code": "malformed"},
+    ),
+    "incomparable-atoms-count": (
+        {"id": 11, "op": "count", "program": "normalize", "value": INCOMPARABLE},
+        {"id": 11, "code": "malformed"},
     ),
 }
 

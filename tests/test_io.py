@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import OrNRAValueError
 from repro.io import (
@@ -14,7 +15,19 @@ from repro.io import (
     value_to_json,
     value_to_text,
 )
-from repro.values.values import vbag, vorset, vpair, vset
+from repro.values.values import (
+    UNIT_VALUE,
+    Atom,
+    BagValue,
+    OrSetValue,
+    Pair,
+    SetValue,
+    Variant,
+    vbag,
+    vorset,
+    vpair,
+    vset,
+)
 
 from tests.strategies import object_types, typed_values
 
@@ -92,6 +105,81 @@ class TestMalformedFragments:
     def test_error_names_offending_fragment(self):
         with pytest.raises(OrNRAValueError, match=r"\[1\]"):
             value_from_json({"pair": [1]})
+
+    @pytest.mark.parametrize("key", ["set", "orset", "bag"])
+    def test_incomparable_atoms_rejected(self, key):
+        atoms = [{"atom": "int", "value": 1}, {"atom": "int", "value": "x"}]
+        with pytest.raises(OrNRAValueError, match=f"'{key}' holds atoms"):
+            value_from_json({key: atoms})
+        nested = [{"pair": [a, {"unit": True}]} for a in atoms]
+        with pytest.raises(OrNRAValueError, match="do not compare"):
+            value_from_json({"inl": {key: nested}})
+
+
+def reference_from_json(data):
+    """The decoding that builds every node through its constructor."""
+    if "unit" in data:
+        return UNIT_VALUE
+    if "atom" in data:
+        return Atom(str(data["atom"]), data["value"])
+    if "pair" in data:
+        left, right = data["pair"]
+        return Pair(reference_from_json(left), reference_from_json(right))
+    for key, cls in (("set", SetValue), ("orset", OrSetValue), ("bag", BagValue)):
+        if key in data:
+            return cls([reference_from_json(e) for e in data[key]])
+    if "inl" in data:
+        return Variant(0, reference_from_json(data["inl"]))
+    return Variant(1, reference_from_json(data["inr"]))
+
+
+def scrambled(data, rng):
+    """*data* with each collection's elements shuffled and some repeated.
+
+    Int atoms sometimes turn into equal floats, so a repeat can differ
+    from the element it repeats in ``repr`` only, and the decoder must
+    keep the same survivor among equal keys as the constructors.
+    """
+    if "atom" in data:
+        value = data["value"]
+        if type(value) is int and rng.random() < 0.3:
+            value = float(value)
+        return {"atom": data["atom"], "value": value}
+    if "pair" in data:
+        return {"pair": [scrambled(side, rng) for side in data["pair"]]}
+    for key in ("set", "orset", "bag"):
+        if key in data:
+            elems = data[key]
+            if elems:
+                elems = elems + [rng.choice(elems) for _ in range(rng.randrange(3))]
+            out = [scrambled(e, rng) for e in elems]
+            rng.shuffle(out)
+            return {key: out}
+    for key in ("inl", "inr"):
+        if key in data:
+            return {key: scrambled(data[key], rng)}
+    return data
+
+
+class TestKeyedDecoder:
+    """value_from_json builds each key once, yet decodes to the very value
+    the constructors build: same elements, order and survivors."""
+
+    @given(
+        typed_values(max_depth=3, max_width=3, variants=True, bags=True), st.randoms()
+    )
+    def test_matches_constructor_decoding(self, pair, rng):
+        value, _ = pair
+        data = scrambled(value_to_json(value), rng)
+        decoded = value_from_json(data)
+        expected = reference_from_json(data)
+        assert decoded == expected
+        assert repr(decoded) == repr(expected)
+
+    def test_last_equal_element_survives(self):
+        ones = [{"atom": "int", "value": 1}, {"atom": "int", "value": 1.0}]
+        assert repr(value_from_json({"set": ones})) == "SetValue([Atom(int:1.0)])"
+        assert repr(value_from_json({"set": ones[::-1]})) == "SetValue([Atom(int:1)])"
 
 
 class TestTextRoundTrip:

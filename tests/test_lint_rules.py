@@ -173,6 +173,45 @@ class TestLR006OneArena:
         assert codes("a = Interner()  # lint: allow-LR006\n", "src/repro/io.py") == []
 
 
+class TestLR007:
+    """Only repro/values/values.py fills a collection's elements directly."""
+
+    def test_object_setattr_and_setattr_flagged(self):
+        src = (
+            "node = object.__new__(SetValue)\n"
+            'object.__setattr__(node, "elems", elems)\n'
+            'setattr(node, "elems", elems)\n'
+        )
+        vs = check_source(src, "src/repro/core/normalize.py")
+        assert [(v.code, v.line) for v in vs] == [("LR007", 2), ("LR007", 3)]
+        assert "sort_key" in vs[0].message
+
+    def test_every_source_module_flagged(self):
+        src = 'object.__setattr__(node, "elems", ())\n'
+        assert codes(src, "src/repro/io.py") == ["LR007"]
+        assert codes(src, "src/repro/engine/columnar.py") == ["LR007"]
+
+    def test_values_module_and_other_trees_pass(self):
+        src = 'object.__setattr__(self, "elems", _canonical_distinct(elems))\n'
+        assert codes(src, "src/repro/values/values.py") == []
+        assert codes(src, "tests/values/test_values.py") == []
+        assert codes(src, "benchmarks/bench_engine.py") == []
+
+    def test_other_attribute_names_pass(self):
+        src = (
+            'object.__setattr__(self, "lower", frozenset(lo))\n'
+            'object.__setattr__(self, "pairs", frozen)\n'
+            'setattr(plan, "_facts", facts)\n'
+            "setattr(self, counter, n)\n"
+            'getattr(node, "elems")\n'
+        )
+        assert codes(src, "src/repro/orders/approx.py") == []
+
+    def test_allow_comment_suppresses(self):
+        src = 'object.__setattr__(node, "elems", ())  # lint: allow-LR007\n'
+        assert codes(src, "src/repro/core/normalize.py") == []
+
+
 class TestHarness:
     def test_syntax_error_reported_not_raised(self):
         vs = check_source("def broken(:\n", "src/repro/engine/analysis.py")

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import OrNRAValueError
 from repro.types.kinds import (
@@ -18,23 +19,31 @@ from repro.values.values import (
     TRUE,
     UNIT_VALUE,
     Atom,
+    BagValue,
     Or,
+    OrSetValue,
+    Pair,
     SetValue,
+    Variant,
     atom,
+    atom_key,
     boolean,
     check_type,
     format_value,
     from_python,
     infer_type,
+    keyed_collection,
+    pair_key,
     sort_key,
     to_python,
+    variant_key,
     vbag,
     vorset,
     vpair,
     vset,
 )
 
-from tests.strategies import typed_values
+from tests.strategies import object_types, typed_values, value_of
 
 
 class TestCanonicalization:
@@ -178,3 +187,50 @@ class TestKindChecks:
 
     def test_bag_not_equal_to_set(self):
         assert vbag(1) != vset(1)
+
+
+class TestKeyedCollection:
+    """keyed_collection builds, from keys at hand, what the constructors
+    build, and returns that node's sort key."""
+
+    @given(
+        object_types(max_depth=3, variants=True, bags=True).flatmap(
+            lambda t: st.lists(value_of(t), max_size=5)
+        ),
+        st.sampled_from([SetValue, OrSetValue, BagValue]),
+    )
+    def test_matches_constructor(self, elems, cls):
+        elems = elems + elems[:2]
+        keyed = [(sort_key(e), e) for e in elems]
+        key, node = keyed_collection(cls, keyed if cls is BagValue else dict(keyed))
+        expected = cls(elems)
+        assert type(node) is cls
+        assert node == expected
+        assert repr(node) == repr(expected)
+        assert key == sort_key(node)
+
+    def test_last_equal_element_survives(self):
+        elems = [Atom("int", 1), Atom("int", 1.0)]
+        _, node = keyed_collection(SetValue, {atom_key(a): a for a in elems})
+        assert repr(node) == repr(SetValue(elems)) == "SetValue([Atom(int:1.0)])"
+
+    @given(
+        typed_values(max_depth=2, variants=True, bags=True),
+        typed_values(max_depth=2, variants=True, bags=True),
+    )
+    def test_keys_from_child_keys(self, left, right):
+        (a, _), (b, _) = left, right
+        assert pair_key(sort_key(a), sort_key(b)) == sort_key(Pair(a, b))
+        for side in (0, 1):
+            assert variant_key(side, sort_key(a)) == sort_key(Variant(side, a))
+
+    def test_atom_key(self):
+        for a in (TRUE, atom(3), atom("x"), Atom("module", "m"), Atom("int", 2.5)):
+            assert atom_key(a) == sort_key(a)
+
+    def test_incomparable_keys_raise_type_error(self):
+        elems = [Atom("int", 1), Atom("int", "x")]
+        with pytest.raises(TypeError):
+            SetValue(elems)
+        with pytest.raises(TypeError):
+            keyed_collection(SetValue, {atom_key(a): a for a in elems})

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint rules the generic linters cannot express.
 
-Six invariants of this engine are architectural, not stylistic, and a
+Seven invariants of this engine are architectural, not stylistic, and a
 violation is a latent bug that no unit test reliably catches:
 
 * **LR001 — no lambdas in transport-path modules.**  The callables
@@ -44,6 +44,15 @@ violation is a latent bug that no unit test reliably catches:
   normalizes one value twice — its cost shows only in a traced
   benchmark, not as an error.
 
+* **LR007 — only ``values.py`` fills a collection directly.**  Only
+  ``repro/values/values.py`` may call ``object.__setattr__(…, "elems",
+  …)`` or ``setattr(…, "elems", …)``.  A collection filled without its
+  constructor is canonical only if its builder sorts by exactly
+  ``sort_key``'s layout.  A second copy of that layout drifts silently,
+  and then equality, hashing and the worlds oracle disagree without an
+  error; builders that hold their elements' keys call
+  ``keyed_collection`` instead.
+
 Usage::
 
     python tools/lint_rules.py src tests benchmarks
@@ -84,6 +93,9 @@ SAT_PACKAGE = "repro.sat"
 
 #: The source tree, in which only ENGINE_HOME may create an arena (LR006).
 SOURCE_PACKAGE = "src/repro/"
+
+#: The one module in the source tree that fills collections directly (LR007).
+VALUES_HOME = "src/repro/values/values.py"
 
 #: Call targets forbidden in estimator modules: each materializes worlds.
 NORMALIZING_CALLS = frozenset(
@@ -140,6 +152,7 @@ def check_source(source: str, path: str) -> list[Violation]:
     serve = SERVE_PACKAGE in posix and not posix.endswith(PROTOCOL_HOME)
     engine = ENGINE_PACKAGE in posix
     source = SOURCE_PACKAGE in posix and not engine_home
+    fills = SOURCE_PACKAGE in posix and not posix.endswith(VALUES_HOME)
 
     for node in ast.walk(tree):
         if transport and isinstance(node, ast.Lambda):
@@ -188,6 +201,14 @@ def check_source(source: str, path: str) -> list[Violation]:
                 "hashes every input and output, and its cost shows only in a "
                 "traced benchmark; use an Engine's arena (intern=True)",
             )
+        if fills and isinstance(node, ast.Call) and _fills_elems(node):
+            report(
+                node,
+                "LR007",
+                "collection filled outside repro/values/values.py: a second "
+                "copy of sort_key's layout drifts silently; build it with "
+                "keyed_collection or a constructor",
+            )
     return out
 
 
@@ -212,6 +233,14 @@ def _call_name(node: ast.Call) -> str | None:
     if isinstance(fn, ast.Attribute):
         return fn.attr
     return None
+
+
+def _fills_elems(node: ast.Call) -> bool:
+    """Is *node* ``object.__setattr__(x, "elems", …)`` or its ``setattr`` twin?"""
+    if _call_name(node) not in ("__setattr__", "setattr") or len(node.args) < 2:
+        return False
+    name = node.args[1]
+    return isinstance(name, ast.Constant) and name.value == "elems"
 
 
 def _has_code_key(node: ast.Dict) -> bool:
