@@ -1,6 +1,6 @@
 """Experiment SYMBOLIC — world queries without enumerating worlds.
 
-Three workloads measure the symbolic backend
+Four workloads measure the symbolic backend
 (`repro/engine/symbolic.py`) on whole-world-set queries, where every
 enumerating backend hits the Section 6 wall (3^k worlds on the tight
 family):
@@ -15,16 +15,23 @@ family):
   worlds, past the 10^9 acceptance bar, unreachable for enumeration):
   records that the exact count comes back in milliseconds and equals
   3^19, and that ``exists``/``certain`` answer at the same scale.
+* **colliding-count** — the same count over a *shared family* of 8
+  three-way or-sets whose atoms overlap, so distinct choices collide
+  into 437 worlds.  The set deduplicates its own worlds by folding its
+  members' worlds, as the normal-form kernel does, but builds no world.
+  Target: >= 3x over eager.
 * **exactness** — not a timing: random or-set values counted by the
   symbolic backend (over the identity plan) and cross-checked against
-  the brute-force worlds oracle — the count is *exact* on both the
-  certificate path and the enumeration fallback; a mismatch fails the
-  run (and CI, via the pytest entry points).
+  the brute-force worlds oracle — the count is *exact* whether each
+  node sums or multiplies its children's counts or, where siblings may
+  share a world, deduplicates its own; a mismatch fails the run (and
+  CI, via the pytest entry points).  ``dedup_rate`` records the share
+  of samples in which some node deduplicated.
 
 Run ``python benchmarks/bench_symbolic.py`` (add ``--quick`` for CI
 smoke sizes) to print the table and write ``BENCH_symbolic.json`` next
-to this file; under pytest the same workloads assert the >= 100x win,
-the auto routing, and exactness.
+to this file; under pytest the same workloads assert the >= 100x and
+>= 3x wins, the auto routing, and exactness.
 """
 
 from __future__ import annotations
@@ -40,9 +47,18 @@ from repro.core.normalize import Normalize
 from repro.core.worlds import worlds
 from repro.engine import Engine
 from repro.engine.plan import compile_plan
-from repro.engine.symbolic import ChoiceSpace, SymbolicBackend
+from repro.engine.symbolic import SymbolicBackend, _count, _pairwise_ok
 from repro.gen import random_orset_value
 from repro.lang.morphisms import Id
+from repro.values.values import (
+    BagValue,
+    OrSetValue,
+    Pair,
+    SetValue,
+    Variant,
+    vorset,
+    vset,
+)
 
 OUT_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_symbolic.json"
 
@@ -54,8 +70,47 @@ COUNT_QUERY = Normalize()
 ID_PLAN = compile_plan(Id())
 
 
+#: The colliding-count input: 8 members, 437 distinct worlds.
+SHARED_MEMBERS, SHARED_WORLDS = 8, 437
+
+
 def _eager_count(engine: Engine, x) -> int:
     return len(set(engine.possibilities(COUNT_QUERY, x, backend="eager", intern=False)))
+
+
+def shared_family(members: int):
+    """Three-way or-sets over ``members + 2`` atoms, so choices collide:
+    member i holds atoms i, i + 1 and i + 3 (mod the domain)."""
+    domain = members + 2
+    return vset(
+        *(vorset(*((i + d) % domain for d in (0, 1, 3))) for i in range(members))
+    )
+
+
+def _colliding_speedup(engine: Engine) -> tuple[float, float]:
+    """Eager and symbolic seconds for counting the shared family."""
+    x = shared_family(SHARED_MEMBERS)
+    assert engine.choose_backend(COUNT_QUERY, x, world_query=True).backend == "symbolic"
+    t_eager, n_eager = best_of_with_result(lambda: _eager_count(engine, x), repeat=5)
+    t_symbolic, n_symbolic = best_of_with_result(
+        lambda: engine.count_worlds(COUNT_QUERY, x, backend="auto", intern=False),
+        repeat=5,
+    )
+    assert n_symbolic == n_eager == SHARED_WORLDS, (n_symbolic, n_eager)
+    return t_eager, t_symbolic
+
+
+def _deduplicates(v) -> bool:
+    """Does some node of *v* count by deduplicating its own worlds?"""
+    if isinstance(v, Pair):
+        return _deduplicates(v.fst) or _deduplicates(v.snd)
+    if isinstance(v, Variant):
+        return _deduplicates(v.payload)
+    if isinstance(v, (SetValue, OrSetValue, BagValue)):
+        return not _pairwise_ok([_count(e) for e in v.elems]) or any(
+            _deduplicates(e) for e in v.elems
+        )
+    return False
 
 
 def _workloads(quick: bool = False) -> list[dict]:
@@ -110,21 +165,36 @@ def _workloads(quick: bool = False) -> list[dict]:
         }
     )
 
-    # 3. exactness: the regression gate (not a timing).
+    # 3. colliding-count: sibling or-sets share atoms.
+    t_eager, t_symbolic = _colliding_speedup(engine)
+    speedup = t_eager / t_symbolic
+    assert speedup >= 3, f"only {speedup:.1f}x on the shared family"
+    results.append(
+        {
+            "workload": "colliding-count",
+            "members": SHARED_MEMBERS,
+            "worlds": SHARED_WORLDS,
+            "eager_s": t_eager,
+            "symbolic_s": t_symbolic,
+            "speedup": speedup,
+        }
+    )
+
+    # 4. exactness: the regression gate (not a timing).
     samples = 150 if quick else 400
     rng = random.Random(0)
     symbolic = SymbolicBackend()
-    exact_hits = 0
+    dedup_hits = 0
     for _ in range(samples):
         v, _t = random_orset_value(rng, max_depth=3, max_width=3, min_width=0)
         assert symbolic.count_worlds(ID_PLAN, v) == len(worlds(v)), str(v)
-        exact_hits += ChoiceSpace(v).exact
+        dedup_hits += _deduplicates(v)
     results.append(
         {
             "workload": "exactness",
             "samples": samples,
             "mismatches": 0,
-            "certificate_rate": exact_hits / samples,
+            "dedup_rate": dedup_hits / samples,
         }
     )
     return results
@@ -156,6 +226,13 @@ def test_symbolic_count_beats_eager_100x_on_tight_family():
     assert t_symbolic * 100 <= t_eager, (t_symbolic, t_eager)
 
 
+def test_colliding_count_beats_eager():
+    """Colliding choices cost only a fold over the set's members'
+    worlds: >= 3x over eager, answers equal."""
+    t_eager, t_symbolic = _colliding_speedup(Engine())
+    assert t_symbolic * 3 <= t_eager, (t_symbolic, t_eager)
+
+
 def test_auto_routes_beyond_enumeration_queries_symbolic():
     """>= 10^9 estimated worlds on a supported spine goes symbolic and
     the exact count comes back."""
@@ -180,7 +257,7 @@ def main() -> None:
     results = _workloads(quick=args.quick)
     print(f"{'workload':<22} {'eager (ms)':>12} {'symbolic (ms)':>14} {'speedup':>9}")
     for row in results:
-        if row["workload"] == "tight-family-count":
+        if row["workload"] in ("tight-family-count", "colliding-count"):
             print(
                 f"{row['workload']:<22} {row['eager_s'] * 1000:>12.1f}"
                 f" {row['symbolic_s'] * 1000:>14.2f} {row['speedup']:>8.0f}x"
@@ -195,7 +272,7 @@ def main() -> None:
         else:
             print(
                 f"{row['workload']:<22} exact on {row['samples']} samples"
-                f" (certificate rate {row['certificate_rate']:.0%})"
+                f" (some node deduplicates in {row['dedup_rate']:.0%})"
             )
     write_results(OUT_PATH, results)
     print(f"\nwrote {OUT_PATH}")

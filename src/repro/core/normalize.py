@@ -332,10 +332,15 @@ def _normal_form(
             ]
         return [canon(sort_key(v), v)]
 
-    found = worlds(value, value_type)
-    if contains_orset(value_type):
-        return collect(OrSetValue, found)
-    return found[0]
+    try:
+        found = worlds(value, value_type)
+        if contains_orset(value_type):
+            return collect(OrSetValue, found)
+        return found[0]
+    finally:
+        # `worlds` reaches itself through its closure cell; unbinding it
+        # frees this call's nodes and table now, not at the next gc pass.
+        del worlds
 
 
 def normalize_with_strategy(

@@ -351,15 +351,15 @@ class Engine:
         plan: Plan,
         concrete: Value,
         interner: Interner | None,
-        existential: bool = False,
+        choice: BackendChoice | None = None,
     ) -> Value:
-        """Resolve *backend* (adaptively for ``"auto"``) and execute."""
+        """Resolve *backend* (adaptively for ``"auto"``, unless the
+        caller already selected *choice*) and execute."""
         checkpoint("engine dispatch")
         if backend != "auto":
             return self._backend(backend).execute(plan, concrete, interner)
-        choice = select_backend(
-            plan, concrete, existential=existential, available=self._available()
-        )
+        if choice is None:
+            choice = select_backend(plan, concrete, available=self._available())
         chosen = self.backends[choice.backend]
         if choice.shards is not None and isinstance(chosen, ProcessBackend):
             return chosen.execute(plan, concrete, interner, shard_hint=choice.shards)
@@ -401,29 +401,39 @@ class Engine:
 
         # Dedupe structurally equal inputs: a multi-world batch often
         # repeats whole inputs, and each distinct one is computed once.
+        # Each input is hashed once: its slot is all the answer needs.
         index: dict[Value, int] = {}
         unique: list[Value] = []
+        slots: list[int] = []
         for v in concrete:
-            if v not in index:
-                index[v] = len(unique)
+            slot = index.setdefault(v, len(unique))
+            if slot == len(unique):
                 unique.append(v)
+            slots.append(slot)
 
         chosen = self.backends.get(backend) if backend != "auto" else None
-        if backend == "auto" and len(unique) > 1:
+        # Under "auto", one selection per distinct input, which the batch
+        # hook test and the input's own execution share.
+        choices: list[BackendChoice] = []
+        if backend == "auto":
+            available = self._available()
+            choices = [select_backend(plan, v, available=available) for v in unique]
             proc = self.backends.get("process")
-            if isinstance(proc, ProcessBackend) and all(
-                select_backend(plan, v, available=self._available()).backend == "process"
-                for v in unique
+            if (
+                len(unique) > 1
+                and isinstance(proc, ProcessBackend)
+                and all(c.backend == "process" for c in choices)
             ):
                 chosen = proc
         if isinstance(chosen, ProcessBackend):
             results = chosen.run_values(plan, unique, arena)
         else:
             results = []
-            for v in unique:
-                result = self._execute(backend, plan, v, arena)
+            for i, v in enumerate(unique):
+                choice = choices[i] if choices else None
+                result = self._execute(backend, plan, v, arena, choice)
                 results.append(arena.intern(result) if arena is not None else result)
-        return [results[index[v]] for v in concrete]
+        return [results[slot] for slot in slots]
 
     def possibilities(
         self,

@@ -23,28 +23,28 @@ goes around the wall in two steps:
    * ``exists`` — every component has a world, and every or-set on the
      way has a branch that does;
    * ``count_worlds`` — Prop. 6.1's recursion, a sum over or-set
-     branches and a product over components, exact whenever the
-     *injectivity certificate* proves distinct choices give distinct
-     worlds;
+     branches and a product over components wherever the siblings'
+     world sets are provably disjoint; a node whose siblings may share
+     a world deduplicates its own worlds, so the count is always
+     exact;
    * ``possible`` — the union of a collection's members' worlds;
    * ``certain`` — the members' worlds that are their member's only
      world (members choose independently, so nothing else is in every
      world).
 
-   These enumerate at most the worlds of single members; only
-   ``possibilities`` streams the value's own worlds, lazily.
+   These enumerate at most the worlds of single members, or of a node
+   whose siblings may collide; only ``possibilities`` streams the
+   value's own worlds, lazily.
 
-Everything degrades soundly: unsupported plans and counts the
-certificate cannot vouch for fall back to the eager enumeration path,
-so :meth:`SymbolicBackend.execute`/``possibilities`` stay conformant
-with every other backend on every program (the differential suite runs
-them against the direct interpreter), while supported queries at
-``>=10^9`` estimated worlds finish in milliseconds.
+Everything degrades soundly: unsupported plans fall back to the eager
+enumeration path, so :meth:`SymbolicBackend.execute`/``possibilities``
+stay conformant with every other backend on every program (the
+differential suite runs them against the direct interpreter), while
+supported queries at ``>=10^9`` estimated worlds finish in milliseconds.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import islice
 from math import prod
 from typing import Iterator
@@ -199,21 +199,16 @@ class ChoiceSpace:
     (``< >`` has none).  Every query recurses over that structure.  Only
     ``iter_worlds`` enumerates the value's worlds; ``certain_members``
     and ``possible_members`` enumerate single members' worlds, and
-    ``count_worlds`` and ``satisfiable`` enumerate none.
+    ``satisfiable`` enumerates none.
 
-    ``exact`` is the injectivity certificate: when it holds, distinct
-    canonical choice vectors yield distinct worlds, so the Σ/Π count of
-    choice vectors is the world count.  When it fails (sibling branches
-    sharing atoms can collapse two choices into one world),
-    :meth:`count_worlds` refuses and the backend counts by enumeration.
+    ``count_worlds`` sums or multiplies its children's counts wherever
+    the siblings' world sets are provably disjoint, so no two choices
+    meet in one world; a node whose siblings may share a world (branches
+    sharing atoms, say) deduplicates its own worlds, and only its own.
     """
 
     def __init__(self, value: Value) -> None:
         self.value = value
-
-    @cached_property
-    def exact(self) -> bool:
-        return _injective(self.value)
 
     def satisfiable(self) -> bool:
         return _has_world(self.value)
@@ -224,11 +219,9 @@ class ChoiceSpace:
 
     def count_worlds(self) -> int:
         """Exact ``|worlds(value)|`` — Prop. 6.1's recursion, sums over
-        or-set branches and products over components.  Raises
-        :exc:`SymbolicUnsupported` unless ``exact``."""
-        if not self.exact:
-            raise SymbolicUnsupported("choices may collide; count by enumeration")
-        return _choice_count(self.value)
+        or-set branches and products over components, with a
+        deduplicating count at each node whose siblings may collide."""
+        return _count(self.value)[0]
 
     def certain_members(self) -> frozenset[Value]:
         """Elements present in *every* world."""
@@ -310,16 +303,87 @@ def _has_world(v: Value) -> bool:
     return True  # atoms and unit
 
 
-def _choice_count(v: Value) -> int:
-    if isinstance(v, OrSetValue):
-        return sum(_choice_count(branch) for branch in v.elems)
-    if isinstance(v, (SetValue, BagValue)):
-        return prod(_choice_count(member) for member in v.elems)
+#: What :func:`_count` returns: ``(worlds, grounded, fixed, support)``.
+_Facts = tuple[int, bool, bool, frozenset[Value]]
+
+
+def _count(v: Value) -> _Facts:
+    """The number of distinct worlds of *v*, and the facts that tell
+    whether siblings collide: *grounded* — every world contains an atom;
+    *fixed* — *v* is choice-free (its own only world, or none for
+    ``< >``); *support* — the atoms occurring anywhere below.
+
+    Where :func:`_pairwise_ok` proves the children's world sets
+    disjoint, an or-set sums and a set or bag multiplies their counts,
+    as each world then tells which child's world it holds.  Elsewhere
+    that one node deduplicates.
+    """
+    if isinstance(v, Atom):
+        return 1, True, True, frozenset((v,))
+    if isinstance(v, UnitValue):
+        return 1, False, True, frozenset()
     if isinstance(v, Pair):
-        return _choice_count(v.fst) * _choice_count(v.snd)
+        na, ga, fa, sa = _count(v.fst)
+        nb, gb, fb, sb = _count(v.snd)
+        return na * nb, ga or gb, fa and fb, sa | sb
     if isinstance(v, Variant):
-        return _choice_count(v.payload)
-    return 1  # atoms and unit
+        return _count(v.payload)
+    if not isinstance(v, (OrSetValue, SetValue, BagValue)):
+        raise OrNRAValueError(f"not a value: {v!r}")
+    parts = [_count(e) for e in v.elems]
+    support: frozenset[Value] = frozenset().union(*(p[3] for p in parts))
+    if isinstance(v, OrSetValue):
+        grounded, fixed = all(p[1] for p in parts), not parts
+    else:
+        grounded, fixed = any(p[1] for p in parts), all(p[2] for p in parts)
+    if _pairwise_ok(parts):
+        counts = [p[0] for p in parts]
+        n = sum(counts) if isinstance(v, OrSetValue) else prod(counts)
+    elif isinstance(v, SetValue):
+        n = len(_set_worlds(v, {}))
+    elif isinstance(v, OrSetValue) and all(isinstance(b, SetValue) for b in v.elems):
+        # Folding each set branch spares the odometer's choice vectors.
+        index: dict[Value, int] = {}
+        n = len(set().union(*(_set_worlds(b, index) for b in v.elems)))
+    else:
+        n = sum(1 for _ in _distinct_worlds(v))
+    return n, grounded, fixed, support
+
+
+def _pairwise_ok(parts: list[_Facts]) -> bool:
+    """Can no two siblings share a world?  Two fixed siblings cannot: a
+    fixed value is its own only world (or has none), and a set's or
+    or-set's members are distinct (a bag's equal fixed members have one
+    world between them).  Otherwise disjoint supports, with at most one
+    sibling that can have an atom-free world, rule a shared world out.
+    Conservative: ``False`` only costs a deduplicating count."""
+    for i, (_, gi, fi, si) in enumerate(parts):
+        for _, gj, fj, sj in parts[i + 1 :]:
+            if fi and fj:
+                continue
+            if si & sj or not (gi or gj):
+                return False
+    return True
+
+
+def _set_worlds(v: SetValue, index: dict[Value, int]) -> set[frozenset[int]]:
+    """The distinct worlds of a set, each as the frozenset of its
+    elements' numbers in *index*, folded as the normal-form kernel folds
+    them: one-world members are in every world, and the others' worlds
+    fold into choice sets, which merge as soon as they collide."""
+    ones: set[int] = set()
+    choices: set[frozenset[int]] = {frozenset()}
+    for member in v.elems:
+        checkpoint("symbolic world count")
+        picks = [index.setdefault(w, len(index)) for w in _distinct_worlds(member)]
+        if not picks:
+            return set()
+        if len(picks) == 1:
+            ones.add(picks[0])
+        else:
+            singles = [frozenset((p,)) for p in picks]
+            choices = {c | p for c in choices for p in singles}
+    return {c | ones for c in choices}
 
 
 def _certain(v: Value) -> set[Value]:
@@ -359,66 +423,6 @@ def _possible(v: Value) -> set[Value]:
     raise _not_a_collection(next(_distinct_worlds(v)))
 
 
-# -- the injectivity certificate ---------------------------------------------
-
-
-def _injective(v: Value) -> bool:
-    """Do distinct canonical choice vectors yield distinct worlds?
-
-    Sufficient structural conditions, checked in one traversal.  The
-    analysis returns ``(injective, grounded, fixed, support)`` per
-    sub-value: *grounded* — every world contains at least one atom;
-    *fixed* — the sub-value is choice-free (it is its own single world);
-    *support* — the atoms occurring anywhere below.  Two sibling
-    positions can only collapse different choices into one world if
-    their world sets intersect; fixed siblings are distinct canonical
-    values (hence distinct worlds), and otherwise disjoint supports with
-    at most one atom-free-capable sibling rule intersection out.
-    Conservative: a ``False`` merely routes counting to enumeration.
-    """
-
-    def pairwise_ok(parts) -> bool:
-        for i, (_, gi, fi, si) in enumerate(parts):
-            for _, gj, fj, sj in parts[i + 1 :]:
-                if fi and fj:
-                    continue
-                if si & sj:
-                    return False
-                if not gi and not gj:
-                    return False
-        return True
-
-    def walk(v: Value):
-        if isinstance(v, Atom):
-            return True, True, True, frozenset((v,))
-        if isinstance(v, UnitValue):
-            return True, False, True, frozenset()
-        if isinstance(v, Pair):
-            ia, ga, fa, sa = walk(v.fst)
-            ib, gb, fb, sb = walk(v.snd)
-            return ia and ib, ga or gb, fa and fb, sa | sb
-        if isinstance(v, Variant):
-            i, g, f, s = walk(v.payload)
-            return i, g, f, s
-        if isinstance(v, OrSetValue):
-            parts = [walk(e) for e in v.elems]
-            inj = all(p[0] for p in parts) and pairwise_ok(parts)
-            grounded = all(p[1] for p in parts)
-            support = frozenset().union(*(p[3] for p in parts)) if parts else frozenset()
-            return inj, grounded, not v.elems, support
-        if isinstance(v, (SetValue, BagValue)):
-            parts = [walk(e) for e in v.elems]
-            inj = all(p[0] for p in parts) and pairwise_ok(parts)
-            grounded = any(p[1] for p in parts)
-            fixed = all(p[2] for p in parts)
-            support = frozenset().union(*(p[3] for p in parts)) if parts else frozenset()
-            return inj, grounded, fixed, support
-        raise OrNRAValueError(f"not a value: {v!r}")
-
-    injective, _grounded, fixed, _support = walk(v)
-    return injective or fixed
-
-
 # -- the backend -------------------------------------------------------------
 
 
@@ -432,8 +436,7 @@ class SymbolicBackend(Backend):
     distinct worlds of the traced value), :meth:`count_worlds`,
     :meth:`exists`, :meth:`certain` and :meth:`possible`, all answered
     by the :class:`ChoiceSpace` recursion when the trace supports the
-    plan and by eager enumeration when it does not (or, for a count,
-    when the injectivity certificate fails).
+    plan and by eager enumeration when it does not.
     """
 
     name = "symbolic"
@@ -467,8 +470,8 @@ class SymbolicBackend(Backend):
         self, plan: Plan, value: Value, interner: Interner | None = None
     ) -> int:
         space = self.space(plan, value)
-        if space is None or not space.exact:
-            return _dedup_count(self._eager.possibilities(plan, value, interner))
+        if space is None:
+            return len(set(self._eager.possibilities(plan, value, interner)))
         return space.count_worlds()
 
     def exists(
@@ -496,10 +499,6 @@ class SymbolicBackend(Backend):
         if space is None:
             return _possible_of_worlds(self._eager.possibilities(plan, value, interner))
         return space.possible_members()
-
-
-def _dedup_count(worlds: Iterator[Value]) -> int:
-    return len(set(worlds))
 
 
 def _world_elements(world: Value) -> frozenset[Value]:

@@ -5,6 +5,8 @@
 says they agree, and the possible-worlds oracle says what they agree on.
 """
 
+import gc
+
 from hypothesis import example, given, settings
 
 from repro.core.normalize import normalize, normalize_with_strategy
@@ -49,3 +51,18 @@ def test_kernel_matches_rewrite_and_worlds(pair):
         assert reference == OrSetValue(to_sets(w) for w in worlds(x))
     else:
         assert reference == to_sets(x)
+
+
+def test_kernel_leaves_no_garbage_cycles():
+    # The kernel's recursive closure must not keep a call's nodes and
+    # hash-consing table alive until the cyclic collector runs.
+    x = vpair(vset(*(vorset(10 * i, 10 * i + 5) for i in range(1, 5))), vorset(1, 2))
+    gc.collect()
+    gc.disable()
+    try:
+        normalize(x)
+        assert gc.collect() == 0
+        Interner().normalize(x)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -13,6 +13,7 @@ supervised recovery is built from: the seeded-backoff
 from __future__ import annotations
 
 import importlib
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -126,6 +127,19 @@ class TestBackendCheckpoints:
         with deadline_scope(Deadline.after(0.2)):
             with pytest.raises(DeadlineExceeded):
                 eng.exists(Normalize(), x, lambda w: False, backend="symbolic")
+
+    def test_symbolic_colliding_count_raises(self):
+        # Member i of the set holds atoms i, i + 1 and i + 3 of 22, so the
+        # set folds its members' worlds, checking the deadline per member.
+        from repro.core.normalize import Normalize
+
+        shared = vset(*(vorset(i, (i + 1) % 22, (i + 3) % 22) for i in range(20)))
+        eng = E.Engine()
+        started = time.monotonic()
+        with deadline_scope(Deadline.after(0.2)):
+            with pytest.raises(DeadlineExceeded):
+                eng.count_worlds(Normalize(), shared, backend="symbolic", intern=False)
+        assert time.monotonic() - started < 2.0
 
     def test_symbolic_world_stream_is_lazy_below_a_set(self):
         # The set's one member has 3^19 worlds; they are enumerated one

@@ -2,6 +2,7 @@
 interpretation, interning integration and the possibilities stream."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.lang.stdlib import select
 from repro.lang.primitives import predicate
 from repro.morphgen import random_lossless_morphism
 from repro.types.kinds import INT
-from repro.values.values import vbag, vorset, vpair, vset
+from repro.values.values import SetValue, vbag, vorset, vpair, vset
 
 DOUBLE = Compose(plus(), PairOf(Id(), Id()))
 
@@ -211,6 +212,39 @@ class TestRunMany:
 
     def test_python_scalars_are_coerced(self):
         assert engine.run_many(DOUBLE, [1, 2]) == [DOUBLE(1), DOUBLE(2)]
+
+    def test_hashes_each_input_once(self, monkeypatch):
+        # The dedupe hashes a whole input; it needs the hash only once.
+        batch = [vset(1, 2, 3 + i) for i in range(3)]
+        hashed = Counter()
+        unpatched = SetValue.__hash__
+
+        def counting_hash(v):
+            hashed[id(v)] += 1
+            return unpatched(v)
+
+        monkeypatch.setattr(SetValue, "__hash__", counting_hash)
+        results = Engine().run_many(SetMap(DOUBLE), batch, intern=False)
+        monkeypatch.undo()
+        assert results == [SetMap(DOUBLE)(v) for v in batch]
+        assert [hashed[id(v)] for v in batch] == [1, 1, 1]
+
+    def test_auto_selects_once_per_distinct_input(self, monkeypatch):
+        # The batch-hook test and each input's execution share one
+        # backend selection.
+        selected = []
+        unpatched = engine.select_backend
+
+        def counting_select(*args, **kwargs):
+            choice = unpatched(*args, **kwargs)
+            selected.append(choice.backend)
+            return choice
+
+        monkeypatch.setattr(engine, "select_backend", counting_select)
+        batch = [vset(1, 2, 3 + i) for i in range(3)]
+        results = Engine().run_many(SetMap(DOUBLE), batch + batch[:1])
+        assert results == [SetMap(DOUBLE)(v) for v in batch + batch[:1]]
+        assert selected == ["eager"] * 3
 
 
 class TestStreamingPossibilitiesLaziness:

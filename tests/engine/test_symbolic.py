@@ -17,14 +17,14 @@ Three layers of differential evidence:
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import io
 from repro.core.costs import tight_family
 from repro.core.normalize import Normalize
 from repro.core.worlds import worlds
-from repro.engine import BACKENDS, Engine
+from repro.engine import BACKENDS, Deadline, Engine, deadline_scope
 from repro.engine.plan import compile_plan
 from repro.engine.symbolic import (
     ChoiceSpace,
@@ -38,7 +38,8 @@ from repro.gen import random_orset_value
 from repro.lang.morphisms import Compose, Id
 from repro.lang.orset_ops import OrMap, SetToOr
 from repro.morphgen import random_lossless_morphism
-from repro.values.values import BagValue, SetValue, vorset, vset
+from repro.types.parse import parse_type
+from repro.values.values import BagValue, SetValue, vorset, vpair, vset
 
 from tests.strategies import typed_orset_values, typed_values
 
@@ -56,6 +57,15 @@ ID_PLAN = compile_plan(Id())
 WORLD_VALUES = typed_orset_values(
     max_depth=3, max_width=3, min_width=0, variants=True, bags=True
 )
+
+
+def shared_family(members, base=0):
+    """Three-way or-sets over ``members + 2`` atoms, so choices collide:
+    member i holds atoms i, i + 1 and i + 3 (mod the domain)."""
+    domain = members + 2
+    return vset(
+        *(vorset(*(base + (i + d) % domain for d in (0, 1, 3))) for i in range(members))
+    )
 
 
 def certain_of(world_set):
@@ -100,6 +110,12 @@ class TestChoiceSpaceOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(typed_values(max_depth=4, max_width=3, min_width=0, variants=True, bags=True))
+    # A one-world member's world is also a choice of a colliding member.
+    @example((vset(vorset(1), vorset(1, 2), vorset(2, 3)), parse_type("{<int>}")))
+    # Atom-free worlds: both sets can be {{}}, so the branches collide.
+    @example(
+        (vorset(vset(vset()), vset(vorset(vset(), vset(1)))), parse_type("<{{int}}>"))
+    )
     def test_every_query_matches_oracle(self, pair):
         value, _t = pair
         world_set = worlds(value)
@@ -108,8 +124,7 @@ class TestChoiceSpaceOracle:
         assert len(listed) == len(world_set)
         assert frozenset(listed) == world_set
         assert space.satisfiable() == bool(world_set)
-        if space.exact:
-            assert space.count_worlds() == len(world_set)
+        assert space.count_worlds() == len(world_set)
         assert outcome(space.certain_members) == outcome(
             members_oracle, world_set, certain_of
         )
@@ -125,9 +140,7 @@ class TestChoiceSpaceOracle:
 
     def test_exact_count_without_enumeration(self):
         x, _t = tight_family(19)
-        space = ChoiceSpace(x)
-        assert space.exact
-        assert space.count_worlds() == 3**19  # > 10^9, milliseconds
+        assert ChoiceSpace(x).count_worlds() == 3**19  # > 10^9, milliseconds
 
     def test_wide_orsite_stays_linear(self):
         # One 500-branch or-site counts by one sum over its branches.
@@ -139,16 +152,25 @@ class TestChoiceSpaceOracle:
         v = vorset(vorset(vorset(1, 2), vorset(3, 4)), 5)
         assert ChoiceSpace(v).count_worlds() == len(worlds(v)) == 5
 
-    def test_collision_value_falls_back_to_enumeration(self):
-        # <1,2>,<2,3>,<1,3> can collapse two choice vectors into one
-        # world; the certificate refuses and the backend counts by
-        # deduplicated enumeration.
+    def test_collision_value_counts_exactly(self):
+        # <1,2>,<2,3>,<1,3> collapse 8 choice vectors into 4 worlds; the
+        # set deduplicates its own worlds instead of multiplying.
         v = vset(vorset(1, 2), vorset(2, 3), vorset(1, 3))
-        space = ChoiceSpace(v)
-        assert not space.exact
-        with pytest.raises(SymbolicUnsupported):
-            space.count_worlds()
+        assert ChoiceSpace(v).count_worlds() == len(worlds(v)) == 4
         assert SymbolicBackend().count_worlds(ID_PLAN, v) == len(worlds(v))
+
+    def test_collision_stays_local(self):
+        # Only the colliding set deduplicates: the pair multiplies its
+        # 67 worlds by the tight family's 3^12 in closed form.
+        v = vpair(tight_family(12)[0], shared_family(5))
+        with deadline_scope(Deadline.after(2.0)):
+            count = Engine().count_worlds(Normalize(), v, intern=False)
+        assert count == 3**12 * 67
+
+    def test_colliding_orset_of_sets_counts_exactly(self):
+        # Equal worlds of different set branches count once.
+        v = vorset(shared_family(4), shared_family(4, base=1), vset(vorset(1, 2)))
+        assert ChoiceSpace(v).count_worlds() == len(worlds(v))
 
     def test_empty_orset_means_no_worlds(self):
         space = ChoiceSpace(vset(vorset()))
