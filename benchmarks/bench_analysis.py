@@ -19,8 +19,9 @@ Two claims from the static-analysis unification are measured
   tier-1-suite-shaped pass — a fresh :class:`~repro.engine.Engine`
   compiles a suite of random programs and executes each on generated
   inputs, exactly the compile+run mix the test suite spends its wall
-  time on — with ``REPRO_VERIFY_PASSES`` off vs on (rewrite memo
-  cleared between repetitions, so verification is cold every time).
+  time on — with ``REPRO_VERIFY_PASSES`` off vs on, in turn, run by run
+  (rewrite memo cleared between repetitions, so verification is cold
+  every time), so a host hiccup does not fall on one side only.
   The overhead on that wall time must stay **< 10%**.
 
 Run ``python benchmarks/bench_analysis.py`` (add ``--quick`` for CI
@@ -35,6 +36,7 @@ import os
 import pathlib
 import pickle
 import random
+from functools import partial
 
 from harness import best_of, write_results
 
@@ -229,6 +231,25 @@ def _tier1_style_pass(workload, verify: bool) -> None:
             engine.run(program, value)
 
 
+def _verification_overhead(workload, repeat: int) -> tuple[float, float]:
+    """The best of *repeat* unverified and of *repeat* verified passes,
+    timed in turn, run by run, so both sides see the same host state."""
+    saved = os.environ.get("REPRO_VERIFY_PASSES")
+    try:
+        _tier1_style_pass(workload, verify=False)  # warm imports once
+        best = {False: float("inf"), True: float("inf")}
+        for _ in range(repeat):
+            for verify in best:
+                run = partial(_tier1_style_pass, workload, verify=verify)
+                best[verify] = min(best[verify], best_of(run, repeat=1))
+    finally:
+        if saved is None:
+            os.environ.pop("REPRO_VERIFY_PASSES", None)
+        else:
+            os.environ["REPRO_VERIFY_PASSES"] = saved
+    return best[False], best[True]
+
+
 def _workloads(quick: bool = False) -> list[dict]:
     results: list[dict] = []
 
@@ -265,17 +286,7 @@ def _workloads(quick: bool = False) -> list[dict]:
     workload = _test_suite_workload(
         count=12 if quick else 30, runs_per_program=80 if quick else 100
     )
-    repeat = 7 if quick else 5
-    saved = os.environ.get("REPRO_VERIFY_PASSES")
-    try:
-        _tier1_style_pass(workload, verify=False)  # warm imports once
-        t_off = best_of(lambda: _tier1_style_pass(workload, verify=False), repeat)
-        t_on = best_of(lambda: _tier1_style_pass(workload, verify=True), repeat)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_VERIFY_PASSES", None)
-        else:
-            os.environ["REPRO_VERIFY_PASSES"] = saved
+    t_off, t_on = _verification_overhead(workload, repeat=7 if quick else 5)
     results.append(
         {
             "workload": "verification-overhead",
@@ -340,16 +351,7 @@ def test_cached_facts_beat_legacy_traversals():
 def test_verifier_overhead_stays_under_ten_percent():
     """CI gate: always-on verification costs < 10% of suite wall time."""
     workload = _test_suite_workload(count=12, runs_per_program=80)
-    saved = os.environ.get("REPRO_VERIFY_PASSES")
-    try:
-        _tier1_style_pass(workload, verify=False)
-        t_off = best_of(lambda: _tier1_style_pass(workload, verify=False), repeat=7)
-        t_on = best_of(lambda: _tier1_style_pass(workload, verify=True), repeat=7)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_VERIFY_PASSES", None)
-        else:
-            os.environ["REPRO_VERIFY_PASSES"] = saved
+    t_off, t_on = _verification_overhead(workload, repeat=7)
     assert t_on < t_off * 1.10, (t_off, t_on)
 
 

@@ -1,11 +1,11 @@
 """Shared fixtures for the benchmark harness.
 
-Each ``bench_*`` file regenerates one experiment from DESIGN.md's index
-(one per paper result).  Timing is taken by pytest-benchmark; the *shape*
+Each ``bench_*`` file regenerates one experiment (one per paper result,
+or one engine claim).  Timing is taken by pytest-benchmark; the *shape*
 claims (who wins, bound satisfaction, exact tightness) are asserted inside
 the benchmarks themselves, so ``pytest benchmarks/ --benchmark-only`` is a
 self-checking reproduction run.  ``python benchmarks/report.py`` prints
-the paper-vs-measured tables recorded in EXPERIMENTS.md.
+its own paper-vs-measured tables.
 """
 
 import random

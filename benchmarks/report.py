@@ -1,9 +1,10 @@
-"""Generate the paper-vs-measured tables recorded in EXPERIMENTS.md.
+"""Print the paper-vs-measured tables of this reproduction.
 
 Run:  python benchmarks/report.py
 
-Prints, for every experiment in DESIGN.md's index, the quantity the paper
-claims and the value measured by this reproduction.  The pytest-benchmark
+Prints, for each paper result that a ``bench_*.py`` file in this
+directory reproduces, the quantity the paper claims and the value
+measured here.  The pytest-benchmark
 files in this directory measure *time*; this script measures the
 *quantities* (cardinalities, sizes, equalities, agreement rates).
 """

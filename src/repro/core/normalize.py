@@ -94,6 +94,7 @@ __all__ = [
     "rule_transformer",
     "apply_at",
     "normalize",
+    "checked_type",
     "normalize_with_strategy",
     "normalize_with_trace",
     "possibilities",
@@ -189,7 +190,7 @@ Strategy = Callable[[Sequence[Redex]], Redex]
 Canon = Callable[[tuple, Value], Value]
 
 
-def _checked_type(value: Value, value_type: Type | None) -> Type:
+def checked_type(value: Value, value_type: Type | None) -> Type:
     """The type to normalize *value* at: inferred, or declared and checked.
 
     Without the check the rewrite loop would return values outside
@@ -209,7 +210,7 @@ def normalize_with_trace(
 ) -> tuple[Value, list[Redex]]:
     """Normalize by the paper's rewrite loop, also returning its
     (position, rule) trace — the reference the kernel is checked against."""
-    value_type = _checked_type(value, value_type)
+    value_type = checked_type(value, value_type)
     current_type = sets_to_bags(value_type)
     current = to_bags(value)
     trace: list[Redex] = []
@@ -246,7 +247,7 @@ def normalize(
     # repro.engine imports this module, so the checkpoint is bound late.
     from repro.engine.deadline import checkpoint
 
-    value_type = _checked_type(value, value_type)
+    value_type = checked_type(value, value_type)
     if arena is None:
         # Sort keys are injective, so they can key a hash-consing table.
         arena = {}.setdefault

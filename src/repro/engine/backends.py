@@ -18,11 +18,13 @@ Two strategies share the plan IR:
   once instead of three times.  Results are structurally identical to
   the eager backend's.
 
-Both backends also expose :meth:`Backend.possibilities`, the lazy
+Every backend exposes :meth:`Backend.possibilities`, the lazy
 conceptual-value stream of a program's output, which is how existential
-queries short-circuit without producing a whole normal form; the
-streaming backend overrides it so the first conceptual value is yielded
-straight off the lazy spine, before any materialization.
+queries short-circuit without producing a whole normal form.  It reads
+the one world stream, :func:`repro.core.lazy.iter_possibilities`, a
+deadline checkpoint per world; the streaming backend streams each
+element of a lazy or-set spine the same way, so the first conceptual
+value comes before any materialization.
 
 Three more strategies register themselves when their modules are
 imported (which :mod:`repro.engine` always does): the multiprocess
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
+from repro.core.lazy import iter_possibilities, stream_worlds
 from repro.errors import OrNRATypeError
 from repro.lang.bag_ops import BagMu, BagToSet, BagUnique, SetToBag
 from repro.lang.orset_ops import OrMu, OrToSet, SetToOr
@@ -88,8 +91,6 @@ class Backend:
         self, plan: Plan, value: Value, interner: Interner | None = None
     ) -> Iterator[Value]:
         """Stream the conceptual values of the program's output lazily."""
-        from repro.core.lazy import iter_possibilities
-
         return iter_possibilities(self.execute(plan, value, interner))
 
 
@@ -178,33 +179,17 @@ class StreamingBackend(Backend):
     ) -> Iterator[Value]:
         """Stream conceptual values without materializing the lazy spine.
 
-        The base implementation executes first — which would canonicalize
-        the whole result (defeating the short-circuiting that makes
-        existential queries tractable).  Here, when the plan's output is
-        a lazy *or-set* spine, each element's worlds are yielded as the
-        element is produced: the or-set is a disjunction, so its
-        conceptual values are the union of its elements' worlds and the
-        first witness never forces the tail.  Set/bag-kinded outputs take
-        a choice per member (a cross product), so they materialize as
-        before.  Yield order may differ from the eager backend's; the
-        yielded *set* of values is identical.
+        When the plan's output is a lazy *or-set* spine, each element's
+        worlds are streamed as the element is produced: the or-set is a
+        disjunction, so its conceptual values are the union of its
+        elements' worlds and the first witness never forces the tail.
+        Set/bag-kinded outputs materialize first.  Yield order may differ
+        from the eager backend's; the yielded *set* of values is identical.
         """
-        from repro.core.lazy import iter_possibilities
-        from repro.core.worlds import iter_worlds
-
         leaf = interner.leaf_apply if interner is not None else None
         result = self._eval(plan, plan.root, value, leaf, {})
         if isinstance(result, _Stream) and result.kind == "orset":
-
-            def stream(elems=result.elems):
-                seen: set[Value] = set()
-                for elem in elems:
-                    for world in iter_worlds(elem):
-                        if world not in seen:
-                            seen.add(world)
-                            yield world
-
-            return stream()
+            return _dedup(w for elem in result.elems for w in stream_worlds(elem))
         return iter_possibilities(_materialize(result))
 
     def _eval(

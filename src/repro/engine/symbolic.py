@@ -14,6 +14,7 @@ goes around the wall in two steps:
    ``worlds(normalize(x)) = worlds(x)``, the same argument covers
    ``alpha`` and ``ormap(normalize)``, and skipping them is exactly what
    makes the surrogate linear-sized where the output is exponential.
+   A skipped ``normalize`` still makes eager's type check.
 2. **recurse** — :class:`ChoiceSpace` answers the queries by structural
    recursion over the surrogate.  Or-NRA values are trees, so the worlds
    of a pair, set or bag are the product of its components' worlds and
@@ -25,33 +26,31 @@ goes around the wall in two steps:
    * ``count_worlds`` — Prop. 6.1's recursion, a sum over or-set
      branches and a product over components wherever the siblings'
      world sets are provably disjoint; a node whose siblings may share
-     a world deduplicates its own worlds, so the count is always
-     exact;
+     a world deduplicates its own worlds, so the count is always exact;
    * ``possible`` — the union of a collection's members' worlds;
    * ``certain`` — the members' worlds that are their member's only
-     world (members choose independently, so nothing else is in every
-     world).
+     world, decided by structure (members choose independently, so
+     nothing else is in every world).
 
-   These enumerate at most the worlds of single members, or of a node
-   whose siblings may collide; only ``possibilities`` streams the
-   value's own worlds, lazily.
+   Where worlds are enumerated at all — a member's, a colliding node's,
+   or the value's own for ``possibilities`` — they come from the one
+   world stream, :mod:`repro.core.lazy`, one deadline checkpoint each.
 
-Everything degrades soundly: unsupported plans fall back to the eager
-enumeration path, so :meth:`SymbolicBackend.execute`/``possibilities``
-stay conformant with every other backend on every program (the
-differential suite runs them against the direct interpreter), while
+Unsupported plans fall back to the eager enumeration path, so every
+query stays conformant with every other backend on every program, while
 supported queries at ``>=10^9`` estimated worlds finish in milliseconds.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from math import prod
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from repro.core.normalize import Normalize
+from repro.core.lazy import has_world, iter_possibilities
+from repro.core.normalize import Normalize, checked_type
 from repro.errors import OrNRATypeError, OrNRAValueError
 from repro.lang.orset_ops import Alpha, OrMap
+from repro.types.kinds import Type, contains_bag
 from repro.values.values import (
     Atom,
     BagValue,
@@ -84,20 +83,6 @@ class SymbolicUnsupported(Exception):
 
 # -- the spine trace ---------------------------------------------------------
 
-#: Structural steps cheap enough to run for real during the trace: each
-#: is linear in its input and, because the carried value *is* the true
-#: intermediate up to that point, running it preserves the invariant
-#: (and raises exactly the errors eager execution would raise).  The
-#: table lives in :mod:`repro.engine.analysis` (the canonical home of
-#: the operator class tables); the trace keeps its historical name.
-_CHEAP_REAL = CHEAP_REAL_OPS
-
-
-def _body_is_world_preserving(plan: Plan, idx: int) -> bool:
-    """Is the map body a chain of ``normalize``/``id`` steps only?"""
-    return plan_facts(plan).node_facts[idx].world_preserving
-
-
 def _spine_steps(plan: Plan) -> list[int]:
     top = plan.nodes[plan.root]
     return list(top.kids) if top.op == "chain" else [plan.root]
@@ -122,6 +107,13 @@ def trace_worlds(plan: Plan, value: Value) -> Value:
     world-preserving steps are allowed.  Anything else raises
     :exc:`SymbolicUnsupported` and the caller falls back to eager.
 
+    A skipped ``normalize`` checks what eager's would: the carried value,
+    or each branch under ``ormap(normalize)``, against the declared or
+    the inferred type, raising the same error.  Later skipped steps see
+    no intermediate to check, so they are allowed only where it is a
+    normal form (after a spine ``normalize``), which passes every check
+    but a declared type's.
+
     ``normalize`` also collapses bags into sets, so its output's worlds
     are the *set-collapsed* worlds of its input; a skipped ``normalize``
     or ``ormap(normalize)`` over a value holding a bag is refused too.
@@ -130,48 +122,79 @@ def trace_worlds(plan: Plan, value: Value) -> Value:
     """
     current = value
     virtual = False
+    normal = False  # the first skipped step was a spine ``normalize``
     for idx in _spine_steps(plan):
         node = plan.nodes[idx]
         if node.op == "id":
             continue
         src = node.source
-        if node.op == "leaf" and isinstance(src, Normalize):
-            # Theorem 4.2: worlds(normalize(x)) == worlds(x).  Skip.
-            if _has_bag(current):
-                raise SymbolicUnsupported("normalize collapses bags")
-            virtual = True
-            continue
-        if node.op == "map" and isinstance(src, OrMap) and _body_is_world_preserving(
-            plan, node.kids[0]
-        ):
-            # <x_1,...> -> <normalize(x_1),...>: the union of the
-            # members' world sets is unchanged member by member.
-            if not isinstance(current, OrSetValue):
-                raise SymbolicUnsupported("ormap over a non-or-set")
-            if _has_bag(current):
-                raise SymbolicUnsupported("normalize collapses bags")
-            virtual = True
-            continue
-        if node.op == "leaf" and isinstance(src, Alpha):
-            # alpha : {<s>} -> <{s}> enumerates component-wise choices —
-            # precisely worlds() restricted one level, so the world set
-            # of the output equals the world set of the input set.
-            if not (
-                isinstance(current, SetValue)
-                and all(isinstance(e, OrSetValue) for e in current.elems)
-            ):
-                raise SymbolicUnsupported("alpha over a non-{<s>} value")
-            virtual = True
-            continue
-        if node.op == "leaf" and isinstance(src, _CHEAP_REAL):
+        if node.op == "leaf" and isinstance(src, CHEAP_REAL_OPS):
+            # Linear structural steps run for real while the carried
+            # value is the intermediate, raising what eager would raise.
             if virtual:
                 raise SymbolicUnsupported(
                     "structural op after a skipped expansion step"
                 )
             current = src.apply(current)
             continue
-        raise SymbolicUnsupported(f"unsupported spine step {node.op}")
+        if node.op == "leaf" and isinstance(src, Alpha):
+            # alpha : {<s>} -> <{s}> enumerates component-wise choices —
+            # precisely worlds() restricted one level, so the world set
+            # of the output equals the world set of the input set.
+            if virtual or not (
+                isinstance(current, SetValue)
+                and all(isinstance(e, OrSetValue) for e in current.elems)
+            ):
+                raise SymbolicUnsupported("alpha over a non-{<s>} value")
+            virtual = True
+            continue
+        if node.op == "leaf" and isinstance(src, Normalize):
+            # Theorem 4.2: worlds(normalize(x)) == worlds(x).  Skip.
+            leaves: list[Normalize] = [src]
+            inputs: tuple[Value, ...] = (current,)
+        elif (
+            node.op == "map"
+            and isinstance(src, OrMap)
+            and plan_facts(plan).node_facts[node.kids[0]].world_preserving
+        ):
+            # <x_1,...> -> <normalize(x_1),...>: the union of the
+            # members' world sets is unchanged member by member.
+            if not isinstance(current, OrSetValue):
+                raise SymbolicUnsupported("ormap over a non-or-set")
+            leaves, inputs = _normalizes(plan, node.kids[0]), current.elems
+            if not leaves:
+                continue  # ormap(id) over an or-set is the identity
+        else:
+            raise SymbolicUnsupported(f"unsupported spine step {node.op}")
+        if not virtual:
+            for x in inputs:
+                _check_skipped(x, leaves[0].input_type)
+            virtual, normal = True, node.op == "leaf"
+            leaves = leaves[1:]  # these run on normal forms
+        elif not normal:
+            raise SymbolicUnsupported("a skipped step over a skipped ormap or alpha")
+        if any(leaf.input_type is not None for leaf in leaves):
+            raise SymbolicUnsupported("a declared type over a skipped normal form")
     return current
+
+
+def _normalizes(plan: Plan, idx: int) -> list[Normalize]:
+    """The ``normalize`` leaves of a world-preserving map body, in order."""
+    node = plan.nodes[idx]
+    if node.op == "chain":
+        return [leaf for kid in node.kids for leaf in _normalizes(plan, kid)]
+    return [node.source] if isinstance(node.source, Normalize) else []
+
+
+def _check_skipped(value: Value, declared: Type | None) -> None:
+    """Raise what eager ``normalize`` raises on an ill-typed *value*, and
+    refuse to skip it over a bag."""
+    inhabited = checked_type(value, declared)
+    # An inferred type shows every bag; a declared one may hide a bag
+    # under a type variable.
+    bag = contains_bag(inhabited) if declared is None else _has_bag(value)
+    if bag:
+        raise SymbolicUnsupported("normalize collapses bags")
 
 
 def _has_bag(v: Value) -> bool:
@@ -197,8 +220,9 @@ class ChoiceSpace:
     set or bag pick one world per component, a variant's are its
     payload's, and an or-set's are the union of its branches' worlds
     (``< >`` has none).  Every query recurses over that structure.  Only
-    ``iter_worlds`` enumerates the value's worlds; ``certain_members``
-    and ``possible_members`` enumerate single members' worlds, and
+    ``iter_worlds`` enumerates the value's worlds, through the one world
+    stream of :mod:`repro.core.lazy`; ``certain_members`` and
+    ``possible_members`` read single members' worlds, and
     ``satisfiable`` enumerates none.
 
     ``count_worlds`` sums or multiplies its children's counts wherever
@@ -211,11 +235,11 @@ class ChoiceSpace:
         self.value = value
 
     def satisfiable(self) -> bool:
-        return _has_world(self.value)
+        return has_world(self.value)
 
     def iter_worlds(self) -> Iterator[Value]:
         """Distinct worlds, lazily, with a deadline checkpoint per world."""
-        return _distinct_worlds(self.value)
+        return iter_possibilities(self.value)
 
     def count_worlds(self) -> int:
         """Exact ``|worlds(value)|`` — Prop. 6.1's recursion, sums over
@@ -234,73 +258,6 @@ class ChoiceSpace:
         if not self.satisfiable():
             raise OrNRAValueError("possible() of an inconsistent value (no worlds)")
         return frozenset(_possible(self.value))
-
-
-def _distinct_worlds(v: Value) -> Iterator[Value]:
-    """The distinct worlds of *v*, lazily; one deadline checkpoint per
-    enumerated world, before deduplication."""
-    if not _has_world(v):
-        return
-    seen: set[Value] = set()
-    for world in _worlds(v):
-        checkpoint("symbolic world enumeration")
-        if world not in seen:
-            seen.add(world)
-            yield world
-
-
-def _worlds(v: Value) -> Iterator[Value]:
-    """The worlds of *v*, which has at least one, possibly repeated.
-
-    Lazy at every level: ``core.worlds.iter_worlds`` stores every
-    member's worlds before a set's first world, but here a set or bag
-    steps through its members' worlds like an odometer, re-enumerating
-    a member when the one before it advances, and or-set branches
-    without a world are skipped.  So every component reached has a
-    world, and the work between two worlds is polynomial in the size of
-    *v* — which is what makes one checkpoint per world a deadline bound.
-    """
-    if isinstance(v, OrSetValue):
-        for branch in v.elems:
-            if _has_world(branch):
-                yield from _worlds(branch)
-    elif isinstance(v, (SetValue, BagValue)):
-        members = v.elems
-        streams = [_worlds(member) for member in members]
-        choice = [next(stream) for stream in streams]
-        while True:
-            yield type(v)(choice)
-            for i in reversed(range(len(members))):
-                world = next(streams[i], None)
-                if world is not None:
-                    choice[i] = world
-                    break
-            else:
-                return
-            for j in range(i + 1, len(members)):
-                streams[j] = _worlds(members[j])
-                choice[j] = next(streams[j])
-    elif isinstance(v, Pair):
-        for fst in _worlds(v.fst):
-            for snd in _worlds(v.snd):
-                yield Pair(fst, snd)
-    elif isinstance(v, Variant):
-        for payload in _worlds(v.payload):
-            yield Variant(v.side, payload)
-    else:
-        yield v  # atoms and unit
-
-
-def _has_world(v: Value) -> bool:
-    if isinstance(v, OrSetValue):
-        return any(_has_world(branch) for branch in v.elems)
-    if isinstance(v, (SetValue, BagValue)):
-        return all(_has_world(member) for member in v.elems)
-    if isinstance(v, Pair):
-        return _has_world(v.fst) and _has_world(v.snd)
-    if isinstance(v, Variant):
-        return _has_world(v.payload)
-    return True  # atoms and unit
 
 
 #: What :func:`_count` returns: ``(worlds, grounded, fixed, support)``.
@@ -346,7 +303,7 @@ def _count(v: Value) -> _Facts:
         index: dict[Value, int] = {}
         n = len(set().union(*(_set_worlds(b, index) for b in v.elems)))
     else:
-        n = sum(1 for _ in _distinct_worlds(v))
+        n = sum(1 for _ in iter_possibilities(v))
     return n, grounded, fixed, support
 
 
@@ -356,13 +313,16 @@ def _pairwise_ok(parts: list[_Facts]) -> bool:
     or-set's members are distinct (a bag's equal fixed members have one
     world between them).  Otherwise disjoint supports, with at most one
     sibling that can have an atom-free world, rule a shared world out.
-    Conservative: ``False`` only costs a deduplicating count."""
-    for i, (_, gi, fi, si) in enumerate(parts):
-        for _, gj, fj, sj in parts[i + 1 :]:
-            if fi and fj:
-                continue
-            if si & sj or not (gi or gj):
+    Conservative: ``False`` only costs a deduplicating count.
+
+    Linear in the supports: each atom, and ``None`` for an atom-free
+    world, maps to whether every sibling seen holding it is fixed."""
+    held: dict[Value | None, bool] = {}
+    for _, grounded, fixed, support in parts:
+        for key in support if grounded else (*support, None):
+            if key in held and not (held[key] and fixed):
                 return False
+            held[key] = fixed
     return True
 
 
@@ -375,7 +335,7 @@ def _set_worlds(v: SetValue, index: dict[Value, int]) -> set[frozenset[int]]:
     choices: set[frozenset[int]] = {frozenset()}
     for member in v.elems:
         checkpoint("symbolic world count")
-        picks = [index.setdefault(w, len(index)) for w in _distinct_worlds(member)]
+        picks = [index.setdefault(w, len(index)) for w in iter_possibilities(member)]
         if not picks:
             return set()
         if len(picks) == 1:
@@ -386,10 +346,51 @@ def _set_worlds(v: SetValue, index: dict[Value, int]) -> set[frozenset[int]]:
     return {c | ones for c in choices}
 
 
+def _member_worlds(v: Value) -> Iterable[Value]:
+    """The distinct worlds of *v*: a colliding set's from the fold that
+    counts them, anything else's from the world stream."""
+    if isinstance(v, SetValue) and not _pairwise_ok([_count(e) for e in v.elems]):
+        index: dict[Value, int] = {}
+        choices = _set_worlds(v, index)
+        elems = list(index)
+        return [SetValue(elems[i] for i in choice) for choice in choices]
+    return iter_possibilities(v)
+
+
+def _only_world(v: Value) -> Value | None:
+    """The world of *v*, which has at least one, if it has no other.
+
+    Decided by structure, without counting: a set has exactly one world
+    iff every world of each member with two or more is the only world of
+    some one-world member; an or-set iff its live branches share one
+    world; a pair, variant or bag iff each of its components has one.
+    """
+    if isinstance(v, OrSetValue):
+        worlds = {_only_world(branch) for branch in v.elems if has_world(branch)}
+        return worlds.pop() if len(worlds) == 1 else None
+    if isinstance(v, SetValue):
+        only = [_only_world(member) for member in v.elems]
+        ones = {w for w in only if w is not None}
+        several = (m for m, w in zip(v.elems, only) if w is None)
+        if all(w in ones for m in several for w in iter_possibilities(m)):
+            return SetValue(ones)
+        return None
+    if isinstance(v, Pair):
+        fst, snd = _only_world(v.fst), _only_world(v.snd)
+        return None if fst is None or snd is None else Pair(fst, snd)
+    if isinstance(v, Variant):
+        payload = _only_world(v.payload)
+        return None if payload is None else Variant(v.side, payload)
+    if isinstance(v, BagValue):
+        worlds = [_only_world(member) for member in v.elems]
+        return None if any(w is None for w in worlds) else BagValue(worlds)
+    return v  # atoms and unit
+
+
 def _certain(v: Value) -> set[Value]:
     """Elements of every world of *v*, which has at least one world."""
     if isinstance(v, OrSetValue):
-        live = (branch for branch in v.elems if _has_world(branch))
+        live = (branch for branch in v.elems if has_world(branch))
         result = _certain(next(live))
         for branch in live:
             if not result:
@@ -399,28 +400,25 @@ def _certain(v: Value) -> set[Value]:
     if isinstance(v, (SetValue, BagValue)):
         # Members choose independently, so an element is in every world
         # iff it is some member's only world: otherwise every member can
-        # pick a world other than it.  Two distinct worlds settle that.
+        # pick a world other than it.
         certain: set[Value] = set()
         for member in v.elems:
-            first = list(islice(_distinct_worlds(member), 2))
-            if len(first) == 1:
-                certain.add(first[0])
+            checkpoint("symbolic certain")
+            world = _only_world(member)
+            if world is not None:
+                certain.add(world)
         return certain
     # Atoms, units, pairs and variants have no collection worlds.
-    raise _not_a_collection(next(_distinct_worlds(v)))
+    raise _not_a_collection(next(iter_possibilities(v)))
 
 
 def _possible(v: Value) -> set[Value]:
     """Elements of some world of *v*, which has at least one world."""
     if isinstance(v, OrSetValue):
-        possible: set[Value] = set()
-        for branch in v.elems:
-            if _has_world(branch):
-                possible |= _possible(branch)
-        return possible
+        return set().union(*(_possible(b) for b in v.elems if has_world(b)))
     if isinstance(v, (SetValue, BagValue)):
-        return {w for member in v.elems for w in _distinct_worlds(member)}
-    raise _not_a_collection(next(_distinct_worlds(v)))
+        return {w for member in v.elems for w in _member_worlds(member)}
+    raise _not_a_collection(next(iter_possibilities(v)))
 
 
 # -- the backend -------------------------------------------------------------
@@ -479,9 +477,7 @@ class SymbolicBackend(Backend):
     ) -> bool:
         space = self.space(plan, value)
         if space is None:
-            return next(
-                iter(self._eager.possibilities(plan, value, interner)), None
-            ) is not None
+            return any(True for _ in self._eager.possibilities(plan, value, interner))
         return space.satisfiable()
 
     def certain(

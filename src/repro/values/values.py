@@ -427,6 +427,7 @@ def format_value(v: Value) -> str:
 
 _BUILTIN_BASES = {"bool": BOOL, "int": INT, "string": STRING}
 _EMPTY_VAR = TypeVar("elem")
+_COLLECTION_TYPES = {SetValue: SetType, OrSetValue: OrSetType, BagValue: BagType}
 
 
 def infer_type(v: Value) -> Type:
@@ -435,27 +436,30 @@ def infer_type(v: Value) -> Type:
     Empty collections get the element type ``'elem`` (a type variable);
     heterogeneous collections raise :class:`OrNRAValueError`.
     """
-    if isinstance(v, UnitValue):
+    cls = type(v)
+    if cls is Atom:
+        base = _BUILTIN_BASES.get(v.base)
+        return base if base is not None else BaseType(v.base)
+    wrapper = _COLLECTION_TYPES.get(cls)
+    if wrapper is not None:
+        elems = v.elems
+        if not elems:
+            return wrapper(_EMPTY_VAR)
+        merged = infer_type(elems[0])
+        for e in elems[1:]:
+            t = infer_type(e)
+            if t is not merged:
+                merged = _merge_types(merged, t)
+        return wrapper(merged)
+    if cls is UnitValue:
         return UnitType()
-    if isinstance(v, Atom):
-        return _BUILTIN_BASES.get(v.base, BaseType(v.base))
-    if isinstance(v, Pair):
+    if cls is Pair:
         return ProdType(infer_type(v.fst), infer_type(v.snd))
-    if isinstance(v, Variant):
+    if cls is Variant:
         payload = infer_type(v.payload)
         if v.side == 0:
             return VariantType(payload, _EMPTY_VAR)
         return VariantType(_EMPTY_VAR, payload)
-    if isinstance(v, (SetValue, OrSetValue, BagValue)):
-        wrapper = {SetValue: SetType, OrSetValue: OrSetType, BagValue: BagType}[
-            type(v)
-        ]
-        if not v.elems:
-            return wrapper(_EMPTY_VAR)
-        merged = infer_type(v.elems[0])
-        for e in v.elems[1:]:
-            merged = _merge_types(merged, infer_type(e))
-        return wrapper(merged)
     raise OrNRAValueError(f"not a value: {v!r}")
 
 

@@ -154,14 +154,40 @@ class TestBackendCheckpoints:
                 eng.exists(Normalize(), vset(x), lambda w: False, backend="symbolic")
 
     def test_symbolic_certain_stops_after_two_worlds_per_member(self):
-        # The inner set has 3^19 worlds; two of them settle that it
-        # gives no certain element.
+        # The inner set has 3^19 worlds; its first, which holds no
+        # one-world member's world, settles that it gives no certain
+        # element.
         from repro.core.costs import tight_family
 
         x, _t = tight_family(19)
         eng = E.Engine()
         with deadline_scope(Deadline.after(5.0)):
             assert eng.certain(Id(), vset(vset(x)), backend="symbolic") == vset()
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_world_stream_stops_at_deadline_on_every_backend(self, name):
+        # The set's one member has 3^12 worlds, and no world satisfies
+        # the predicate: every backend streams them through core.lazy,
+        # one checkpoint per world, so the deadline stops the walk.
+        from repro.core.costs import tight_family
+
+        x, _t = tight_family(12)
+        started = time.monotonic()
+        with deadline_scope(Deadline.after(0.2)):
+            with pytest.raises(DeadlineExceeded):
+                E.Engine().exists(
+                    Id(), vset(x), lambda w: False, backend=name, intern=False
+                )
+        assert time.monotonic() - started < 2.0
+
+    def test_auto_possibilities_yields_the_first_world_at_once(self):
+        from repro.core.costs import tight_family
+
+        x, _t = tight_family(12)
+        started = time.monotonic()
+        with deadline_scope(Deadline.after(1.0)):
+            assert next(iter(E.Engine().possibilities(Id(), vset(x)))) is not None
+        assert time.monotonic() - started < 1.0
 
     def test_result_identical_when_deadline_is_generous(self):
         plan_input = vset(vorset(1, 2), vorset(3, 4))

@@ -15,6 +15,8 @@ Three layers of differential evidence:
 """
 
 import random
+import time
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,16 +32,26 @@ from repro.engine.symbolic import (
     ChoiceSpace,
     SymbolicBackend,
     SymbolicUnsupported,
+    _pairwise_ok,
     plan_supports_symbolic,
     trace_worlds,
 )
 from repro.errors import OrNRAError, OrNRATypeError, OrNRAValueError
 from repro.gen import random_orset_value
 from repro.lang.morphisms import Compose, Id
-from repro.lang.orset_ops import OrMap, SetToOr
+from repro.lang.orset_ops import Alpha, OrMap, SetToOr
 from repro.morphgen import random_lossless_morphism
 from repro.types.parse import parse_type
-from repro.values.values import BagValue, SetValue, vorset, vpair, vset
+from repro.values.values import (
+    BagValue,
+    OrSetValue,
+    SetValue,
+    atom,
+    infer_type,
+    vorset,
+    vpair,
+    vset,
+)
 
 from tests.strategies import typed_orset_values, typed_values
 
@@ -66,6 +78,13 @@ def shared_family(members, base=0):
     return vset(
         *(vorset(*(base + (i + d) % domain for d in (0, 1, 3))) for i in range(members))
     )
+
+
+def subset_orsets(n):
+    """The or-sets over the non-empty subsets of {1..n}: every choice
+    lands in the one world {1..n}, though there are many choices."""
+    atoms = range(1, n + 1)
+    return vset(*(vorset(*c) for r in atoms for c in combinations(atoms, r)))
 
 
 def certain_of(world_set):
@@ -116,6 +135,8 @@ class TestChoiceSpaceOracle:
     @example(
         (vorset(vset(vset()), vset(vorset(vset(), vset(1)))), parse_type("<{{int}}>"))
     )
+    # Members whose choices all collapse into one world.
+    @example((vset(subset_orsets(3)), parse_type("{{<int>}}")))
     def test_every_query_matches_oracle(self, pair):
         value, _t = pair
         world_set = worlds(value)
@@ -193,6 +214,123 @@ class TestChoiceSpaceOracle:
             ChoiceSpace(vset(vorset(), vorset(1))).certain_members()
 
 
+class TestCollapsingMembers:
+    """certain and possible over a member with many choices but few worlds."""
+
+    def test_one_world_member_answers_at_once(self):
+        # subset_orsets(5) has ~3*10^11 choice vectors and one world.
+        with deadline_scope(Deadline.after(1.0)):
+            for query in (ENGINE.certain, ENGINE.possible):
+                answer = query(Normalize(), vset(subset_orsets(5)), intern=False)
+                assert answer == vset(vset(1, 2, 3, 4, 5))
+
+    def test_certain_does_not_count_a_colliding_member(self):
+        # The member's first world settles that it has two; counting its
+        # worlds would fold 3^20 choice vectors.
+        with deadline_scope(Deadline.after(1.0)):
+            assert ENGINE.certain(Normalize(), vset(shared_family(20)), intern=False) == vset()
+
+    def test_possible_folds_a_colliding_member(self):
+        with deadline_scope(Deadline.after(2.0)):
+            possible = ENGINE.possible(Normalize(), vset(shared_family(12)), intern=False)
+        assert len(possible.elems) == 4817
+        assert ENGINE.count_worlds(Normalize(), shared_family(12), intern=False) == 4817
+
+
+def pairwise_reference(parts):
+    """The sibling test's definition, pair by pair: no two siblings that
+    are not both fixed share an atom or both lack a grounded world."""
+    for i, (_, gi, fi, si) in enumerate(parts):
+        for _, gj, fj, sj in parts[i + 1 :]:
+            if not (fi and fj) and (si & sj or not (gi or gj)):
+                return False
+    return True
+
+
+class TestSiblingTest:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.booleans(),
+                st.frozensets(st.integers(0, 5)).map(lambda s: frozenset(map(atom, s))),
+            ),
+            max_size=6,
+        )
+    )
+    def test_matches_the_pairwise_definition(self, siblings):
+        parts = [(1, grounded, fixed, support) for grounded, fixed, support in siblings]
+        assert _pairwise_ok(parts) == pairwise_reference(parts)
+
+    def test_wide_node_is_linear(self):
+        # 20,000 siblings: pair by pair that is 2*10^8 comparisons.
+        started = time.monotonic()
+        assert ChoiceSpace(vorset(*range(20_000))).count_worlds() == 20_000
+        assert time.monotonic() - started < 2.0
+
+
+@st.composite
+def ill_typed_values(draw):
+    """A heterogeneous set, or-set or bag, possibly nested in a
+    well-typed context."""
+    a, _ = draw(typed_values(max_depth=2, max_width=2, min_width=1))
+    b, _ = draw(typed_values(max_depth=2, max_width=2, min_width=1))
+    bad = draw(st.sampled_from([SetValue, OrSetValue, BagValue]))((a, b))
+    try:
+        infer_type(bad)
+    except OrNRAValueError:
+        pass
+    else:
+        bad = SetValue((vorset(1, 2), vorset(vset(3))))
+    context = draw(
+        st.sampled_from(
+            [
+                lambda v: v,
+                lambda v: vset(v),
+                lambda v: vorset(v),
+                lambda v: vpair(vorset(1, 2), v),
+                lambda v: BagValue([v]),
+            ]
+        )
+    )
+    return context(bad)
+
+
+class TestIllTypedInput:
+    """A skipped ``normalize`` makes eager's type check, with its error."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ill_typed_values(), st.integers(0, 3))
+    @example(vset(vorset(1, 2), vorset(vset(3))), 0)
+    def test_errors_match_eager(self, value, which):
+        q = TestBackendConformance.QUERIES[which]
+        for query in (ENGINE.count_worlds, ENGINE.certain, ENGINE.possible, ENGINE.exists):
+            assert outcome(query, q, value, backend="symbolic") == outcome(
+                query, q, value, backend="eager"
+            ), query
+
+    @pytest.mark.parametrize(
+        "program",
+        [
+            Compose(Normalize(), Compose(OrMap(Normalize()), SetToOr())),
+            Compose(Normalize(), Alpha()),
+            Compose(Alpha(), Normalize()),
+            Compose(OrMap(Normalize(parse_type("{int}"))), Normalize()),
+        ],
+        ids=["normalize-after-ormap", "normalize-after-alpha", "alpha-after", "declared"],
+    )
+    def test_later_skips_match_eager(self, program):
+        # Past the first skipped step the intermediate is not at hand;
+        # the trace refuses where eager's check could fail on it.
+        values = [vset(1, vset(2)), vset(vorset(1), vorset(vset(2))), vset(vorset(1, 2))]
+        for value in values:
+            for query in (ENGINE.count_worlds, ENGINE.certain, ENGINE.possible, ENGINE.exists):
+                assert outcome(query, program, value, backend="symbolic") == outcome(
+                    query, program, value, backend="eager"
+                ), (query, value)
+
+
 def possibility_set(program, value, **options):
     return frozenset(ENGINE.possibilities(program, value, **options))
 
@@ -224,6 +362,26 @@ class TestBackendConformance:
             assert outcome(query, q, value, backend="symbolic") == outcome(
                 query, q, value, backend="eager"
             ), query
+
+    @pytest.mark.parametrize(
+        "program",
+        [
+            Compose(Normalize(), Compose(OrMap(Normalize()), SetToOr())),
+            Compose(Normalize(), Alpha()),
+            Compose(Alpha(), Normalize()),
+            Compose(OrMap(Normalize(parse_type("{int}"))), Normalize()),
+        ],
+        ids=["normalize-after-ormap", "normalize-after-alpha", "alpha-after", "declared"],
+    )
+    def test_later_skips_match_eager(self, program):
+        # Past the first skipped step the intermediate is not at hand;
+        # the trace refuses where eager's check could fail on it.
+        values = [vset(1, vset(2)), vset(vorset(1), vorset(vset(2))), vset(vorset(1, 2))]
+        for value in values:
+            for query in (ENGINE.count_worlds, ENGINE.certain, ENGINE.possible, ENGINE.exists):
+                assert outcome(query, program, value, backend="symbolic") == outcome(
+                    query, program, value, backend="eager"
+                ), (query, value)
         assert isinstance(BACKENDS["symbolic"], SymbolicBackend)
 
     @settings(max_examples=25, deadline=None)

@@ -139,7 +139,7 @@ class TestLR005NoSatInEngine:
         assert codes(src, "src/repro/engine/cost_model.py") == ["LR005"] * 3
 
     def test_other_repro_imports_pass(self):
-        src = "from repro.core.worlds import iter_worlds\nfrom repro import values\n"
+        src = "from repro.core.lazy import iter_possibilities\nfrom repro import values\n"
         assert codes(src, SYMBOLIC) == []
 
     def test_sat_outside_the_engine_is_fine(self):
@@ -210,6 +210,46 @@ class TestLR007:
     def test_allow_comment_suppresses(self):
         src = 'object.__setattr__(node, "elems", ())  # lint: allow-LR007\n'
         assert codes(src, "src/repro/core/normalize.py") == []
+
+
+class TestLR008:
+    """The engine and the world stream do not import the worlds oracle."""
+
+    def test_from_import_flagged(self):
+        src = "import math\nfrom repro.core.worlds import iter_worlds\n"
+        vs = check_source(src, "src/repro/engine/backends.py")
+        assert [(v.code, v.line) for v in vs] == [("LR008", 2)]
+        assert "repro.core.lazy" in vs[0].message
+
+    def test_every_import_form_flagged(self):
+        src = (
+            "import repro.core.worlds\n"
+            "import repro.core.worlds as oracle\n"
+            "from repro.core.worlds import worlds\n"
+            "from repro.core import worlds\n"
+            "from repro.core import iter_worlds, world_count\n"
+        )
+        assert codes(src, SYMBOLIC) == ["LR008"] * 5
+
+    def test_every_engine_module_and_the_stream_flagged(self):
+        src = "from repro.core.worlds import worlds\n"
+        assert codes(src, "src/repro/engine/columnar.py") == ["LR008"]
+        assert codes(src, "src/repro/core/lazy.py") == ["LR008"]
+
+    def test_oracle_readers_pass(self):
+        src = "from repro.core.worlds import iter_worlds\n"
+        assert codes(src, "src/repro/core/worlds.py") == []
+        assert codes(src, "src/repro/core/existential.py") == []
+        assert codes(src, "tests/engine/test_symbolic.py") == []
+        assert codes(src, "benchmarks/bench_symbolic.py") == []
+
+    def test_other_core_imports_pass(self):
+        src = "from repro.core import lazy\nfrom repro.core.lazy import has_world\n"
+        assert codes(src, SYMBOLIC) == []
+
+    def test_allow_comment_suppresses(self):
+        src = "from repro.core.worlds import worlds  # lint: allow-LR008\n"
+        assert codes(src, SYMBOLIC) == []
 
 
 class TestHarness:

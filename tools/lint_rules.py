@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint rules the generic linters cannot express.
 
-Seven invariants of this engine are architectural, not stylistic, and a
+Eight invariants of this engine are architectural, not stylistic, and a
 violation is a latent bug that no unit test reliably catches:
 
 * **LR001 — no lambdas in transport-path modules.**  The callables
@@ -53,6 +53,14 @@ violation is a latent bug that no unit test reliably catches:
   error; builders that hold their elements' keys call
   ``keyed_collection`` instead.
 
+* **LR008 — the engine does not read the worlds oracle.**  No module
+  under ``repro/engine/``, and not ``repro/core/lazy.py``, may import
+  :mod:`repro.core.worlds`.  The engine enumerates worlds only through
+  the one stream in :mod:`repro.core.lazy`, which lists a set's worlds
+  lazily under a deadline checkpoint per world; the oracle stores every
+  member's worlds first and checks no deadline, and it is what tests
+  and benchmarks compare the engine against.
+
 Usage::
 
     python tools/lint_rules.py src tests benchmarks
@@ -90,6 +98,10 @@ PROTOCOL_HOME = "src/repro/serve/proto.py"
 #: The engine package, which must not import the SAT package (LR005).
 ENGINE_PACKAGE = "src/repro/engine/"
 SAT_PACKAGE = "repro.sat"
+
+#: The worlds oracle, which the engine and the world stream must not import (LR008).
+WORLDS_ORACLE = "repro.core.worlds"
+WORLD_STREAM = "src/repro/core/lazy.py"
 
 #: The source tree, in which only ENGINE_HOME may create an arena (LR006).
 SOURCE_PACKAGE = "src/repro/"
@@ -151,6 +163,7 @@ def check_source(source: str, path: str) -> list[Violation]:
     engine_home = posix.endswith(ENGINE_HOME)
     serve = SERVE_PACKAGE in posix and not posix.endswith(PROTOCOL_HOME)
     engine = ENGINE_PACKAGE in posix
+    stream = engine or posix.endswith(WORLD_STREAM)
     source = SOURCE_PACKAGE in posix and not engine_home
     fills = SOURCE_PACKAGE in posix and not posix.endswith(VALUES_HOME)
 
@@ -186,12 +199,20 @@ def check_source(source: str, path: str) -> list[Violation]:
                 "error frame built outside serve/proto.py: raise a typed "
                 "error and map it with proto.error_frame",
             )
-        if engine and _imports_sat(node):
+        if engine and _imports(node, SAT_PACKAGE, {"sat"}):
             report(
                 node,
                 "LR005",
                 "repro.sat imported in the engine: world queries recurse "
                 "over values; the SAT package is the Section 6 reduction",
+            )
+        if stream and _imports(node, WORLDS_ORACLE, {"worlds", "iter_worlds", "world_count"}):
+            report(
+                node,
+                "LR008",
+                "repro.core.worlds imported by the engine: it is the oracle "
+                "the engine is tested against, and it enumerates without a "
+                "deadline; stream worlds through repro.core.lazy",
             )
         if source and isinstance(node, ast.Call) and _call_name(node) == "Interner":
             report(
@@ -212,16 +233,20 @@ def check_source(source: str, path: str) -> list[Violation]:
     return out
 
 
-def _is_sat_module(name: str) -> bool:
-    return name == SAT_PACKAGE or name.startswith(SAT_PACKAGE + ".")
+def _imports(node: ast.AST, module: str, aliases: set[str]) -> bool:
+    """Does *node* import *module* or a submodule of it, in any form?
+    *aliases* are the names ``from <parent package> import …`` reaches
+    it by."""
 
+    def inside(name: str) -> bool:
+        return name == module or name.startswith(module + ".")
 
-def _imports_sat(node: ast.AST) -> bool:
     if isinstance(node, ast.Import):
-        return any(_is_sat_module(alias.name) for alias in node.names)
+        return any(inside(alias.name) for alias in node.names)
     if isinstance(node, ast.ImportFrom) and node.module is not None:
-        return _is_sat_module(node.module) or (
-            node.module == "repro" and any(alias.name == "sat" for alias in node.names)
+        return inside(node.module) or (
+            node.module == module.rpartition(".")[0]
+            and any(alias.name in aliases for alias in node.names)
         )
     return False
 
