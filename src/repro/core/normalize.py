@@ -38,6 +38,8 @@ declared type raises :class:`~repro.errors.OrNRATypeError`.
 from __future__ import annotations
 
 import random
+from itertools import compress, islice, pairwise, product
+from operator import attrgetter, eq
 from typing import Callable, Sequence
 
 from repro.errors import NormalizationError, OrNRATypeError
@@ -79,10 +81,8 @@ from repro.values.values import (
     check_type,
     format_value,
     infer_type,
-    keyed_collection,
-    pair_key,
+    ordered_collection,
     sort_key,
-    variant_key,
 )
 
 from repro.lang.bag_ops import AlphaD
@@ -185,9 +185,9 @@ def apply_at(value: Value, at_type: Type, pos: Position, fn: Transformer) -> Val
 
 Strategy = Callable[[Sequence[Redex]], Redex]
 
-#: An arena hook: given a node's sort key and the node (its children
-#: canonical), the arena's canonical copy — ``dict.setdefault``'s shape.
-Canon = Callable[[tuple, Value], Value]
+#: An arena hook: given a node whose children are canonical, the arena's
+#: canonical copy of it, carrying its sort key.
+Canon = Callable[[Value], Value]
 
 
 def checked_type(value: Value, value_type: Type | None) -> Type:
@@ -237,101 +237,143 @@ def normalize(
     """``normalize_t : t -> nf(t)``, by the closed form of Proposition 4.1.
 
     *arena* is the engine's internal hook
-    (:meth:`repro.engine.interning.Interner.normalize`): given a node's
-    sort key and the node, whose children are canonical, it returns the
-    arena's canonical copy.  Without it the kernel hash-conses into a
-    table of its own, keyed by sort key, for the duration of the call.
-    Either way every node the kernel compares is canonical, so worlds
-    are deduplicated by identity.
+    (:meth:`repro.engine.interning.Interner.normalize`): given a node
+    whose children are canonical, it returns the arena's canonical copy,
+    so the normal form comes back interned node by node.  Without it the
+    normal form's nodes are fresh and share only their leaves.  Either
+    way the kernel reads the sort key every node carries: worlds come out
+    in canonical order and are deduplicated by comparing keys, never by
+    hashing them.
     """
     # repro.engine imports this module, so the checkpoint is bound late.
     from repro.engine.deadline import checkpoint
 
     value_type = checked_type(value, value_type)
-    if arena is None:
-        # Sort keys are injective, so they can key a hash-consing table.
-        arena = {}.setdefault
     return _normal_form(value, value_type, arena, checkpoint)
 
 
+_KEY = attrgetter("_key")
+
+
+def _ranked(ws: list[Value]) -> tuple[list[Value], dict[int, int]]:
+    """*ws* sorted by key with equal keys merged: the distinct worlds in
+    canonical order, and the rank among them of every object in *ws*.
+
+    Keys are compared, never hashed: equal ones are adjacent once sorted.
+    """
+    ws = sorted(ws, key=_KEY)
+    keys = list(map(_KEY, ws))
+    if not any(map(eq, keys, islice(keys, 1, None))):
+        return ws, {id(w): r for r, w in enumerate(ws)}
+    distinct: list[Value] = []
+    rank: dict[int, int] = {}
+    for w, k in zip(ws, keys, strict=True):
+        if not distinct or k != distinct[-1]._key:
+            distinct.append(w)
+        rank[id(w)] = len(distinct) - 1
+    return distinct, rank
+
+
 def _normal_form(
-    value: Value, value_type: Type, arena: Canon, checkpoint: Callable[[str], None]
+    value: Value, value_type: Type, arena: Canon | None, checkpoint: Callable[[str], None]
 ) -> Value:
     """The kernel: ``x`` in set form, or the or-set of its distinct worlds."""
-    # The sort key of every canon this call got back from the arena, so a
-    # new node's key is built from its children's.
-    keys: dict[int, tuple] = {}
+    # Leaves are shared: the first atom of each key stands for all of them,
+    # so equal worlds are equal node by node, whichever copy survives.
+    leaves: dict[tuple, Value] = {}
 
-    def canon(key: tuple, node: Value) -> Value:
-        found = arena(key, node)
-        keys[id(found)] = key
-        return found
-
-    def collect(cls: type, elems: list[Value]) -> Value:
-        # A set or or-set of `elems`, built as its constructor would but
-        # sorted by the keys already at hand instead of recomputed ones.
-        return canon(*keyed_collection(cls, {keys[id(e)]: e for e in elems}))
+    def collect(cls: type, elems: Sequence[Value]) -> Value:
+        # A set or or-set of distinct elements in canonical order: the
+        # kernel's worlds come out that way, so nothing is sorted.
+        node = ordered_collection(cls, tuple(elems))
+        return node if arena is None else arena(node)
 
     def worlds(v: Value, t: Type) -> list[Value]:
-        # Distinct canonical worlds of `v : t`.  A type variable `t` makes
-        # `v` opaque: it is passed down, so or-sets below it stay or-sets.
+        # The distinct worlds of `v : t`, in canonical order.  A type
+        # variable `t` makes `v` opaque: it is passed down, so or-sets below
+        # it stay or-sets.
         cls = type(v)
         if cls is Pair:
-            product = type(t) is ProdType
-            firsts = worlds(v.fst, t.left if product else t)
-            seconds = worlds(v.snd, t.right if product else t)
+            # Keys order pairs by first, then second component: the product
+            # of two ordered lists, taken row by row, is ordered.
+            pair_type = type(t) is ProdType
+            firsts = worlds(v.fst, t.left if pair_type else t)
+            seconds = worlds(v.snd, t.right if pair_type else t)
             out = []
             for f in firsts:
                 checkpoint("normalize")
-                key = keys[id(f)]
-                out.extend(
-                    [canon(pair_key(key, keys[id(s)]), Pair(f, s)) for s in seconds]
-                )
+                if arena is None:
+                    out.extend([Pair(f, s) for s in seconds])
+                else:
+                    out.extend([arena(Pair(f, s)) for s in seconds])
             return out
         if cls is OrSetValue:
             if type(t) is not OrSetType:
-                return [collect(OrSetValue, [worlds(m, t)[0] for m in v.elems])]
-            union = {}
-            for m in v.elems:
-                for w in worlds(m, t.elem):
-                    union[id(w)] = w
-            return list(union.values())
+                opaque = _ranked([worlds(m, t)[0] for m in v.elems])[0]
+                return [collect(OrSetValue, opaque)]
+            members = [worlds(m, t.elem) for m in v.elems]
+            if len(members) == 1:
+                return members[0]
+            return _ranked([w for member in members for w in member])[0]
         if cls is SetValue or cls is BagValue:
             elem_type = t.elem if type(t) in (SetType, BagType) else t
-            fixed = []  # the worlds of one-world members, in every world
-            branching = []
+            members = []
             for m in v.elems:
                 member = worlds(m, elem_type)
                 if not member:
                     return []
+                members.append(member)
+            # Every element of every world, ranked once in canonical order.
+            candidates, rank = _ranked([w for member in members for w in member])
+            if all(len(member) == 1 for member in members):
+                return [collect(SetValue, candidates)]
+            # Members in the order of their lowest-ranked world.  Where each
+            # member's worlds rank wholly below the next member's, no two
+            # members share an element, and the product of their worlds,
+            # row by row, lists every world once, sorted, in canonical order.
+            # (A member's worlds are in canonical order, so its first world
+            # ranks lowest and its last highest.)
+            members.sort(key=lambda member: rank[id(member[0])])
+            if all(rank[id(a[-1])] < rank[id(b[0])] for a, b in pairwise(members)):
+                out = []
+                for elems in product(*members):
+                    checkpoint("normalize")
+                    out.append(collect(SetValue, elems))
+                return out
+            # Otherwise a choice is the int mask of its elements' ranks.
+            # Folding a member in ORs in each pick's bit, so choices that
+            # collide merge early; a world's elements are its set bits, in
+            # order.
+            top = len(candidates) - 1
+            bits = [1 << (top - r) for r in range(len(candidates))]
+            fixed = 0
+            branching = []
+            for member in members:
                 if len(member) == 1:
-                    fixed.append(member[0])
+                    fixed |= bits[rank[id(member[0])]]
                 else:
-                    branching.append(member)
-            if not branching:
-                return [collect(SetValue, fixed)]
-            chosen = {id(w): w for member in branching for w in member}
-            # Fold the branching members in, deduplicating the choices made
-            # so far as sets of ids: choices that collide merge early.
-            choices = {frozenset()}
-            for member in branching:
+                    branching.append([bits[rank[id(w)]] for w in member])
+            choices = {fixed}
+            for picks in branching:
                 checkpoint("normalize")
-                picks = [frozenset((id(w),)) for w in member]
                 choices = {c | p for c in choices for p in picks}
+            # Worlds in canonical order: fewer elements first, then lower
+            # ranks first.  Rank r is bit top - r, so among equal-sized
+            # worlds the higher mask holds the lower rank where they differ.
             out = []
-            for choice in choices:
+            for mask in sorted(sorted(choices, reverse=True), key=int.bit_count):
                 checkpoint("normalize")
-                out.append(collect(SetValue, fixed + [chosen[i] for i in choice]))
+                elems = tuple(compress(candidates, map(mask.__and__, bits)))
+                out.append(collect(SetValue, elems))
             return out
         if cls is Variant:
             if type(t) is VariantType:
                 t = t.left if v.side == 0 else t.right
             side = v.side
-            return [
-                canon(variant_key(side, keys[id(w)]), Variant(side, w))
-                for w in worlds(v.payload, t)
-            ]
-        return [canon(sort_key(v), v)]
+            out = [Variant(side, w) for w in worlds(v.payload, t)]
+            return out if arena is None else list(map(arena, out))
+        leaf = leaves.setdefault(sort_key(v), v)
+        return [leaf if arena is None else arena(leaf)]
 
     try:
         found = worlds(value, value_type)
@@ -340,7 +382,7 @@ def _normal_form(
         return found[0]
     finally:
         # `worlds` reaches itself through its closure cell; unbinding it
-        # frees this call's nodes and table now, not at the next gc pass.
+        # frees this call's nodes now, not at the next gc pass.
         del worlds
 
 

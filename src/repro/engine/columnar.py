@@ -11,8 +11,9 @@ module removes that overhead in three layers:
   where an element is not an atom), plus optional segment *offsets* for
   a nested spine.  The encoding is lossless: ``Arena.from_value(v,
   ...).to_value()`` is structurally equal to ``v`` (property-tested in
-  ``tests/engine/test_columnar.py``), and decoding installs interned
-  sort keys so canonicalization never recomputes a key per atom.
+  ``tests/engine/test_columnar.py``), and decoding reuses cached atoms,
+  each carrying its sort key, so canonicalization reads keys, never
+  recomputes them.
 * :func:`compile_scalar` — a tiny compiler from the arithmetic/boolean
   fragment of the morphism language (``Id``, ``Compose``, ``PairOf`` +
   the standard primitives, ``Cond``, ``Const``) to *raw* Python kernels
@@ -58,7 +59,7 @@ from repro.lang.primitives import (
     _IntBinOp,
     _IntCompare,
 )
-from repro.values.values import Atom, Value, sort_key, use_sort_key_cache
+from repro.values.values import Atom, Value
 
 from repro.engine.backends import _MU, _RETAG, _WRAPPER_OF, BACKENDS, Backend
 from repro.engine.deadline import checkpoint
@@ -90,23 +91,20 @@ _UNIQUE_NOUN = "unique expects a bag"
 
 # -- the arena ---------------------------------------------------------------
 
-#: Bounded cache of decoded atoms and their precomputed sort keys, keyed
-#: on ``(base, raw)``.  Repeated payloads across calls share one Atom
-#: object *and* one sort key, so canonicalizing a decoded collection
-#: never recomputes keys for cache hits.
-_ATOM_CACHE: dict[tuple, tuple[Atom, tuple]] = {}
+#: Bounded cache of decoded atoms, keyed on ``(base, raw)``.  Repeated
+#: payloads across calls share one Atom object, which carries its sort
+#: key, so decoding them allocates nothing.
+_ATOM_CACHE: dict[tuple, Atom] = {}
 _ATOM_CACHE_MAX = 4096
 
 
-def _atom_and_key(base: str, raw: object) -> tuple[Atom, tuple | None]:
+def _cached_atom(base: str, raw: object) -> Atom:
     try:
         hit = _ATOM_CACHE.get((base, raw))
     except TypeError:  # unhashable payload: box without caching
-        atom = Atom(base, raw)
-        return atom, None
+        return Atom(base, raw)
     if hit is None:
-        atom = Atom(base, raw)
-        hit = (atom, sort_key(atom))
+        hit = Atom(base, raw)
         if len(_ATOM_CACHE) >= _ATOM_CACHE_MAX:
             _ATOM_CACHE.clear()
         _ATOM_CACHE[(base, raw)] = hit
@@ -194,42 +192,29 @@ class Arena:
         """A contiguous flat sub-range (the sharded backends' unit)."""
         return Arena(self.kind, self.bases[start:stop], self.raws[start:stop])
 
-    def _decode_range(self, start: int, stop: int, key_cache: dict) -> list[Value]:
-        out: list[Value] = []
+    def _decode_range(self, start: int, stop: int) -> list[Value]:
         bases, raws = self.bases, self.raws
-        for i in range(start, stop):
-            b = bases[i]
-            if b is None:
-                out.append(raws[i])
-            else:
-                atom, key = _atom_and_key(b, raws[i])
-                if key is not None:
-                    key_cache[id(atom)] = key
-                out.append(atom)
-        return out
+        return [
+            raws[i] if bases[i] is None else _cached_atom(bases[i], raws[i])
+            for i in range(start, stop)
+        ]
 
     def to_value(self) -> Value:
         """Decode back to a canonical collection ``Value``.
 
         The collection constructor canonicalizes (sorts, deduplicates)
-        exactly like the eager backend's; the interned sort keys from the
-        atom cache are installed for the construction so cached atoms
-        never recompute theirs.
+        exactly like the eager backend's, reading the key each element
+        carries.
         """
-        key_cache: dict[int, tuple] = {}
         wrapper = _WRAPPER_OF[self.kind]
         if self.offsets is None:
-            elems = self._decode_range(0, len(self.bases), key_cache)
-            with use_sort_key_cache(key_cache):
-                return wrapper(elems)
+            return wrapper(self._decode_range(0, len(self.bases)))
         inner_wrapper = _WRAPPER_OF[self.inner_kind]
         offs = self.offsets
-        with use_sort_key_cache(key_cache):
-            inners = [
-                inner_wrapper(self._decode_range(offs[i], offs[i + 1], key_cache))
-                for i in range(len(offs) - 1)
-            ]
-            return wrapper(inners)
+        return wrapper(
+            inner_wrapper(self._decode_range(offs[i], offs[i + 1]))
+            for i in range(len(offs) - 1)
+        )
 
 
 # -- the raw scalar-kernel compiler ------------------------------------------
@@ -464,7 +449,7 @@ def _run_map(stage: tuple, arena: Arena) -> Arena:
             push_base(bool_out)
             push_raw(bool_fn(r))
         else:
-            elem = r if b is None else _atom_and_key(b, r)[0]
+            elem = r if b is None else _cached_atom(b, r)
             out = boxed(elem)
             if type(out) is Atom:
                 push_base(out.base)
@@ -487,7 +472,7 @@ def _run_mu(stage: tuple, arena: Arena) -> Arena:
     out_bases: list = []
     out_raws: list = []
     for b, r in zip(arena.bases, arena.raws, strict=True):
-        inner = r if b is None else _atom_and_key(b, r)[0]
+        inner = r if b is None else _cached_atom(b, r)
         if not isinstance(inner, wrapper):
             raise OrNRATypeError(f"{noun}, got element {inner!r}")
         for e in inner.elems:

@@ -1,4 +1,4 @@
-"""The value arena: hash-consing, cached sort keys, memoized normalize.
+"""The value arena: hash-consing and memoized normalize.
 
 Every :class:`~repro.values.values.Value` is immutable, so structurally
 equal values are interchangeable — but the direct interpreter happily
@@ -8,26 +8,22 @@ sort order (and, worse, the normal form) for each copy.  The
 
 * :meth:`Interner.intern` hash-conses a value: structurally equal values
   come back as the *same* object, rebuilt bottom-up so all shared
-  substructure is shared physically too;
-* the arena registers each interned object's canonical sort key in the
-  :func:`repro.values.values.sort_key` cache (safe because the arena
-  keeps the object alive, so its ``id`` can never be reused), which
-  makes re-canonicalization of collections containing interned elements
-  an O(1) dictionary hit instead of a recursive descent;
+  substructure is shared physically too.  Every canon carries its sort
+  key (:func:`repro.values.values.sort_key`), as every node does;
 * :meth:`Interner.normalize` memoizes :func:`repro.core.normalize.normalize`
   keyed on the interned object's *identity* (plus the declared type), so
   repeated normalization of the same object — the dominant cost in
   possible-worlds workloads — is computed once.  A miss runs the
   normal-form kernel *inside* the arena: every node it creates is the
-  arena's canon from the start, its sort key built from its children's
-  cached keys, so the normal form needs no second interning pass.
+  arena's canon from the start, so the normal form needs no second
+  interning pass.
 
 The arena holds strong references by design (identity-keyed caches
 require it), so it is *bounded*: past ``max_size`` entries the arena
 evicts **least-recently-used** entries one at a time — every intern hit
 touches its entry, so the hot working set stays resident while cold
-values (and *their* cached sort keys and normal forms, keyed by the
-evicted object's id) leave together.  The recency order is keyed by
+values (and *their* memoized normal forms, keyed by the evicted
+object's id) leave together.  The recency order is keyed by
 the canon's id, so touching an entry — and re-interning an object that
 already is its canon — costs no structural rehash.
 ``stats()["evictions"]`` counts evicted entries; pass ``max_size=None``
@@ -57,7 +53,6 @@ from repro.values.values import (
     Value,
     Variant,
     sort_key,
-    use_sort_key_cache,
 )
 
 __all__ = ["Interner", "DEFAULT_MAX_ARENA_SIZE"]
@@ -77,8 +72,8 @@ class Interner:
     *max_size* caps the number of arena entries; ``None`` disables the
     cap.  Past capacity the arena evicts in true LRU order: interning an
     already-present value touches its entry, so frequently reused values
-    (and their cached sort keys and memoized normal forms) survive while
-    cold ones are dropped entry by entry.
+    (and their memoized normal forms) survive while cold ones are dropped
+    entry by entry.
     """
 
     def __init__(self, max_size: int | None = DEFAULT_MAX_ARENA_SIZE) -> None:
@@ -86,7 +81,6 @@ class Interner:
         # Structural lookup, and the LRU order keyed by the canon's id.
         self._arena: dict[Value, Value] = {}
         self._recency: OrderedDict[int, Value] = OrderedDict()
-        self._sort_keys: dict[int, tuple] = {}
         self._normal_forms: dict[int, dict[Type | None, Value]] = {}
         self._bound_plans: dict[int, tuple[object, object]] = {}
         # RLock: leaf_apply-driven normalize calls may arrive while
@@ -103,8 +97,7 @@ class Interner:
     def intern(self, value: Value) -> Value:
         """The canonical physical object structurally equal to *value*."""
         with self._lock:
-            with use_sort_key_cache(self._sort_keys):
-                canon = self._intern(value)
+            canon = self._intern(value)
             self._trim()
             return canon
 
@@ -117,23 +110,20 @@ class Interner:
             self._recency.move_to_end(id(canon))  # touch: LRU keeps hot entries
             return canon
         node = self._rebuild(value)
-        # sort_key reads the children's cached keys (and recomputes the
-        # key of a child evicted under a canon that is still live).
-        return self._canon(sort_key(node), node)
+        # The kernel reads the key of every canon it gets back, and a leaf
+        # is its own rebuild: an unpickled one gets its key here.
+        sort_key(node)
+        return self._canon(node)
 
-    def _canon(self, key: tuple, node: Value) -> Value:
+    def _canon(self, node: Value) -> Value:
         """The canonical copy of *node*, whose children are canonical.
 
-        *key* is the node's sort key.  This is also the normal-form
-        kernel's arena hook; the kernel builds each key from the keys of
-        the canons it got back, so it never reads the sort-key cache.
+        This is also the normal-form kernel's arena hook.
         """
         canon = self._arena.setdefault(node, node)
         if canon is node:
             self.misses += 1
             self._recency[id(node)] = node
-            # The arena pins `node`, so caching by id() is sound.
-            self._sort_keys[id(node)] = key
         else:
             self.hits += 1
             self._recency.move_to_end(id(canon))
@@ -162,11 +152,11 @@ class Interner:
     def _trim(self) -> None:
         """Evict LRU entries until the arena is back within ``max_size``.
 
-        Each evicted canon takes its derived results with it (they are
-        keyed by an id only the arena kept alive).  A single intern of a
+        Each evicted canon takes its memoized normal forms with it (they
+        are keyed by an id only the arena kept alive).  A single intern of a
         large value may insert many nested entries at once, so trimming
         runs after the rebuild — always keeping at least the most recent
-        entry, which callers like :meth:`sort_key` read back immediately.
+        entry, the canon :meth:`intern` has just built.
         Previously returned canonical objects stay valid values — they
         merely stop being identical to the canon of *future* interns.
         """
@@ -176,17 +166,14 @@ class Interner:
         while len(self._recency) > floor:
             key, canon = self._recency.popitem(last=False)
             del self._arena[canon]
-            self._sort_keys.pop(key, None)
             self._normal_forms.pop(key, None)
             self.evictions += 1
 
     # -- derived results ---------------------------------------------------
 
     def sort_key(self, value: Value) -> tuple:
-        """The canonical sort key, cached on the interned identity."""
-        with self._lock:
-            canon = self.intern(value)
-            return self._sort_keys[id(canon)]
+        """The canonical sort key: the key the interned canon carries."""
+        return sort_key(self.intern(value))
 
     def normalize(self, value: Value, value_type: Type | None = None) -> Value:
         """Memoized :func:`repro.core.normalize.normalize`, built in the arena.
@@ -196,16 +183,14 @@ class Interner:
         how many structurally distinct copies the caller holds.  A miss
         runs the kernel with this arena as its hash-consing table, under
         the lock: the normal form comes back canonical, node by node, and
-        the arena is trimmed only after the kernel returns, because its
-        identity-based deduplication needs every node it compares to stay
-        the current canon.
+        the arena is trimmed only after the kernel returns, so no node of
+        it stops being the current canon before the memo holds it.
         """
         from repro.core.normalize import normalize as _normalize
 
         with self._lock:
             try:
-                with use_sort_key_cache(self._sort_keys):
-                    canon = self._intern(value)
+                canon = self._intern(value)
                 by_type = self._normal_forms.get(id(canon))
                 cached = by_type.get(value_type) if by_type is not None else None
                 if cached is not None:
@@ -279,7 +264,6 @@ class Interner:
         with self._lock:
             self._arena.clear()
             self._recency.clear()
-            self._sort_keys.clear()
             self._normal_forms.clear()
             self._bound_plans.clear()
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from typing import Callable
 
 from repro.errors import OrNRAValueError
 from repro.types.kinds import Type
@@ -30,12 +31,7 @@ from repro.values.values import (
     UnitValue,
     Value,
     Variant,
-    atom_key,
     format_value,
-    keyed_collection,
-    pair_key,
-    sort_key,
-    variant_key,
 )
 
 __all__ = [
@@ -87,10 +83,9 @@ def value_to_json(v: Value) -> object:
 def value_from_json(data: object) -> Value:
     """Decode the JSON structure produced by :func:`value_to_json`.
 
-    The result is the value the constructors build: the same elements in
-    the same canonical order, and the same survivor among duplicates.
-    Each node's sort key is built once, from its children's keys, rather
-    than once for every collection above it.
+    The result is the value the constructors build, because it is built
+    by them: each node's sort key is built once, from the keys its
+    children carry, rather than once for every collection above it.
 
     Every malformed fragment — a ``"pair"`` that is not a two-element
     list, a non-list ``"set"``/``"orset"``/``"bag"``, an ``"atom"``
@@ -99,19 +94,18 @@ def value_from_json(data: object) -> Value:
     offending fragment, never a bare ``ValueError`` or ``TypeError``
     from the decoding plumbing.
     """
-    return _decode(data)[1]
+    return _decode(data)
 
 
-_UNIT_KEY = sort_key(UNIT_VALUE)
 _COLLECTIONS = (("set", SetValue), ("orset", OrSetValue), ("bag", BagValue))
 
 
-def _decode(data: object) -> tuple[tuple, Value]:
-    """``(sort_key(v), v)`` for the value *v* that *data* encodes."""
+def _decode(data: object) -> Value:
+    """The value *data* encodes, built bottom-up by the constructors."""
     if not isinstance(data, dict):
         raise OrNRAValueError(f"malformed value JSON: {data!r}")
     if "unit" in data:
-        return _UNIT_KEY, UNIT_VALUE
+        return UNIT_VALUE
     if "atom" in data:
         if "value" not in data:
             raise OrNRAValueError(f"malformed value JSON: atom without a value: {data!r}")
@@ -120,17 +114,14 @@ def _decode(data: object) -> tuple[tuple, Value]:
             raise OrNRAValueError(
                 f"malformed value JSON: atom value must be a scalar, got {payload!r}"
             )
-        leaf = Atom(str(data["atom"]), payload)
-        return atom_key(leaf), leaf
+        return Atom(str(data["atom"]), payload)
     if "pair" in data:
         sides = data["pair"]
         if not isinstance(sides, list) or len(sides) != 2:
             raise OrNRAValueError(
                 f"malformed value JSON: 'pair' expects [left, right], got {sides!r}"
             )
-        fst_key, fst = _decode(sides[0])
-        snd_key, snd = _decode(sides[1])
-        return pair_key(fst_key, snd_key), Pair(fst, snd)
+        return Pair(_decode(sides[0]), _decode(sides[1]))
     for name, cls in _COLLECTIONS:
         if name in data:
             elems = data[name]
@@ -140,20 +131,17 @@ def _decode(data: object) -> tuple[tuple, Value]:
                     f"got {elems!r}"
                 )
             decoded = [_decode(e) for e in elems]
-            keyed = decoded if cls is BagValue else dict(decoded)
             try:
-                return keyed_collection(cls, keyed)
+                return cls(decoded)
             except TypeError as exc:
                 raise OrNRAValueError(
                     f"malformed value JSON: {name!r} holds atoms that do not "
                     f"compare: {data!r}"
                 ) from exc
     if "inl" in data:
-        key, payload = _decode(data["inl"])
-        return variant_key(0, key), Variant(0, payload)
+        return Variant(0, _decode(data["inl"]))
     if "inr" in data:
-        key, payload = _decode(data["inr"])
-        return variant_key(1, key), Variant(1, payload)
+        return Variant(1, _decode(data["inr"]))
     raise OrNRAValueError(f"malformed value JSON: {data!r}")
 
 
@@ -372,10 +360,10 @@ def run_text_many(
     """Batched :func:`run_text`: parse and compile once, dedupe.
 
     Unlike a loop of ``run_text`` calls, structurally equal inputs are
-    computed once.  Like ``run_text``, values are not interned, so
-    nothing stays pinned in the default engine's arena.  *morphism_text*
-    may also be a pre-resolved Morphism; *timeout* bounds the whole
-    batch's evaluation (see :func:`run_text`).
+    computed and formatted once.  Like ``run_text``, values are not
+    interned, so nothing stays pinned in the default engine's arena.
+    *morphism_text* may also be a pre-resolved Morphism; *timeout* bounds
+    the whole batch's evaluation (see :func:`run_text`).
     """
     from repro.engine import DEFAULT_ENGINE
     from repro.lang.parser import parse_value
@@ -387,7 +375,7 @@ def run_text_many(
             backend=backend,
             intern=False,
         )
-    return [format_value(r) for r in results]
+    return _encode_each(results, format_value)
 
 
 def run_json_many(
@@ -406,10 +394,12 @@ def run_json_many(
     structurally equal inputs are computed once, and distinct inputs
     fan out across worker processes when the batch runs on the process
     backend (see :meth:`repro.engine.Engine.run_many`).  Results come
-    back in input order.  Values are not interned (see :func:`run_text`),
-    so nothing is pinned in the default engine's arena.  *morphism_text*
-    may also be a pre-resolved Morphism; *timeout* bounds the whole
-    batch's evaluation (see :func:`run_text`).
+    back in input order, each distinct one encoded once: equal inputs get
+    one shared result dict, which callers must treat as read-only.
+    Values are not interned (see :func:`run_text`), so nothing is pinned
+    in the default engine's arena.  *morphism_text* may also be a
+    pre-resolved Morphism; *timeout* bounds the whole batch's evaluation
+    (see :func:`run_text`).
     """
     from repro.engine import DEFAULT_ENGINE
 
@@ -420,4 +410,19 @@ def run_json_many(
             backend=backend,
             intern=False,
         )
-    return [value_to_json(r) for r in results]
+    return _encode_each(results, value_to_json)
+
+
+def _encode_each(results: list[Value], encode: Callable[[Value], object]) -> list:
+    """``[encode(r) for r in results]``, encoding each result object once.
+
+    ``run_many`` hands equal inputs one shared result, and encoding a
+    result can cost more than computing it.
+    """
+    encoded: dict[int, object] = {}
+    out = []
+    for r in results:
+        if id(r) not in encoded:
+            encoded[id(r)] = encode(r)
+        out.append(encoded[id(r)])
+    return out

@@ -172,7 +172,20 @@ class Compose(Morphism):
         )
 
     def __hash__(self) -> int:
-        return hash(("Compose", self.after, self.before))
+        # The engine's plan cache hashes a program on every run, and a long
+        # pipeline is a long spine of compositions: each hashes once.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash: int = hash(("Compose", self.after, self.before))
+            return self._hash
+
+    def __getstate__(self) -> dict:
+        # `str` hashes are salted per interpreter: pickles leave the
+        # cached hash out, and the receiving process computes its own.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
 
 class PairOf(Morphism):

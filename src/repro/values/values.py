@@ -6,6 +6,12 @@ collection stores its elements as a tuple sorted by a canonical total order
 structural equality, hashing and printing deterministic — the property the
 normalization engine and the possible-worlds oracle rely on.
 
+Every node keeps its own sort key in a ``_key`` slot, set when the node is
+built from its children's keys, so sorting a collection never re-walks its
+elements.  The slot is not a dataclass field: equality, hashing, ``repr``
+and the pickled state leave it out (a key roughly doubles a value's
+payload), and an unpickled node computes its key on first use.
+
 The paper writes ``< >`` for or-sets, ``{ }`` for sets and ``[| |]`` for the
 internal multisets of Section 4.  Pairs are written ``( , )``.
 
@@ -18,10 +24,9 @@ Construction helpers accept raw Python scalars and wrap them in
 
 from __future__ import annotations
 
-import threading as _threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import islice
+from operator import attrgetter, eq
 from typing import Iterable, Iterator
 
 from repro.errors import OrNRAValueError
@@ -62,11 +67,7 @@ __all__ = [
     "vinl",
     "vinr",
     "sort_key",
-    "use_sort_key_cache",
-    "atom_key",
-    "pair_key",
-    "variant_key",
-    "keyed_collection",
+    "ordered_collection",
     "format_value",
     "infer_type",
     "check_type",
@@ -79,9 +80,15 @@ __all__ = [
 
 
 class Value:
-    """Abstract base class of all complex-object values."""
+    """Abstract base class of all complex-object values.
 
-    __slots__ = ()
+    ``_key`` holds the node's sort key (see :func:`sort_key`).  It is a
+    slot of this base class, not a dataclass field of the node classes,
+    so their ``__eq__``, ``__hash__``, ``repr`` and pickled state never
+    see it.
+    """
+
+    __slots__ = ("_key",)
 
     def __str__(self) -> str:
         return format_value(self)
@@ -99,6 +106,11 @@ class Atom(Value):
     base: str
     value: object
 
+    def __init__(self, base: str, value: object) -> None:
+        _ATOM_BASE(self, base)
+        _ATOM_VALUE(self, value)
+        _set_key(self, _atom_key(base, value))
+
     def __repr__(self) -> str:
         return f"Atom({self.base}:{self.value!r})"
 
@@ -106,6 +118,9 @@ class Atom(Value):
 @dataclass(frozen=True, slots=True)
 class UnitValue(Value):
     """The unique element of type ``unit``."""
+
+    def __init__(self) -> None:
+        _set_key(self, _UNIT_KEY)
 
     def __repr__(self) -> str:
         return "unit"
@@ -118,17 +133,42 @@ class Pair(Value):
     fst: Value
     snd: Value
 
+    def __init__(self, fst: Value, snd: Value) -> None:
+        _PAIR_FST(self, fst)
+        _PAIR_SND(self, snd)
+        try:
+            key = (2, fst._key, snd._key)
+        except AttributeError:  # an unpickled component
+            key = (2, sort_key(fst), sort_key(snd))
+        _set_key(self, key)
+
     def __repr__(self) -> str:
         return f"Pair({self.fst!r}, {self.snd!r})"
 
 
-def _canonical_distinct(elems: Iterable[Value]) -> tuple[Value, ...]:
-    distinct = {sort_key(e): e for e in elems}
-    return tuple(distinct[k] for k in sorted(distinct))
+def _fill(node: Value, elems: Iterable[Value], distinct: bool) -> None:
+    """Store *elems* in the collection *node*, sorted by key, and its key.
 
-
-def _canonical_multi(elems: Iterable[Value]) -> tuple[Value, ...]:
-    return tuple(sorted(elems, key=sort_key))
+    A set or an or-set keeps, of each run of equal keys, the element that
+    came last, as a dict keyed by sort key would.  Nothing is hashed:
+    equal keys are adjacent once sorted (the sort is stable).
+    """
+    ordered = list(elems)
+    try:
+        ordered.sort(key=_KEY)
+    except AttributeError:  # an unpickled element; the list is left as it was
+        ordered.sort(key=sort_key)
+    keys = tuple(map(_KEY, ordered))
+    if distinct and any(map(eq, keys, islice(keys, 1, None))):
+        kept = [0]
+        for i in range(1, len(keys)):
+            if keys[i] == keys[kept[-1]]:
+                kept[-1] = i
+            else:
+                kept.append(i)
+        ordered = [ordered[i] for i in kept]
+        keys = tuple(keys[i] for i in kept)
+    _store(node, tuple(ordered), keys)
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,7 +178,7 @@ class SetValue(Value):
     elems: tuple[Value, ...]
 
     def __init__(self, elems: Iterable[Value]) -> None:
-        object.__setattr__(self, "elems", _canonical_distinct(elems))
+        _fill(self, elems, True)
 
     def __iter__(self) -> Iterator[Value]:
         return iter(self.elems)
@@ -164,7 +204,7 @@ class OrSetValue(Value):
     elems: tuple[Value, ...]
 
     def __init__(self, elems: Iterable[Value]) -> None:
-        object.__setattr__(self, "elems", _canonical_distinct(elems))
+        _fill(self, elems, True)
 
     def __iter__(self) -> Iterator[Value]:
         return iter(self.elems)
@@ -191,9 +231,12 @@ class Variant(Value):
     side: int
     payload: Value
 
-    def __post_init__(self) -> None:
-        if self.side not in (0, 1):
-            raise OrNRAValueError(f"variant side must be 0 or 1, got {self.side!r}")
+    def __init__(self, side: int, payload: Value) -> None:
+        if side not in (0, 1):
+            raise OrNRAValueError(f"variant side must be 0 or 1, got {side!r}")
+        _VARIANT_SIDE(self, side)
+        _VARIANT_PAYLOAD(self, payload)
+        _set_key(self, (6, side, sort_key(payload)))
 
     def __repr__(self) -> str:
         tag = "inl" if self.side == 0 else "inr"
@@ -207,7 +250,7 @@ class BagValue(Value):
     elems: tuple[Value, ...]
 
     def __init__(self, elems: Iterable[Value]) -> None:
-        object.__setattr__(self, "elems", _canonical_multi(elems))
+        _fill(self, elems, False)
 
     def __iter__(self) -> Iterator[Value]:
         return iter(self.elems)
@@ -217,6 +260,40 @@ class BagValue(Value):
 
     def __repr__(self) -> str:
         return f"BagValue({list(self.elems)!r})"
+
+
+# Slot writers.  The node classes are frozen, so their constructors and
+# the builders below fill each slot through its descriptor, the quickest
+# way past the frozen ``__setattr__``.  (``tools/lint_rules.py`` LR007
+# keeps every other module from writing these slots.)
+_set_key = Value._key.__set__  # type: ignore[attr-defined]
+_ATOM_BASE = Atom.base.__set__  # type: ignore[attr-defined]
+_ATOM_VALUE = Atom.value.__set__  # type: ignore[attr-defined]
+_PAIR_FST = Pair.fst.__set__  # type: ignore[attr-defined]
+_PAIR_SND = Pair.snd.__set__  # type: ignore[attr-defined]
+_VARIANT_SIDE = Variant.side.__set__  # type: ignore[attr-defined]
+_VARIANT_PAYLOAD = Variant.payload.__set__  # type: ignore[attr-defined]
+_SET_ELEMS = {
+    cls: cls.elems.__set__  # type: ignore[attr-defined]
+    for cls in (SetValue, OrSetValue, BagValue)
+}
+_COLLECTION_TAGS = {SetValue: 3, OrSetValue: 4, BagValue: 5}
+_KEY = attrgetter("_key")
+_UNIT_KEY = (0,)
+_ATOM_RANK = {"bool": 0, "int": 1, "string": 2}
+
+
+def _atom_key(base: str, value: object) -> tuple:
+    if value.__class__ is bool:
+        value = int(value)  # type: ignore[call-overload]
+    return (1, _ATOM_RANK.get(base, 3), base, value)
+
+
+def _store(node: Value, elems: tuple, keys: tuple) -> None:
+    """Fill the collection *node* with *elems*, whose keys are *keys*."""
+    cls = type(node)
+    _SET_ELEMS[cls](node, elems)
+    _set_key(node, (_COLLECTION_TAGS[cls], len(elems), keys))
 
 
 UNIT_VALUE = UnitValue()
@@ -285,118 +362,55 @@ def vinr(payload: object) -> Variant:
     return Variant(1, ensure_value(payload))
 
 
-_ATOM_RANK = {"bool": 0, "int": 1, "string": 2}
-
-
-def _atom_key(a: Atom) -> tuple:
-    value = a.value
-    if isinstance(value, bool):
-        value = int(value)
-    rank = _ATOM_RANK.get(a.base, 3)
-    return (rank, a.base, value)
-
-
-# An optional identity-keyed cache of computed sort keys, installed by the
-# engine's interning arena (repro.engine.interning).  Entries are keyed by
-# id(); the installer must keep the keyed objects alive for the cache's
-# lifetime, which the arena guarantees by holding strong references.
-# The installation is *per thread* (threading.local), so concurrent
-# engine runs on different threads never observe each other's cache
-# swaps.
-_SORT_KEY_TLS = _threading.local()
-
-
-@contextmanager
-def use_sort_key_cache(cache: dict[int, tuple]) -> Iterator[None]:
-    """Consult *cache* for precomputed sort keys within the block.
-
-    :func:`sort_key` only *reads* the cache (the installer decides which
-    object ids are safe to register); nesting restores the previous cache
-    on exit, and the installation is visible only to the calling thread.
-    """
-    previous = getattr(_SORT_KEY_TLS, "cache", None)
-    _SORT_KEY_TLS.cache = cache
-    try:
-        yield
-    finally:
-        _SORT_KEY_TLS.cache = previous
-
-
 def sort_key(v: Value) -> tuple:
     """A canonical total-order key; values of one type compare sensibly.
 
     Mixed kinds get disjoint key prefixes, so the order is total on all
     values (needed only for canonical storage, never for semantics).
+    Every constructor stores its node's key, built from its children's, so
+    this is a slot read.  A node without one (an unpickled node: pickles
+    leave keys out) gets its key computed from its children's and stored.
+    Two threads may store one node's key at once; both store equal
+    tuples, so the race is harmless.
     """
-    cache = getattr(_SORT_KEY_TLS, "cache", None)
-    if cache is not None:
-        hit = cache.get(id(v))
-        if hit is not None:
-            return hit
-    if isinstance(v, UnitValue):
-        return (0,)
-    if isinstance(v, Atom):
-        return (1,) + _atom_key(v)
-    if isinstance(v, Pair):
-        return (2, sort_key(v.fst), sort_key(v.snd))
-    if isinstance(v, SetValue):
-        return (3, len(v.elems), tuple(sort_key(e) for e in v.elems))
-    if isinstance(v, OrSetValue):
-        return (4, len(v.elems), tuple(sort_key(e) for e in v.elems))
-    if isinstance(v, BagValue):
-        return (5, len(v.elems), tuple(sort_key(e) for e in v.elems))
-    if isinstance(v, Variant):
-        return (6, v.side, sort_key(v.payload))
-    raise OrNRAValueError(f"not a value: {v!r}")
-
-
-# Builders that already hold their children's sort keys (the normal-form
-# kernel, the JSON decoder) build a node's key from them with the helpers
-# below instead of re-walking the children through sort_key.  They lay
-# keys out exactly as sort_key does.
-
-
-def atom_key(a: Atom) -> tuple:
-    """``sort_key(a)`` of the atom *a*."""
-    return (1,) + _atom_key(a)
-
-
-def pair_key(fst_key: tuple, snd_key: tuple) -> tuple:
-    """The sort key of a pair, from its components' keys."""
-    return (2, fst_key, snd_key)
-
-
-def variant_key(side: int, payload_key: tuple) -> tuple:
-    """The sort key of an injection on *side*, from its payload's key."""
-    return (6, side, payload_key)
-
-
-_COLLECTION_TAGS = {SetValue: 3, OrSetValue: 4, BagValue: 5}
-
-
-def keyed_collection(
-    cls: type, keyed: dict[tuple, Value] | list[tuple[tuple, Value]]
-) -> tuple[tuple, Value]:
-    """A collection built from elements whose sort keys are at hand.
-
-    For a set or an or-set *keyed* maps each element's key to the
-    element; for a bag it lists ``(key, element)`` pairs.  Returns
-    ``(key, node)``: *node* is what ``cls(elements)`` builds (the same
-    elements in the same order, and the same survivor among equal keys
-    when *keyed* was filled in element order), and *key* equals
-    ``sort_key(node)``.  No element's key is recomputed.  Raises
-    ``TypeError`` when two keys do not compare, as the constructors do.
-    """
-    if cls is BagValue:
-        pairs = sorted(keyed, key=itemgetter(0))
-        order = tuple(map(itemgetter(0), pairs))
-        elems = tuple(map(itemgetter(1), pairs))
+    try:
+        return v._key
+    except AttributeError:
+        pass
+    cls = type(v)
+    if cls is Atom:
+        key = _atom_key(v.base, v.value)
+    elif cls is Pair:
+        key = (2, sort_key(v.fst), sort_key(v.snd))
+    elif cls in _COLLECTION_TAGS:
+        key = (_COLLECTION_TAGS[cls], len(v.elems), tuple(map(sort_key, v.elems)))
+    elif cls is Variant:
+        key = (6, v.side, sort_key(v.payload))
+    elif cls is UnitValue:
+        key = _UNIT_KEY
     else:
-        order = tuple(sorted(keyed))
-        elems = tuple(map(keyed.__getitem__, order))
+        raise OrNRAValueError(f"not a value: {v!r}")
+    _set_key(v, key)
+    return key
+
+
+def ordered_collection(cls: type, elems: tuple[Value, ...]) -> Value:
+    """``cls(elems)`` for *elems* already in canonical order.
+
+    The caller vouches that *elems* are sorted by :func:`sort_key` and,
+    for a set or an or-set, distinct; nothing is sorted or compared.  The
+    node's key is read off its elements' keys.  The normal-form kernel,
+    which derives its worlds' order from keys it has sorted once, builds
+    its collections this way; everything else calls the constructors.
+    """
+    try:
+        keys = tuple(map(_KEY, elems))
+    except AttributeError:  # an unpickled element
+        keys = tuple(map(sort_key, elems))
     node = object.__new__(cls)
-    object.__setattr__(node, "elems", elems)
-    return (_COLLECTION_TAGS[cls], len(elems), order), node
+    _SET_ELEMS[cls](node, elems)
+    _set_key(node, (_COLLECTION_TAGS[cls], len(elems), keys))
+    return node
 
 
 def format_value(v: Value) -> str:

@@ -11,9 +11,7 @@ from repro.types.rewrite import innermost_strategy
 from repro.values.values import (
     BagValue,
     OrSetValue,
-    Pair,
     SetValue,
-    Variant,
     sort_key,
     vbag,
     vinl,
@@ -22,6 +20,8 @@ from repro.values.values import (
     vpair,
     vset,
 )
+
+from tests.keys import nodes, reference_sort_key
 
 
 def big_value():
@@ -69,7 +69,7 @@ class TestDerivedCaches:
     def test_sort_key_matches_uncached(self):
         interner = Interner()
         v = big_value()
-        assert interner.sort_key(v) == sort_key(v)
+        assert interner.sort_key(v) == sort_key(v) == reference_sort_key(v)
 
     def test_normalize_memoizes_on_identity(self):
         interner = Interner()
@@ -179,19 +179,6 @@ def assert_canonical(v):
             assert type(node)(node.elems).elems == node.elems
 
 
-def nodes(v):
-    """Every node of *v*, root first."""
-    yield v
-    if isinstance(v, (SetValue, OrSetValue, BagValue)):
-        for e in v.elems:
-            yield from nodes(e)
-    elif isinstance(v, Pair):
-        yield from nodes(v.fst)
-        yield from nodes(v.snd)
-    elif isinstance(v, Variant):
-        yield from nodes(v.payload)
-
-
 class TestArenaBuiltNormalForms:
     """The kernel builds normal forms straight into the arena."""
 
@@ -203,8 +190,8 @@ class TestArenaBuiltNormalForms:
         assert interner.intern(result) is result
 
     def test_kernel_keys_match_sort_key(self):
-        # The kernel builds each key from its children's; the cached key
-        # must equal the one sort_key computes from scratch.
+        # The kernel builds each key from its children's; the stored key
+        # must equal the one recomputed by its definition.
         from repro.types.kinds import SetType, TypeVar
 
         interner = Interner()
@@ -214,7 +201,8 @@ class TestArenaBuiltNormalForms:
             for result in (normalize(x, t), interner.normalize(x, t)):
                 assert_canonical(result)
                 for node in nodes(result):
-                    assert interner.sort_key(node) == sort_key(node)
+                    assert sort_key(node) == reference_sort_key(node)
+                    assert interner.sort_key(node) == reference_sort_key(node)
 
     def test_reintern_of_a_canon_keeps_it_recent(self):
         # Re-interning the canon itself takes the identity path, which

@@ -181,3 +181,16 @@ class TestDescriptions:
         assert Proj1() == Proj1()
         assert hash(Id() @ Bang()) == hash(Id() @ Bang())
         assert (Id() @ Bang()) == (Id() @ Bang())
+
+    def test_composition_hash_stays_out_of_pickles(self):
+        # A composition caches its hash; str hashes are salted per
+        # interpreter, so a pickle must carry the structure and no hash.
+        import pickle
+
+        chain = Id() @ Bang()
+        for _ in range(50):
+            chain = Id() @ chain
+        expected = hash(chain)
+        clone = pickle.loads(pickle.dumps(chain))
+        assert "_hash" not in vars(clone)
+        assert clone == chain and hash(clone) == expected

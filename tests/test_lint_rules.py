@@ -211,6 +211,38 @@ class TestLR007:
         src = 'object.__setattr__(node, "elems", ())  # lint: allow-LR007\n'
         assert codes(src, "src/repro/core/normalize.py") == []
 
+    def test_key_slot_writes_flagged(self):
+        src = (
+            'object.__setattr__(node, "_key", key)\n'
+            'setattr(node, "_key", key)\n'
+            "Value._key.__set__(node, key)\n"
+            "SetValue.elems.__set__(node, elems)\n"
+        )
+        vs = check_source(src, "src/repro/core/normalize.py")
+        assert [(v.code, v.line) for v in vs] == [
+            ("LR007", 1), ("LR007", 2), ("LR007", 3), ("LR007", 4),
+        ]
+
+    def test_setattr_alias_flagged(self):
+        # An alias would write `elems` or `_key` where the rule cannot see.
+        src = (
+            "_set = object.__setattr__\n"
+            "def build(fill=object.__setattr__):\n"
+            "    pass\n"
+            "writers = [object.__setattr__]\n"
+        )
+        vs = check_source(src, "src/repro/core/normalize.py")
+        assert [(v.code, v.line) for v in vs] == [("LR007", 1), ("LR007", 2), ("LR007", 4)]
+
+    def test_values_module_writes_keys(self):
+        src = (
+            "_set_key = Value._key.__set__\n"
+            "_set = object.__setattr__\n"
+            'object.__setattr__(node, "_key", key)\n'
+        )
+        assert codes(src, "src/repro/values/values.py") == []
+        assert codes(src, "tests/values/test_values.py") == []
+
 
 class TestLR008:
     """The engine and the world stream do not import the worlds oracle."""

@@ -26,23 +26,21 @@ from repro.values.values import (
     SetValue,
     Variant,
     atom,
-    atom_key,
     boolean,
     check_type,
     format_value,
     from_python,
     infer_type,
-    keyed_collection,
-    pair_key,
+    ordered_collection,
     sort_key,
     to_python,
-    variant_key,
     vbag,
     vorset,
     vpair,
     vset,
 )
 
+from tests.keys import reference_sort_key
 from tests.strategies import object_types, typed_values, value_of
 
 
@@ -190,8 +188,10 @@ class TestKindChecks:
 
 
 class TestKeyedCollection:
-    """keyed_collection builds, from keys at hand, what the constructors
-    build, and returns that node's sort key."""
+    """Collections sort and deduplicate by their elements' stored keys;
+    ordered_collection builds, from elements already in canonical order,
+    what the constructors build; every node's stored key is the one
+    recomputed by its definition."""
 
     @given(
         object_types(max_depth=3, variants=True, bags=True).flatmap(
@@ -201,36 +201,46 @@ class TestKeyedCollection:
     )
     def test_matches_constructor(self, elems, cls):
         elems = elems + elems[:2]
-        keyed = [(sort_key(e), e) for e in elems]
-        key, node = keyed_collection(cls, keyed if cls is BagValue else dict(keyed))
         expected = cls(elems)
+        # Canonical order by reference keys: a dict keeps the last element
+        # of each key, then the keys are sorted.
+        if cls is BagValue:
+            canonical = sorted(elems, key=reference_sort_key)
+        else:
+            last = {reference_sort_key(e): e for e in elems}
+            canonical = [last[k] for k in sorted(last)]
+        assert repr(list(expected.elems)) == repr(canonical)
+        node = ordered_collection(cls, expected.elems)
         assert type(node) is cls
         assert node == expected
         assert repr(node) == repr(expected)
-        assert key == sort_key(node)
+        assert sort_key(node) == sort_key(expected) == reference_sort_key(expected)
 
     def test_last_equal_element_survives(self):
         elems = [Atom("int", 1), Atom("int", 1.0)]
-        _, node = keyed_collection(SetValue, {atom_key(a): a for a in elems})
-        assert repr(node) == repr(SetValue(elems)) == "SetValue([Atom(int:1.0)])"
+        assert repr(SetValue(elems)) == "SetValue([Atom(int:1.0)])"
+        assert repr(OrSetValue(elems[::-1])) == "OrSetValue([Atom(int:1)])"
+        assert repr(BagValue(elems)) == "BagValue([Atom(int:1), Atom(int:1.0)])"
 
     @given(
         typed_values(max_depth=2, variants=True, bags=True),
         typed_values(max_depth=2, variants=True, bags=True),
     )
     def test_keys_from_child_keys(self, left, right):
+        # Pairs and variants build their keys from their children's.
         (a, _), (b, _) = left, right
-        assert pair_key(sort_key(a), sort_key(b)) == sort_key(Pair(a, b))
+        assert sort_key(Pair(a, b)) == (2, sort_key(a), sort_key(b))
+        assert sort_key(Pair(a, b)) == reference_sort_key(Pair(a, b))
         for side in (0, 1):
-            assert variant_key(side, sort_key(a)) == sort_key(Variant(side, a))
+            assert sort_key(Variant(side, a)) == (6, side, sort_key(a))
+            assert sort_key(Variant(side, a)) == reference_sort_key(Variant(side, a))
 
     def test_atom_key(self):
         for a in (TRUE, atom(3), atom("x"), Atom("module", "m"), Atom("int", 2.5)):
-            assert atom_key(a) == sort_key(a)
+            assert sort_key(a) == reference_sort_key(a)
 
     def test_incomparable_keys_raise_type_error(self):
         elems = [Atom("int", 1), Atom("int", "x")]
-        with pytest.raises(TypeError):
-            SetValue(elems)
-        with pytest.raises(TypeError):
-            keyed_collection(SetValue, {atom_key(a): a for a in elems})
+        for cls in (SetValue, OrSetValue, BagValue):
+            with pytest.raises(TypeError):
+                cls(elems)

@@ -44,14 +44,19 @@ violation is a latent bug that no unit test reliably catches:
   normalizes one value twice — its cost shows only in a traced
   benchmark, not as an error.
 
-* **LR007 — only ``values.py`` fills a collection directly.**  Only
-  ``repro/values/values.py`` may call ``object.__setattr__(…, "elems",
-  …)`` or ``setattr(…, "elems", …)``.  A collection filled without its
-  constructor is canonical only if its builder sorts by exactly
-  ``sort_key``'s layout.  A second copy of that layout drifts silently,
-  and then equality, hashing and the worlds oracle disagree without an
-  error; builders that hold their elements' keys call
-  ``keyed_collection`` instead.
+* **LR007 — only ``values.py`` fills a collection or stores a key.**
+  Only ``repro/values/values.py`` may call ``object.__setattr__(…,
+  "elems", …)`` or ``object.__setattr__(…, "_key", …)`` (or their
+  ``setattr`` twins), reach a slot's writer as ``….elems.__set__`` or
+  ``…._key.__set__``, or refer to ``object.__setattr__`` other than by
+  calling it (``_set = object.__setattr__`` would hide both writes from
+  this rule).  A collection filled without its constructor is canonical
+  only if its builder sorts by exactly ``sort_key``'s layout, and a
+  stored key is right only if it is built in that layout.  A second copy
+  of the layout drifts silently, and then equality, hashing and the
+  worlds oracle disagree without an error; builders call the node
+  constructors, or ``ordered_collection`` for elements already in
+  canonical order, instead.
 
 * **LR008 — the engine does not read the worlds oracle.**  No module
   under ``repro/engine/``, and not ``repro/core/lazy.py``, may import
@@ -108,6 +113,9 @@ SOURCE_PACKAGE = "src/repro/"
 
 #: The one module in the source tree that fills collections directly (LR007).
 VALUES_HOME = "src/repro/values/values.py"
+
+#: The node slots only VALUES_HOME may write (LR007).
+GUARDED_SLOTS = frozenset({"elems", "_key"})
 
 #: Call targets forbidden in estimator modules: each materializes worlds.
 NORMALIZING_CALLS = frozenset(
@@ -167,6 +175,11 @@ def check_source(source: str, path: str) -> list[Violation]:
     source = SOURCE_PACKAGE in posix and not engine_home
     fills = SOURCE_PACKAGE in posix and not posix.endswith(VALUES_HOME)
 
+    # `object.__setattr__` as a call's target: the one use LR007 reads on.
+    setattr_calls = {
+        id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
+    }
+
     for node in ast.walk(tree):
         if transport and isinstance(node, ast.Lambda):
             report(
@@ -222,13 +235,13 @@ def check_source(source: str, path: str) -> list[Violation]:
                 "hashes every input and output, and its cost shows only in a "
                 "traced benchmark; use an Engine's arena (intern=True)",
             )
-        if fills and isinstance(node, ast.Call) and _fills_elems(node):
+        if fills and _writes_slot(node, setattr_calls):
             report(
                 node,
                 "LR007",
-                "collection filled outside repro/values/values.py: a second "
-                "copy of sort_key's layout drifts silently; build it with "
-                "keyed_collection or a constructor",
+                "value slot written outside repro/values/values.py: a second "
+                "copy of sort_key's layout drifts silently; build the node "
+                "with a constructor or ordered_collection",
             )
     return out
 
@@ -260,12 +273,29 @@ def _call_name(node: ast.Call) -> str | None:
     return None
 
 
-def _fills_elems(node: ast.Call) -> bool:
-    """Is *node* ``object.__setattr__(x, "elems", …)`` or its ``setattr`` twin?"""
-    if _call_name(node) not in ("__setattr__", "setattr") or len(node.args) < 2:
+def _writes_slot(node: ast.AST, calls: set[int]) -> bool:
+    """Does *node* write (or reach a writer of) a node's ``elems``/``_key``?
+
+    That is ``object.__setattr__(x, "elems"|"_key", …)`` or its
+    ``setattr`` twin, ``….elems.__set__``/``…._key.__set__``, or
+    ``object.__setattr__`` anywhere but as a call's target (*calls*
+    holds the ids of those targets).
+    """
+    if isinstance(node, ast.Call):
+        if _call_name(node) not in ("__setattr__", "setattr") or len(node.args) < 2:
+            return False
+        name = node.args[1]
+        return isinstance(name, ast.Constant) and name.value in GUARDED_SLOTS
+    if not isinstance(node, ast.Attribute):
         return False
-    name = node.args[1]
-    return isinstance(name, ast.Constant) and name.value == "elems"
+    if node.attr == "__set__":
+        return isinstance(node.value, ast.Attribute) and node.value.attr in GUARDED_SLOTS
+    return (
+        node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+        and id(node) not in calls
+    )
 
 
 def _has_code_key(node: ast.Dict) -> bool:
