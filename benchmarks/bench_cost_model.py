@@ -1,6 +1,6 @@
 """Experiment COST-MODEL — static estimation, scheduling, adaptive backends.
 
-Four workloads measure the cost-model layer (`repro/engine/cost_model.py`):
+Five workloads measure the cost-model layer (`repro/engine/cost_model.py`):
 
 * **tight-family-existential** — the acceptance workload: an existential
   query (first witness) over the Theorem 6.5 tight family, where the
@@ -20,36 +20,102 @@ Four workloads measure the cost-model layer (`repro/engine/cost_model.py`):
 * **estimator-soundness** — not a timing: samples random values and
   records the estimate/actual ratios; `estimate >= actual` regressing
   fails the run (and the CI job, via the pytest entry point below).
+* **auto-regret** — ``backend="auto"`` against the fastest fixed
+  in-process backend (``eager``, ``streaming``, ``fused``) on the two
+  costliest batch shapes of perfbench's batch-mix: ``map(alpha)`` over
+  200 or-set families and ``map(normalize)`` over 48 six-wide designs,
+  two inputs per ``io.run_json_many`` call.  The regret is auto's time
+  over the fastest's; the gate holds it at or under
+  :data:`REGRET_BOUND`.
 
 Run ``python benchmarks/bench_cost_model.py`` (add ``--quick`` for CI
 smoke sizes) to print the table and write ``BENCH_cost_model.json``
 next to this file; under pytest the same workloads assert the >= 2x
-adaptive win and estimator soundness.
+adaptive win, estimator soundness and the regret bound.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import pathlib
 import random
+from functools import partial
 
 from harness import best_of, write_results
 
+from repro import io
 from repro.core.costs import estimate_m_value, m_value, tight_family
 from repro.core.normalize import Normalize
 from repro.engine import Engine
 from repro.engine.passes import default_pipeline
 from repro.gen import random_orset_value
+from repro.io import value_to_json
 from repro.lang.morphisms import Compose, Id, PairOf, Proj1, Proj2
 from repro.lang.primitives import plus
 from repro.lang.orset_ops import OrMap, SetToOr
 from repro.lang.set_ops import SetMap
+from repro.values.values import vorset, vpair, vset
 
 OUT_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_cost_model.json"
 
 #: The existential tight-family query: expose the or-set spine, then
 #: normalize each member — eager pays for every member, streaming for one.
 EXISTENTIAL_QUERY = Compose(OrMap(Normalize()), SetToOr())
+
+
+#: The worst ``auto`` time over the fastest fixed backend the gate allows.
+REGRET_BOUND = 1.25
+
+#: The fixed in-process backends ``auto`` is measured against.
+REGRET_BACKENDS = ("eager", "streaming", "fused")
+
+
+def _design(width: int, base: int):
+    """A Section 4 design: ``({<a_i, b_i> : i <= width}, <c, d>)``."""
+    return vpair(
+        vset(*(vorset(base + 10 * i, base + 10 * i + 5) for i in range(1, width + 1))),
+        vorset(base + 1, base + 2),
+    )
+
+
+def _families(n: int, base: int):
+    """A set of *n* or-set families of two or three two-way or-sets."""
+    return vset(
+        *(
+            vset(*(vorset(base + 1000 * j + 2 * i, base + 1000 * j + 2 * i + 1) for i in range(2 + j % 2)))
+            for j in range(n)
+        )
+    )
+
+
+def _regret_calls() -> dict[str, list]:
+    """Batch-mix's two costliest shapes: two JSON inputs per call."""
+    bases = (10**7, 2 * 10**7)
+    return {
+        "map(alpha)": [value_to_json(_families(200, b)) for b in bases],
+        "map(normalize)": [
+            value_to_json(vset(*(_design(6, b + 1000 * j) for j in range(48)))) for b in bases
+        ],
+    }
+
+
+def _regret(program: str, inputs: list, repeat: int = 7) -> dict[str, float]:
+    """The best of *repeat* ``io.run_json_many`` calls for ``auto`` and for
+    each fixed backend.  Within a repetition the sides run in turn, in an
+    order rotated per repetition, so host drift hits every side; garbage
+    left by one call is collected before the next is timed."""
+    sides = ("auto", *REGRET_BACKENDS)
+    expected = io.run_json_many(program, inputs, backend="eager")
+    assert io.run_json_many(program, inputs, backend="auto") == expected
+    best = dict.fromkeys(sides, float("inf"))
+    for r in range(repeat):
+        k = r % len(sides)
+        for side in sides[k:] + sides[:k]:
+            gc.collect()
+            call = partial(io.run_json_many, program, inputs, backend=side)
+            best[side] = min(best[side], best_of(call, repeat=1))
+    return best
 
 
 def _first_world(engine: Engine, backend: str, x) -> object:
@@ -171,6 +237,21 @@ def _workloads(quick: bool = False) -> list[dict]:
             "worst_overestimate_ratio": worst,
         }
     )
+
+    # 5. auto-regret: auto over the fastest fixed in-process backend.
+    for program, inputs in _regret_calls().items():
+        best = _regret(program, inputs)
+        fastest = min(best[name] for name in REGRET_BACKENDS)
+        results.append(
+            {
+                "workload": "auto-regret",
+                "program": program,
+                "inputs": len(inputs),
+                **{f"{side}_s": t for side, t in best.items()},
+                "regret": best["auto"] / fastest,
+                "bound": REGRET_BOUND,
+            }
+        )
     return results
 
 
@@ -179,6 +260,13 @@ def main() -> None:
     results = _workloads(quick=args.quick)
     print(f"{'workload':<26} {'baseline (ms)':>14} {'cost-model (ms)':>16} {'speedup':>8}")
     for row in results:
+        if row["workload"] == "auto-regret":
+            print(
+                f"{'auto-regret ' + row['program']:<26} {'auto (ms)':>14}"
+                f" {row['auto_s'] * 1000:>16.2f} {row['regret']:>7.2f}x"
+                f" (bound {row['bound']}x)"
+            )
+            continue
         if "speedup" not in row:
             print(f"{row['workload']:<26} {'sound':>14} ({row['samples']} samples)")
             continue
@@ -222,6 +310,15 @@ def test_estimator_soundness_does_not_regress():
     for _ in range(150):
         v, t = random_orset_value(rng, max_depth=3, max_width=3, min_width=0)
         assert estimate_m_value(v) >= m_value(v, t), str(v)
+
+
+def test_auto_regret_stays_within_bound():
+    """CI gate: on batch-mix's costliest shapes, ``auto`` is at most
+    :data:`REGRET_BOUND` times the fastest fixed in-process backend."""
+    for program, inputs in _regret_calls().items():
+        best = _regret(program, inputs)
+        fastest = min(best[name] for name in REGRET_BACKENDS)
+        assert best["auto"] <= REGRET_BOUND * fastest, (program, best)
 
 
 def test_cost_guided_driver_matches_fixed_order():

@@ -7,10 +7,11 @@ This package gives the evaluation stack the classic query-engine shape:
    :class:`~repro.engine.plan.Plan`;
 2. **optimize** — :mod:`repro.engine.passes` rewrites the morphism with
    a pipeline of composable equational passes before compilation;
-3. **run** — :mod:`repro.engine.backends` executes the plan eagerly, as
-   a stream, or sharded across worker processes
-   (:mod:`repro.engine.process`), with :mod:`repro.engine.interning`
-   hash-consing values and memoizing ``normalize``.
+3. **run** — :mod:`repro.engine.backends` executes the plan eagerly or
+   as a stream (:mod:`repro.engine.columnar` as fused kernels,
+   :mod:`repro.engine.process` sharded across worker processes), with
+   :mod:`repro.engine.interning` hash-consing values and memoizing
+   ``normalize``.
 
 The single entry point is :func:`run` (or :meth:`Engine.run`)::
 
@@ -24,13 +25,13 @@ The single entry point is :func:`run` (or :meth:`Engine.run`)::
     engine.run(q, db, optimize=False, intern=False)  # plain compiled
     engine.run_many(q, dbs)                          # compile once, dedupe
 
-The default ``backend="auto"`` picks the backend *per call* from the
-cost model (:mod:`repro.engine.cost_model`): the input's estimated world
-count and the plan's spine profile decide between eager execution, lazy
-streaming, fused columnar kernels and — when the estimate says the call
-is CPU-bound enough to amortize plan/value transport — multiprocess
-sharding (:mod:`repro.engine.process`) — without building a single
-world (Section 6's bounds are computed statically).
+The default ``backend="auto"`` picks an in-process backend *per call*
+from the cost model (:mod:`repro.engine.cost_model`): the plan's spine
+profile, and where that leaves a choice the input's estimated world
+count, decide between eager execution, lazy streaming, fused columnar
+kernels and the symbolic world counter — without building a single
+world (Section 6's bounds are computed statically).  The process pool
+runs only when a caller names ``backend="process"``.
 
 ``engine.run(p, v)`` is structurally equal to the direct interpretation
 ``p(v)`` for every program; the engine is the canonical execution path
@@ -212,19 +213,6 @@ class Engine:
         self._plans: OrderedDict[tuple[Morphism, bool], Plan] = OrderedDict()
         self._lock = threading.Lock()
 
-    def _available(self) -> dict[str, Backend]:
-        """The backends the adaptive selector may route to right now.
-
-        A supervised backend whose circuit breaker is open reports
-        ``healthy() == False`` and is dropped from the candidate set, so
-        ``backend="auto"`` degrades around it (process → streaming or
-        eager) until the breaker half-opens and a probe heals it.  Explicit
-        ``backend="name"`` requests bypass this filter — their supervised
-        fallbacks keep them safe.
-        """
-        healthy = {name: b for name, b in self.backends.items() if b.healthy()}
-        return healthy if healthy else self.backends
-
     # -- compilation -------------------------------------------------------
 
     def compile(self, program: Morphism, optimize: bool = True) -> Plan:
@@ -306,7 +294,7 @@ class Engine:
             concrete,
             existential=existential,
             world_query=existential,
-            available=self._available(),
+            available=self.backends,
         )
         return (
             plan.describe()
@@ -351,19 +339,12 @@ class Engine:
         plan: Plan,
         concrete: Value,
         interner: Interner | None,
-        choice: BackendChoice | None = None,
     ) -> Value:
-        """Resolve *backend* (adaptively for ``"auto"``, unless the
-        caller already selected *choice*) and execute."""
+        """Resolve *backend* (adaptively for ``"auto"``) and execute."""
         checkpoint("engine dispatch")
-        if backend != "auto":
-            return self._backend(backend).execute(plan, concrete, interner)
-        if choice is None:
-            choice = select_backend(plan, concrete, available=self._available())
-        chosen = self.backends[choice.backend]
-        if choice.shards is not None and isinstance(chosen, ProcessBackend):
-            return chosen.execute(plan, concrete, interner, shard_hint=choice.shards)
-        return chosen.execute(plan, concrete, interner)
+        if backend == "auto":
+            backend = select_backend(plan, concrete, available=self.backends).backend
+        return self._backend(backend).execute(plan, concrete, interner)
 
     def run_many(
         self,
@@ -379,15 +360,15 @@ class Engine:
         The batched counterpart of :meth:`run`: one plan compilation and
         one backend bind are amortized over the whole batch, and
         structurally equal inputs are computed once.  Distinct inputs run
-        one after another, except on the process backend, whose batch
-        hook (:meth:`ProcessBackend.run_values`) fans whole inputs
-        across its worker processes.  Results come back in input order
-        and satisfy ``run_many(p, vs)[i] == run(p, vs[i])``.
-        ``backend="auto"`` (the default) re-selects the backend per
-        distinct input — a batch can mix small eager inputs with wide
-        sharded ones — and takes the batch hook when every distinct
-        input selects the process backend.  ``intern`` routes inputs
-        and results through the engine's arena, as in :meth:`run`.
+        one after another in this process, except under an explicit
+        ``backend="process"``, whose batch hook
+        (:meth:`ProcessBackend.run_values`) fans whole inputs across its
+        worker processes.  Results come back in input order and satisfy
+        ``run_many(p, vs)[i] == run(p, vs[i])``.  ``backend="auto"``
+        (the default) selects an in-process backend per distinct input,
+        so a batch can mix small eager inputs with wide fused or
+        streamed ones.  ``intern`` routes inputs and results through the
+        engine's arena, as in :meth:`run`.
         """
         if backend != "auto":
             self._backend(backend)  # validate the name up front
@@ -411,27 +392,13 @@ class Engine:
                 unique.append(v)
             slots.append(slot)
 
-        chosen = self.backends.get(backend) if backend != "auto" else None
-        # Under "auto", one selection per distinct input, which the batch
-        # hook test and the input's own execution share.
-        choices: list[BackendChoice] = []
-        if backend == "auto":
-            available = self._available()
-            choices = [select_backend(plan, v, available=available) for v in unique]
-            proc = self.backends.get("process")
-            if (
-                len(unique) > 1
-                and isinstance(proc, ProcessBackend)
-                and all(c.backend == "process" for c in choices)
-            ):
-                chosen = proc
+        chosen = self.backends.get(backend)
         if isinstance(chosen, ProcessBackend):
             results = chosen.run_values(plan, unique, arena)
         else:
             results = []
-            for i, v in enumerate(unique):
-                choice = choices[i] if choices else None
-                result = self._execute(backend, plan, v, arena, choice)
+            for v in unique:
+                result = self._execute(backend, plan, v, arena)
                 results.append(arena.intern(result) if arena is not None else result)
         return [results[slot] for slot in slots]
 
@@ -458,7 +425,7 @@ class Engine:
             concrete = interner.intern(concrete)
         if backend == "auto":
             choice = select_backend(
-                plan, concrete, existential=True, available=self._available()
+                plan, concrete, existential=True, available=self.backends
             )
             chosen = self.backends[choice.backend]
         else:
@@ -477,7 +444,7 @@ class Engine:
                 concrete,
                 existential=True,
                 world_query=True,
-                available=self._available(),
+                available=self.backends,
             )
             return self.backends[choice.backend]
         return self._backend(backend)
@@ -625,7 +592,7 @@ class Engine:
             ensure_value(value),
             existential=existential,
             world_query=world_query,
-            available=self._available(),
+            available=self.backends,
         )
 
     def _backend(self, name: str) -> Backend:

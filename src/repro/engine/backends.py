@@ -36,9 +36,10 @@ the closed-form world queries of
 (``BACKENDS["symbolic"]``).
 
 Callers rarely pick from :data:`BACKENDS` by hand: ``backend="auto"``
-(the :meth:`repro.engine.Engine.run` default) chooses among them
-per call, from the cost model's static world-count estimate and the
-plan's spine profile (:func:`repro.engine.cost_model.select_backend`).
+(the :meth:`repro.engine.Engine.run` default) chooses among the
+in-process ones per call, from the plan's spine profile and, where that
+leaves a choice, the cost model's static world-count estimate
+(:func:`repro.engine.cost_model.select_backend`).
 The differential conformance suite
 (``tests/engine/test_backend_conformance.py``) gates every registered
 backend on structural equality with the direct interpreter.
@@ -74,18 +75,6 @@ class Backend:
 
     def execute(self, plan: Plan, value: Value, interner: Interner | None = None) -> Value:
         raise NotImplementedError
-
-    def healthy(self) -> bool:
-        """May the adaptive selector route new work here?
-
-        The default backend is always available; supervised backends
-        (the process pool) override this with their circuit-breaker
-        state, and :class:`~repro.engine.Engine` drops unhealthy names
-        from ``select_backend(available=)`` until they heal.  Explicit
-        ``backend="name"`` requests bypass the health check — the
-        supervised fallbacks keep them safe.
-        """
-        return True
 
     def possibilities(
         self, plan: Plan, value: Value, interner: Interner | None = None

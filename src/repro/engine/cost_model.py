@@ -30,12 +30,13 @@ Three consumers sit on top of the estimator:
 * :func:`estimate_morphism_cost` is the weighted static cost the
   optimizer's best-first scheduler minimizes (normalization-class
   operators carry the Section 6 exponential risk and weigh accordingly);
-* :func:`select_backend` picks the execution backend per call —
+* :func:`select_backend` picks the in-process backend per call —
   symbolic for world queries on a traceable spine, eager for small
   estimated world counts, streaming when the estimate says the normal
   form is huge (existential consumers then short-circuit off the lazy
-  spine), fused or process (with estimate-proportional shard sizes)
-  when the top-level spine is wide.
+  spine), fused when a wide top-level spine is cheap per element.  It
+  estimates the input only when the compiled plan leaves one of those
+  routes open; every other plan goes eager unestimated.
 """
 
 from __future__ import annotations
@@ -92,8 +93,6 @@ __all__ = [
     "SMALL_WORLDS",
     "WIDE_SPINE",
     "STREAM_NORM_SIZE",
-    "SHARD_TARGET_WORK",
-    "PROCESS_NORM_SIZE",
     "SHARD_BREAK_EVEN_WORK",
     "FUSED_MIN_SPINE",
 ]
@@ -104,27 +103,16 @@ __all__ = [
 #: maximal memo reuse) beats the laziness bookkeeping.
 SMALL_WORLDS = 64
 
-#: Top-level collections at least this wide are worth sharding.
+#: Top-level collections at least this wide count as a *wide* spine.
 WIDE_SPINE = 32
 
 #: Estimated ``size(normalize(x))`` past which a streamable spine should
 #: run lazily rather than materialize canonical intermediates.
 STREAM_NORM_SIZE = 4096
 
-#: Target estimated leaf-work per process shard; the shard-count hint is
-#: the estimated total size divided by this, clamped to the spine width.
-SHARD_TARGET_WORK = 256
-
-#: Estimated total work past which a wide spine counts as *CPU-bound*:
-#: once the per-call estimate amortizes plan transport and value
-#: pickling, the multiprocess backend wins.  Only consulted when a
-#: ``"process"`` backend is registered.
-PROCESS_NORM_SIZE = 1 << 16
-
-#: Estimated per-element work below which sharding a wide spine costs
-#: more than it buys (chunk bookkeeping and pool dispatch dominate): below
-#: this, a wide flat spine runs as a fused columnar kernel when it fuses,
-#: eagerly when it does not.
+#: Estimated per-element work below which a wide spine is *flat*:
+#: per-element boxing and dispatch dominate, so it runs as a fused
+#: columnar kernel when it fuses, eagerly when it does not.
 SHARD_BREAK_EVEN_WORK = 4
 
 #: Minimum top-level width for the fused columnar path: narrower
@@ -554,11 +542,10 @@ def plan_profile(plan: Plan) -> PlanProfile:
 
 @dataclass(frozen=True)
 class BackendChoice:
-    """An adaptive backend decision, with its reasoning and shard hint."""
+    """An adaptive backend decision, with its reasoning."""
 
     backend: str
     reason: str
-    shards: int | None = None
 
 
 def select_backend(
@@ -569,7 +556,7 @@ def select_backend(
     world_query: bool = False,
     available: "Collection[str] | None" = None,
 ) -> BackendChoice:
-    """Pick the backend — eager/streaming/process/fused/symbolic —
+    """Pick the in-process backend — eager/streaming/fused/symbolic —
     for this (plan, value) call.
 
     * **world queries** (count/certain/possible/exists — consumers that
@@ -579,6 +566,11 @@ def select_backend(
       linear in the input and measured no slower than eager even on
       one-world inputs.  A first-witness consumer is better served by
       streaming, so ``existential`` alone does not trigger this;
+    * a plan for which no estimate can change the answer → ``eager``,
+      without walking the input.  The estimate is read only when an
+      existential consumer meets a streamable spine, when the spine has
+      two or more streamable stages, or when it maps over a fusible run;
+      each needs its backend (``streaming`` or ``fused``) available;
     * **small** estimated world count → ``eager`` (closure execution and
       maximal memo reuse win outright);
     * **existential** consumers over a huge estimated world count →
@@ -587,21 +579,18 @@ def select_backend(
     * **wide** top-level collection whose estimated per-element work is
       below :data:`SHARD_BREAK_EVEN_WORK` → ``fused`` when the spine
       has a fusible run at least :data:`FUSED_MIN_SPINE` wide (one
-      columnar kernel instead of shards that lose to eager), ``eager``
+      columnar kernel instead of per-element dispatch), ``eager``
       otherwise;
-    * **wide** top-level collection under a streamable spine whose
-      estimated total work amortizes process transport
-      (:data:`PROCESS_NORM_SIZE`) → ``process`` (true CPU parallelism),
-      with a shard-count hint proportional to the estimated total work
-      (:data:`SHARD_TARGET_WORK` per shard);
-    * a streamable spine whose estimated normal form is large →
-      ``streaming`` (skip canonicalizing big intermediates);
+    * a spine of two or more streamable stages whose estimated normal
+      form is large → ``streaming`` (skip canonicalizing big
+      intermediates);
     * anything else → ``eager``.
 
     *available* restricts the choice to the caller's registered backend
-    names (``Engine`` passes its registry).  ``None`` — the bare-function
-    default — means the in-process backends only, so direct callers never
-    receive a ``"process"`` decision they did not sign up for.
+    names (``Engine`` passes its registry); ``None`` means all four.
+    The process backend is never chosen: it has beaten the best
+    in-process backend on no measured workload, so it runs only when a
+    caller names it.
     """
     names = (
         ("eager", "streaming", "fused", "symbolic")
@@ -619,8 +608,14 @@ def select_backend(
                 "world query on a traceable spine; answered in closed form "
                 "over the input, without enumerating worlds",
             )
-    est = estimate_value(value)
     profile = plan_profile(plan)
+    streams = "streaming" in names and (
+        profile.spine_stages >= 2 or (existential and profile.spine_stages >= 1)
+    )
+    fuses = profile.spine_maps >= 1 and profile.fused_stages >= 1 and "fused" in names
+    if not (streams or fuses):
+        return BackendChoice("eager", "no other route for this plan; input not estimated")
+    est = estimate_value(value)
     if (
         existential
         and est.worlds > SMALL_WORLDS
@@ -636,9 +631,9 @@ def select_backend(
     if profile.spine_maps >= 1 and est.width is not None and est.width >= WIDE_SPINE:
         elem_work = est.norm_size // max(1, est.width)
         if elem_work < SHARD_BREAK_EVEN_WORK:
-            # Sharding below the break-even loses to eager (pool dispatch
-            # swamps the per-element work); a fused columnar kernel still
-            # wins by skipping per-element boxing and dispatch entirely.
+            # Below the break-even per-element dispatch dominates; a
+            # fused columnar kernel wins by skipping per-element boxing
+            # and dispatch entirely.
             if (
                 profile.fused_stages >= 1
                 and est.width >= FUSED_MIN_SPINE
@@ -653,14 +648,6 @@ def select_backend(
                 "eager",
                 f"wide spine below the sharding break-even (~{elem_work} "
                 f"estimated work/element < {SHARD_BREAK_EVEN_WORK})",
-            )
-        if "process" in names and est.norm_size >= PROCESS_NORM_SIZE:
-            shards = max(2, min(est.width, est.norm_size // SHARD_TARGET_WORK, 32))
-            return BackendChoice(
-                "process",
-                f"CPU-bound wide spine ({est.width} elements, "
-                f"~{est.norm_size} estimated work amortizes process transport)",
-                shards=shards,
             )
     if (
         profile.spine_stages >= 2

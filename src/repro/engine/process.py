@@ -48,9 +48,9 @@ Transport and supervision:
   re-run locally, so ``backend="process"`` is *always* semantically
   safe.  Repeated incidents trip a
   :class:`~repro.engine.supervisor.CircuitBreaker`; while it is open,
-  :meth:`ProcessBackend.healthy` answers ``False`` and the adaptive
-  selector routes around the backend until the breaker half-opens and a
-  probe succeeds.  Inside a *daemonic* process (a
+  :meth:`ProcessBackend.healthy` answers ``False`` and every shard runs
+  locally until the breaker half-opens and a probe succeeds.  Inside a
+  *daemonic* process (a
   ``multiprocessing`` worker of some caller's own pool, say) no pool is
   started at all — daemonic processes may not have children — and every
   shard runs inline.
@@ -66,17 +66,20 @@ fault-injection harness (:mod:`repro.engine.faults`) hooks the
 coordinator submission site (``process.pool``) and the three worker
 entry points.
 
-The backend registers itself as ``BACKENDS["process"]``;
-``backend="auto"`` reaches it through
-:func:`repro.engine.cost_model.select_backend` when the static estimate
-says the plan is CPU-bound enough to amortize process transport
-(``PROCESS_NORM_SIZE``).  :meth:`ProcessBackend.run_values` is the batch
-hook ``Engine.run_many`` uses to fan *whole inputs* across workers —
-one task per input chunk, each evaluated start-to-finish in a worker.
+The backend registers itself as ``BACKENDS["process"]``, and its pool
+is shut down at interpreter exit.  Only an explicit
+``backend="process"`` reaches it: ``backend="auto"`` never does,
+because on no measured workload has it beaten the best in-process
+backend (pickling each result back costs about as much as computing
+it).  :meth:`ProcessBackend.run_values` is the batch hook
+``Engine.run_many(..., backend="process")`` uses to fan *whole inputs*
+across workers — one task per input chunk, each evaluated
+start-to-finish in a worker.
 """
 
 from __future__ import annotations
 
+import atexit
 import functools
 import hashlib
 import multiprocessing
@@ -334,7 +337,7 @@ class ProcessBackend(Backend):
     # -- supervision -------------------------------------------------------
 
     def healthy(self) -> bool:
-        """False while the circuit breaker is open (selector routes away)."""
+        """False while the circuit breaker is open (shards then run locally)."""
         return self.breaker.allow()
 
     def _pool_map(
@@ -661,3 +664,6 @@ class ProcessBackend(Backend):
 
 
 BACKENDS["process"] = ProcessBackend()
+# A pool still alive at interpreter exit is collected after the module
+# globals it needs are gone, and its manager thread's callback raises.
+atexit.register(BACKENDS["process"].close)

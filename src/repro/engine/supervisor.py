@@ -10,12 +10,10 @@ policy:
   jittered, exponentially growing backoff (deterministic for a fixed
   seed, so the fault-injection suite replays exact schedules);
 * :class:`CircuitBreaker` counts consecutive failures; past the
-  threshold it *opens* — :meth:`allow` refuses further attempts, which
-  the engine surfaces by demoting the backend out of
-  :func:`~repro.engine.cost_model.select_backend`'s ``available`` set —
-  and after ``reset_after`` seconds it *half-opens*, letting one probe
-  through: a success closes the breaker (the backend heals), a failure
-  re-opens it for another window.
+  threshold it *opens* — :meth:`allow` refuses further attempts, so
+  the backend evaluates locally — and after ``reset_after`` seconds it
+  *half-opens*, letting one probe through: a success closes the breaker
+  (the backend heals), a failure re-opens it for another window.
 
 Both classes are policy-only (no pool knowledge); the process backend
 wires them to its executor in

@@ -117,9 +117,10 @@ async def amain(
     frames: asyncio.Queue = asyncio.Queue()
     async with engine:
         # Start the reader only once the engine has forked its pool
-        # workers: a worker forked while the reader holds stdin's buffer
-        # lock would block forever closing stdin in its bootstrap, and
-        # the interpreter would then hang at exit joining it.
+        # workers (only `--backend process` forks any): a worker forked
+        # while the reader holds stdin's buffer lock would block forever
+        # closing stdin in its bootstrap, and the interpreter would then
+        # hang at exit joining it.
         threading.Thread(
             target=_pump_frames,
             args=(stdin, args.max_line, loop, frames),

@@ -18,7 +18,7 @@ turns that stream back into batches:
 * each group fans into :func:`repro.io.run_json_many` on an executor
   thread, so the event loop never blocks on evaluation; groups of one
   batch run concurrently, and distinct inputs inside a group fan out
-  across worker processes when the group runs on the process backend.
+  across worker processes only on an explicit ``backend="process"``.
 
 Robustness — the admission layer is also where overload and slowness
 are turned into *bounded, typed* failures instead of unbounded queues
@@ -44,9 +44,9 @@ and wedged threads:
 * **degradation** — :meth:`count_json` answers a world-count request
   with the exact engine count, but near-deadline falls back to the
   static Section 6 *upper bound* marked ``"approximate": true``
-  (``stats()["degraded"]``); deeper in the stack the process pool's
-  circuit breaker demotes ``backend="auto"`` routing process → streaming
-  or eager (``stats()["breaker_open"]``).
+  (``stats()["degraded"]``); deeper in the stack, under
+  ``backend="process"``, the pool's circuit breaker sends shards to
+  local evaluation while it is open (``stats()["breaker_open"]``).
 
 Failure isolation: if a batch evaluation fails (one malformed input,
 say), the group is retried input-by-input so only the offending
@@ -197,12 +197,11 @@ class AsyncEngine:
     async def start(self) -> "AsyncEngine":
         """Start the batcher task (idempotent; admission auto-starts too)."""
         if self._batcher is None:
-            if self.backend in ("process", "auto"):
+            if self.backend == "process":
                 # Fork the worker processes now, from this (usually
                 # main) thread — never lazily from an executor thread
                 # mid-request (fork-from-thread is deadlock-prone).
-                # "auto" warms too: the cost model may route any
-                # CPU-bound request to the process backend.
+                # "auto" never routes to the pool, so it forks nothing.
                 from repro.engine import BACKENDS, ProcessBackend
 
                 backend = BACKENDS.get("process")
@@ -623,15 +622,16 @@ class AsyncEngine:
         Alongside the counter snapshot: ``pending`` (admitted futures
         not yet resolved — the backpressure gauge) and ``breaker_open``
         (is the process pool's circuit breaker currently refusing
-        traffic, i.e. has ``backend="auto"`` demoted process → streaming
-        or eager).
+        traffic, so that ``backend="process"`` evaluates in-process).
         """
-        from repro.engine import BACKENDS
+        from repro.engine import BACKENDS, ProcessBackend
 
         snapshot = dict(self._stats)
         snapshot["pending"] = self._pending
         process = BACKENDS.get("process")
-        snapshot["breaker_open"] = bool(process is not None and not process.healthy())
+        snapshot["breaker_open"] = (
+            isinstance(process, ProcessBackend) and not process.healthy()
+        )
         if self.metrics is not None:
             snapshot["latency"] = self.metrics.snapshot()
         return snapshot

@@ -3,10 +3,11 @@ cost-guided pass scheduling and adaptive backend selection."""
 
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import engine
+from repro import engine, io
 from repro.core.costs import (
     estimate_m_value,
     estimate_normalized_size,
@@ -16,9 +17,12 @@ from repro.core.costs import (
     tight_family,
 )
 from repro.core.normalize import Normalize
-from repro.engine import Engine
+from repro.engine import BACKENDS, Engine, cost_model
 from repro.engine.cost_model import (
+    FUSED_MIN_SPINE,
+    SHARD_BREAK_EVEN_WORK,
     SMALL_WORLDS,
+    STREAM_NORM_SIZE,
     WIDE_SPINE,
     estimate_morphism_cost,
     estimate_value,
@@ -33,13 +37,92 @@ from repro.engine.passes import (
     operator_census,
 )
 from repro.engine.plan import compile_plan
+from repro.engine.symbolic import plan_supports_symbolic
 from repro.gen import random_orset_value
+from repro.io import value_to_json
 from repro.lang.morphisms import Compose, Cond, Id, Proj1, Proj2
 from repro.lang.orset_ops import OrMap, OrMu, OrToSet, SetToOr
 from repro.lang.set_ops import SetMap, SetMu
 from repro.morphgen import random_lossless_morphism
 from repro.types.parse import parse_type
-from repro.values.values import vorset, vpair, vset
+from repro.values.values import Atom, vorset, vpair, vset
+
+from tests.engine.test_columnar import DOUBLE, FUSED_CHAIN
+
+#: Streamable spines: the selector's streaming and short-circuit routes.
+STREAMABLE_SPINES = (
+    Compose(SetMu(), SetMap(OrToSet())),
+    Compose(OrMap(Normalize()), SetToOr()),
+    Compose(OrMap(Id()), SetToOr()),
+)
+
+#: A wide set of two-member or-set families.
+WIDE_FAMILIES = vset(
+    *(vset(vorset(4 * i, 4 * i + 1), vorset(4 * i + 2, 4 * i + 3)) for i in range(WIDE_SPINE + 8))
+)
+
+#: The registries the selector is asked about: eager only, the two
+#: backends every engine has, and everything registered (process too).
+REGISTRIES = (
+    frozenset({"eager"}),
+    frozenset({"eager", "streaming"}),
+    frozenset(BACKENDS),
+)
+
+
+def full_tree_route(plan, value, *, existential, world_query, available) -> str:
+    """The selector's decision tree as it stood before it read the plan
+    first, minus its process branch: every input is estimated."""
+    names = available
+    if world_query and "symbolic" in names and plan_supports_symbolic(plan):
+        return "symbolic"
+    est = estimate_value(value)
+    profile = plan_profile(plan)
+    if (
+        existential
+        and est.worlds > SMALL_WORLDS
+        and profile.spine_stages >= 1
+        and "streaming" in names
+    ):
+        return "streaming"
+    if est.worlds <= SMALL_WORLDS and (est.width or 0) < WIDE_SPINE:
+        return "eager"
+    if profile.spine_maps >= 1 and est.width is not None and est.width >= WIDE_SPINE:
+        if est.norm_size // max(1, est.width) < SHARD_BREAK_EVEN_WORK:
+            if (
+                profile.fused_stages >= 1
+                and est.width >= FUSED_MIN_SPINE
+                and "fused" in names
+            ):
+                return "fused"
+            return "eager"
+    if (
+        profile.spine_stages >= 2
+        and est.norm_size > STREAM_NORM_SIZE
+        and "streaming" in names
+    ):
+        return "streaming"
+    return "eager"
+
+
+@st.composite
+def routed_calls(draw):
+    """A (program, value) pair: random, tight-family or flat inputs under
+    random lossless programs, the streamable spines, the fused chain or
+    a single fusible map."""
+    rng = random.Random(draw(st.integers(0, 100_000)))
+    shape = draw(st.sampled_from(("random", "tight", "flat")))
+    if shape == "random":
+        value, t = random_orset_value(rng, max_depth=3, max_width=2, min_width=1)
+    elif shape == "tight":
+        value, t = tight_family(draw(st.integers(1, 80)))
+    else:
+        value = vset(*range(draw(st.integers(0, 600))))
+        t = parse_type("{int}")
+    program = draw(st.sampled_from((None, FUSED_CHAIN, SetMap(DOUBLE), *STREAMABLE_SPINES)))
+    if program is None:
+        program, _ = random_lossless_morphism(t, rng, depth=4)
+    return program, value
 
 
 class TestEstimatorSoundness:
@@ -162,7 +245,6 @@ class TestBackendSelection:
         plan = compile_plan(Compose(SetMu(), SetMap(OrToSet())))
         choice = select_backend(plan, x)
         assert choice.backend == "streaming"
-        assert choice.shards is None
 
     def test_profile_counts_spine_stages(self):
         plan = compile_plan(Compose(SetMu(), SetMap(OrToSet())))
@@ -195,6 +277,93 @@ class TestBackendSelection:
         choice = eng.choose_backend(OrMap(Id()), vorset(1, 2))
         assert choice.backend == "eager"
         assert choice.reason
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        call=routed_calls(),
+        existential=st.booleans(),
+        world_query=st.booleans(),
+        available=st.sampled_from(REGISTRIES),
+    )
+    @example(  # one fusible map over a wide flat set: fused
+        call=(SetMap(DOUBLE), vset(*range(500))),
+        existential=False,
+        world_query=False,
+        available=REGISTRIES[2],
+    )
+    @example(  # a one-stage spine streams only for an existential consumer
+        call=(STREAMABLE_SPINES[1], tight_family(SMALL_WORLDS)[0]),
+        existential=True,
+        world_query=False,
+        available=REGISTRIES[1],
+    )
+    def test_route_matches_the_full_tree(self, call, existential, world_query, available):
+        """Routing a plan eager without its estimate changes no decision:
+        the selector agrees with the tree that estimates every input."""
+        program, value = call
+        plan = compile_plan(default_pipeline().run(program))
+        flags = {
+            "existential": existential,
+            "world_query": world_query,
+            "available": available,
+        }
+        choice = select_backend(plan, value, **flags)
+        assert choice.backend == full_tree_route(plan, value, **flags), (
+            program.describe(),
+            choice,
+        )
+
+
+class TestEstimateOnlyWhenRead:
+    """The selector walks an input only when the plan leaves the estimate
+    a route to choose."""
+
+    @pytest.fixture
+    def estimates(self, monkeypatch):
+        calls: list = []
+        unpatched = cost_model.estimate_value
+
+        def counting(value):
+            calls.append(value)
+            return unpatched(value)
+
+        monkeypatch.setattr(cost_model, "estimate_value", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "program, values",
+        [
+            ("normalize", [tight_family(6)[0], tight_family(7)[0]]),
+            ("map(normalize)", [WIDE_FAMILIES]),
+            ("ormap(normalize)", [vorset(*WIDE_FAMILIES.elems)]),
+            ("map(alpha)", [WIDE_FAMILIES, vset(vset(vorset(1, 2)))]),
+            (
+                "map(id) o map(id) o map(id)",
+                [vset(*(Atom("int", i) for i in range(500))), vset(1, 2)],
+            ),
+        ],
+    )
+    def test_batch_strata_route_without_estimating(self, estimates, program, values):
+        inputs = [value_to_json(v) for v in values]
+        out = io.run_json_many(program, inputs, backend="auto")
+        assert estimates == []
+        assert out == io.run_json_many(program, inputs, backend="eager")
+
+    def test_fused_chain_estimates_once_per_input(self, estimates):
+        xs = [vset(*range(500)), vset(*range(1, 501))]
+        eng = Engine()
+        out = eng.run_many(FUSED_CHAIN, xs + xs[:1])
+        assert len(estimates) == 2
+        assert out == [FUSED_CHAIN(x) for x in xs + xs[:1]]
+        assert eng.choose_backend(FUSED_CHAIN, xs[0]).backend == "fused"
+
+    def test_existential_stream_estimates_once(self, estimates):
+        x, _t = tight_family(SMALL_WORLDS)
+        q = Compose(OrMap(Normalize()), SetToOr())
+        eng = Engine()
+        first = next(iter(eng.possibilities(q, x)))
+        assert len(estimates) == 1
+        assert first == next(iter(eng.possibilities(q, x, backend="eager")))
 
 
 class TestCostGuidedScheduling:

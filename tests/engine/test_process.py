@@ -5,7 +5,8 @@ Conformance with the other backends is covered by
 machinery — the sharded spine walk stage by stage, pickle-safe plan
 transport with worker-side caching, the ``run_values`` batch hook
 behind ``Engine.run_many``, graceful degradation on unpicklable plans
-and inside daemonic processes, and the cost model's routing to it.
+and inside daemonic processes, and that ``backend="auto"`` never routes
+to it.
 """
 
 from __future__ import annotations
@@ -350,13 +351,28 @@ class TestGracefulDegradation:
 
 
 class TestSelection:
-    def test_cpu_bound_wide_spine_selects_process(self):
+    # The CPU-bound wide spine that once went to the pool streams,
+    # whether or not a healthy process backend is registered.
+    WIDE_PROGRAM = Compose(SetMu(), SetMap(OrToSet()))
+
+    @staticmethod
+    def _engine_with_healthy_pool() -> Engine:
+        eng = Engine()
+        eng.backends["process"] = ProcessBackend(max_workers=2)
+        assert eng.backends["process"].healthy()
+        return eng
+
+    def test_cpu_bound_wide_spine_streams_with_process_registered(self):
+        eng = self._engine_with_healthy_pool()
         x, _t = tight_family(WIDE_SPINE + 8)
-        plan = compile_plan(Compose(SetMu(), SetMap(OrToSet())))
-        choice = select_backend(plan, x, available={"eager", "streaming", "process"})
-        assert choice.backend == "process"
-        assert choice.shards is not None
-        assert "CPU-bound" in choice.reason
+        plan = compile_plan(self.WIDE_PROGRAM)
+        choice = select_backend(plan, x, available=eng.backends)
+        assert choice.backend == "streaming"
+
+    def test_engine_auto_never_reaches_process(self):
+        eng = self._engine_with_healthy_pool()
+        x, _t = tight_family(WIDE_SPINE + 8)
+        assert eng.choose_backend(self.WIDE_PROGRAM, x).backend == "streaming"
 
     def test_direct_callers_never_get_process_by_default(self):
         # select_backend without `available` keeps to the in-process
@@ -365,13 +381,6 @@ class TestSelection:
         plan = compile_plan(Compose(SetMu(), SetMap(OrToSet())))
         choice = select_backend(plan, x)
         assert choice.backend == "streaming"
-
-    def test_engine_auto_reaches_process(self):
-        eng = Engine()
-        x, _t = tight_family(WIDE_SPINE + 8)
-        choice = eng.choose_backend(Compose(SetMu(), SetMap(OrToSet())), x)
-        assert choice.backend == "process"
-        assert "CPU-bound" in choice.reason
 
     def test_small_inputs_still_eager(self):
         eng = Engine()

@@ -5,8 +5,10 @@ Every scenario here pins the same contract from a different angle:
 pool (a genuinely killed worker, an injected coordinator error) is
 retried under the supervisor's bounded-restart policy and, exhausted,
 degrades to a correct local evaluation.  The circuit breaker turns
-repeated incidents into routing: ``healthy()`` goes false, the engine's
-adaptive selector drops the backend, and a half-open probe heals it.
+repeated incidents into local evaluation: ``healthy()`` goes false, the
+pool is skipped, and a half-open probe heals it.  ``backend="auto"``
+never routes to the pool, so the breaker's state never changes its
+choice.
 
 Faults come from :mod:`repro.engine.faults`: plans installed in the
 coordinator are inherited by forked workers, so ``crash`` rules produce
@@ -176,7 +178,7 @@ class TestSupervisedRecovery:
 
 
 class TestCircuitBreaker:
-    def test_open_breaker_demotes_the_backend_from_auto(self):
+    def test_breaker_state_never_changes_the_auto_route(self):
         from repro.core.costs import tight_family
 
         clock = FakeClock()
@@ -187,21 +189,21 @@ class TestCircuitBreaker:
         eng.backends["process"] = backend
         x, _t = tight_family(WIDE_SPINE + 8)
         program = Compose(SetMu(), SetMap(OrToSet()))
+        expected = eng.run(program, x, backend="eager")
         try:
-            assert eng.choose_backend(program, x).backend == "process"
+            route = eng.choose_backend(program, x).backend
+            assert route != "process"
+            # Open, then half-open: the route stays put, and it answers
+            # as eager does.
             backend.breaker.record_failure()
             assert not backend.healthy()
-            assert "process" not in eng._available()
-            demoted = eng.choose_backend(program, x).backend
-            assert demoted != "process"
-            # ...and the demoted route still answers correctly.
-            out = eng.run(program, x)
-            assert out == eng.run(program, x, backend="eager")
-            # After the reset window the half-open probe lets traffic
-            # route back; a success closes the breaker for good.
+            assert eng.choose_backend(program, x).backend == route
+            assert eng.run(program, x) == expected
             clock.advance(5.0)
             assert backend.healthy()
-            assert eng.choose_backend(program, x).backend == "process"
+            assert eng.choose_backend(program, x).backend == route
+            assert eng.run(program, x) == expected
+            assert backend.remote_chunks == 0  # auto never touched the pool
             backend.breaker.record_success()
             assert backend.breaker.state == "closed"
         finally:

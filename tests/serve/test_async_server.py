@@ -333,7 +333,8 @@ class TestStdioServer:
     def test_pool_warms_before_the_stdin_reader_starts(self, monkeypatch):
         # A pool worker forked while the stdin reader thread holds the
         # stream's buffer lock blocks in its bootstrap, and the server
-        # then hangs at exit joining it: the pool must warm first.
+        # then hangs at exit joining it: the pool must warm first.  Only
+        # `--backend process` has a pool to warm.
         from repro.engine import ProcessBackend
         from repro.serve.__main__ import amain
 
@@ -356,10 +357,31 @@ class TestStdioServer:
 
         monkeypatch.setattr(ProcessBackend, "warm", warm)
         asyncio.run(
-            amain(["--quiet"], stdin=stdin, stdout=io.StringIO(), stderr=io.StringIO())
+            amain(
+                ["--quiet", "--backend", "process"],
+                stdin=stdin,
+                stdout=io.StringIO(),
+                stderr=io.StringIO(),
+            )
         )
         assert live_at_warm, "the server never warmed the process pool"
         assert all("serve-stdin" not in names for names in live_at_warm)
+
+    def test_default_server_never_warms_the_pool(self, monkeypatch):
+        from repro.engine import ProcessBackend
+        from repro.serve.__main__ import amain
+
+        warmed: list[object] = []
+        monkeypatch.setattr(ProcessBackend, "warm", warmed.append)
+        asyncio.run(
+            amain(
+                ["--quiet"],
+                stdin=io.StringIO(""),
+                stdout=io.StringIO(),
+                stderr=io.StringIO(),
+            )
+        )
+        assert warmed == []
 
 
 class TestReplServeCommand:

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 
+from repro.engine import BACKENDS
 from repro.io import run_json, value_to_json
 from repro.serve import NetServer, RateLimiter
-from repro.values.values import vorset
+from repro.values.values import vorset, vset
 
 
 def orset_json(*xs):
@@ -105,6 +107,32 @@ class TestFrames:
         stats = responses[2]["stats"]
         assert stats["net"]["connections"] == 1
         assert "latency" in stats  # engine metrics surface through the wire
+
+    def test_default_server_forks_no_workers(self):
+        # A pool an earlier caller warmed is not this server's doing.
+        BACKENDS["process"].close()
+        stray = set(multiprocessing.active_children())
+
+        async def main():
+            async with NetServer(batch_window=0.001) as server:
+                return await request_frames(
+                    server.address,
+                    [
+                        {"id": 1, "program": "normalize", "value": orset_json(1, 2)},
+                        {"id": 2, "program": "map(id)", "value": value_to_json(vset(1, 2))},
+                        {
+                            "id": 3,
+                            "op": "count",
+                            "program": "normalize",
+                            "value": orset_json(1, 2, 3),
+                        },
+                    ],
+                )
+
+        responses = asyncio.run(main())
+        assert all("result" in responses[i] for i in (1, 2, 3)), responses
+        assert set(multiprocessing.active_children()) <= stray
+        assert BACKENDS["process"]._pool is None
 
     def test_malformed_and_unknown_op_answer_structured_errors(self):
         async def main():
