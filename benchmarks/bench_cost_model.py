@@ -119,7 +119,7 @@ def _regret(program: str, inputs: list, repeat: int = 7) -> dict[str, float]:
 
 
 def _first_world(engine: Engine, backend: str, x) -> object:
-    return next(iter(engine.possibilities(EXISTENTIAL_QUERY, x, backend=backend, intern=False)))
+    return next(iter(engine.possibilities(EXISTENTIAL_QUERY, x, backend=backend)))
 
 
 def _fusion_chain(length: int):

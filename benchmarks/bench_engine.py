@@ -1,4 +1,4 @@
-"""Experiment ENGINE — direct interpretation vs compiled + interned runs.
+"""Experiment ENGINE — direct interpretation vs compiled runs.
 
 Three workloads compare the recursive interpreter (``m.apply``) against
 the engine's compile-and-run path (``engine.run``):
@@ -8,10 +8,10 @@ the engine's compile-and-run path (``engine.run``):
   pipeline rewrites the exponential post-processing into a linear
   pre-pass before compiling.
 * **repeated-normalization** — the Section 4 design object, normalized
-  many times (the shape of possible-worlds workloads).  The "direct"
-  column runs the normal-form kernel on every repeat; the interner
-  memoizes the normal form on interned identity, so only the engine's
-  first run pays.
+  many times (the shape of possible-worlds workloads).  Both columns run
+  the normal-form kernel on every repeat: the engine caches plans, not
+  normal forms, so the row measures what the engine adds per call (a
+  plan-cache hit and the backend choice), which must stay small.
 * **straight-line** — a fused map chain with no normalization, checking
   the compiled plan is not slower than direct recursion even when the
   optimizer finds nothing exponential.
@@ -91,7 +91,7 @@ def _workloads() -> list[dict]:
     x = _family(10)
     assert engine.run(NAIVE, x) == NAIVE.apply(x)
     t_direct = best_of(lambda: NAIVE.apply(x))
-    t_engine = best_of(lambda: engine.run(NAIVE, x, intern=False))
+    t_engine = best_of(lambda: engine.run(NAIVE, x))
     results.append(
         {
             "workload": "optimized-query",
@@ -102,7 +102,7 @@ def _workloads() -> list[dict]:
         }
     )
 
-    # 2. repeated-normalization: memoized normalize on interned identity.
+    # 2. repeated-normalization: the engine's per-call cost over the kernel.
     engine = Engine()
     repeats = 25
     value = _design(7)
@@ -126,7 +126,6 @@ def _workloads() -> list[dict]:
             "direct_s": t_direct,
             "engine_s": t_engine,
             "speedup": t_direct / t_engine,
-            "normalize_hits": engine.interner.stats()["normalize_hits"],
         }
     )
 
@@ -135,7 +134,7 @@ def _workloads() -> list[dict]:
     xs = vset(*range(400))
     assert engine.run(FUSED_CHAIN, xs) == FUSED_CHAIN.apply(xs)
     t_direct = best_of(lambda: FUSED_CHAIN.apply(xs))
-    t_engine = best_of(lambda: engine.run(FUSED_CHAIN, xs, intern=False))
+    t_engine = best_of(lambda: engine.run(FUSED_CHAIN, xs))
     results.append(
         {
             "workload": "straight-line",
@@ -208,9 +207,9 @@ def test_engine_not_slower_on_repeated_normalization():
     program = Normalize()
     direct = best_of(lambda: [program.apply(value) for _ in range(10)])
     compiled = best_of(lambda: [engine.run(program, value) for _ in range(10)])
-    # The memo makes this a blowout; 1.0 with margin keeps timing noise out.
+    # Both sides run the kernel ten times; the engine adds a plan-cache
+    # hit and a backend choice per call, and 1.2 keeps timing noise out.
     assert compiled <= direct * 1.2
-    assert engine.interner.stats()["normalize_hits"] >= 9
 
 
 def test_kernel_beats_rewrite_on_design():
@@ -234,7 +233,7 @@ def test_engine_not_slower_on_optimized_query():
     engine = Engine()
     x = _family(8)
     direct = best_of(lambda: NAIVE.apply(x))
-    compiled = best_of(lambda: engine.run(NAIVE, x, intern=False))
+    compiled = best_of(lambda: engine.run(NAIVE, x))
     assert compiled <= direct * 1.2
 
 

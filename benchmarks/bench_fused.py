@@ -51,7 +51,7 @@ def _compare(engine: Engine, query, value, workload: str, extra: dict) -> dict:
     )
     times = {
         backend: best_of(
-            lambda b=backend: engine.run(query, value, backend=b, intern=False)
+            lambda b=backend: engine.run(query, value, backend=b)
         )
         for backend in ("eager", "fused")
     }
@@ -123,8 +123,8 @@ def test_fused_beats_eager_on_shard_workload():
     assert engine.run(FUSED_CHAIN, xs, backend="fused") == engine.run(
         FUSED_CHAIN, xs, backend="eager"
     )
-    t_eager = best_of(lambda: engine.run(FUSED_CHAIN, xs, backend="eager", intern=False))
-    t_fused = best_of(lambda: engine.run(FUSED_CHAIN, xs, backend="fused", intern=False))
+    t_eager = best_of(lambda: engine.run(FUSED_CHAIN, xs, backend="eager"))
+    t_fused = best_of(lambda: engine.run(FUSED_CHAIN, xs, backend="fused"))
     # Locally this measures ~5x; 1.5 keeps timing noise out of CI while
     # still failing if fusion stops paying for the arena encode/decode.
     assert t_fused * 1.5 <= t_eager, (t_fused, t_eager)

@@ -7,8 +7,7 @@ compile-and-run engine:
   multi-world workload: N JSON-encoded inputs drawn from K distinct
   worlds, query ``normalize``.  The sequential baseline is the loop a
   client without a batch API writes — ``[run_json(q, v) for v in vs]`` —
-  which re-parses the program and normalizes every input from scratch
-  (``run_json`` cannot pin the default arena, so it does not intern).
+  which re-parses the program and normalizes every input from scratch.
   ``run_json_many`` parses and compiles once and dedupes structurally
   equal inputs, so each distinct world is normalized once.
 * **batched-text-serving** — the same shape through the paper-notation

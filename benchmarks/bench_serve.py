@@ -186,8 +186,8 @@ def _workloads(quick: bool = False) -> list[dict]:
     eng = Engine()
     eng.backends["process"] = ProcessBackend(max_workers=workers, min_shard=2)
     probe = _cpu_bound_input(elements, width, salt=999)
-    assert eng.run(MAP_NORMALIZE, probe, backend="process", intern=False) == eng.run(
-        MAP_NORMALIZE, probe, backend="eager", intern=False
+    assert eng.run(MAP_NORMALIZE, probe, backend="process") == eng.run(
+        MAP_NORMALIZE, probe, backend="eager"
     ), "process sharding must be structurally exact"
 
     def timed(backend: str) -> float:
@@ -197,7 +197,7 @@ def _workloads(quick: bool = False) -> list[dict]:
         for rep in range(3):
             xs = _cpu_bound_input(elements, width, salt=rep)
             start = time.perf_counter()
-            eng.run(MAP_NORMALIZE, xs, backend=backend, intern=False)
+            eng.run(MAP_NORMALIZE, xs, backend=backend)
             best = min(best, time.perf_counter() - start)
         return best
 

@@ -75,7 +75,7 @@ SHARED_MEMBERS, SHARED_WORLDS = 8, 437
 
 
 def _eager_count(engine: Engine, x) -> int:
-    return len(set(engine.possibilities(COUNT_QUERY, x, backend="eager", intern=False)))
+    return len(set(engine.possibilities(COUNT_QUERY, x, backend="eager")))
 
 
 def shared_family(members: int):
@@ -93,7 +93,7 @@ def _colliding_speedup(engine: Engine) -> tuple[float, float]:
     assert engine.choose_backend(COUNT_QUERY, x, world_query=True).backend == "symbolic"
     t_eager, n_eager = best_of_with_result(lambda: _eager_count(engine, x), repeat=5)
     t_symbolic, n_symbolic = best_of_with_result(
-        lambda: engine.count_worlds(COUNT_QUERY, x, backend="auto", intern=False),
+        lambda: engine.count_worlds(COUNT_QUERY, x, backend="auto"),
         repeat=5,
     )
     assert n_symbolic == n_eager == SHARED_WORLDS, (n_symbolic, n_eager)
@@ -124,7 +124,7 @@ def _workloads(quick: bool = False) -> list[dict]:
     assert choice.backend == "symbolic", choice
     t_eager, n_eager = best_of_with_result(lambda: _eager_count(engine, x), repeat=1)
     t_symbolic, n_symbolic = best_of_with_result(
-        lambda: engine.count_worlds(COUNT_QUERY, x, backend="auto", intern=False)
+        lambda: engine.count_worlds(COUNT_QUERY, x, backend="auto")
     )
     assert n_symbolic == n_eager == 3**k, (n_symbolic, n_eager)
     speedup = t_eager / t_symbolic
@@ -144,15 +144,15 @@ def _workloads(quick: bool = False) -> list[dict]:
     k_big = 19
     x, _t = tight_family(k_big)
     t_count, n = best_of_with_result(
-        lambda: engine.count_worlds(COUNT_QUERY, x, backend="auto", intern=False)
+        lambda: engine.count_worlds(COUNT_QUERY, x, backend="auto")
     )
     assert n == 3**k_big, n
     t_exists, witness = best_of_with_result(
-        lambda: engine.exists(COUNT_QUERY, x, backend="auto", intern=False)
+        lambda: engine.exists(COUNT_QUERY, x, backend="auto")
     )
     assert witness is True
     t_certain, _c = best_of_with_result(
-        lambda: engine.certain(COUNT_QUERY, x, backend="auto", intern=False)
+        lambda: engine.certain(COUNT_QUERY, x, backend="auto")
     )
     results.append(
         {
@@ -220,7 +220,7 @@ def test_symbolic_count_beats_eager_100x_on_tight_family():
     x, _t = tight_family(9)
     t_eager, n_eager = best_of_with_result(lambda: _eager_count(engine, x), repeat=1)
     t_symbolic, n_symbolic = best_of_with_result(
-        lambda: engine.count_worlds(COUNT_QUERY, x, backend="auto", intern=False)
+        lambda: engine.count_worlds(COUNT_QUERY, x, backend="auto")
     )
     assert n_symbolic == n_eager == 3**9
     assert t_symbolic * 100 <= t_eager, (t_symbolic, t_eager)
@@ -240,7 +240,7 @@ def test_auto_routes_beyond_enumeration_queries_symbolic():
     x, _t = tight_family(19)
     assert 3**19 >= 10**9
     assert engine.choose_backend(COUNT_QUERY, x, world_query=True).backend == "symbolic"
-    assert engine.count_worlds(COUNT_QUERY, x, intern=False) == 3**19
+    assert engine.count_worlds(COUNT_QUERY, x) == 3**19
 
 
 def test_counts_are_exact_against_brute_force():

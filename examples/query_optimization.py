@@ -76,7 +76,7 @@ def main() -> None:
         # Direct interpretation of the naive tree versus the engine's
         # optimized + compiled execution of the very same program.
         t_naive = timed(NAIVE.apply, x)
-        t_opt = timed(lambda v: ENGINE.run(NAIVE, v, intern=False), x)
+        t_opt = timed(lambda v: ENGINE.run(NAIVE, v), x)
         assert NAIVE.apply(x) == ENGINE.run(NAIVE, x)
         print(
             f"{k:>5} {2**k:>8} {t_naive * 1000:>12.2f} {t_opt * 1000:>15.2f}"

@@ -72,7 +72,7 @@ def main() -> None:
     # ----------------------------------------------------------------- 5.
     # engine.run is the single entry point behind the REPL, the I/O
     # helpers and the benchmarks: pass-based optimization, plan
-    # compilation, interned values, and a choice of backends.
+    # compilation, and a choice of backends.
     query = parse_morphism("ormap(map(eta)) o alpha o pi_1")
     print("engine     :", format_value(engine.run(query, design)))
     print("streaming  :", format_value(engine.run(query, design, backend="streaming")))

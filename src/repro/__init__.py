@@ -14,7 +14,7 @@ The package implements the paper end to end:
   (Theorem 4.2, Corollaries 4.3/6.4, Theorems 5.1/6.2/6.3/6.5,
   Propositions 2.1/5.2/6.1), possible-worlds oracle, lazy streams;
 * :mod:`repro.engine` — the compile-and-run engine: plan IR, pass-based
-  optimizer, interned values and the eager/streaming backends behind
+  optimizer and the execution backends behind
   ``engine.run(program, value)``;
 * :mod:`repro.orders` — the partial-information semantics (Section 3):
   posets, Hoare/Smyth/Plotkin, update closures, the ``alpha_a``

@@ -185,10 +185,6 @@ def apply_at(value: Value, at_type: Type, pos: Position, fn: Transformer) -> Val
 
 Strategy = Callable[[Sequence[Redex]], Redex]
 
-#: An arena hook: given a node whose children are canonical, the arena's
-#: canonical copy of it, carrying its sort key.
-Canon = Callable[[Value], Value]
-
 
 def checked_type(value: Value, value_type: Type | None) -> Type:
     """The type to normalize *value* at: inferred, or declared and checked.
@@ -231,25 +227,19 @@ def _subtype(t: Type, pos: Position) -> Type:
     return subtype_at(t, pos)
 
 
-def normalize(
-    value: Value, value_type: Type | None = None, *, arena: Canon | None = None
-) -> Value:
+def normalize(value: Value, value_type: Type | None = None) -> Value:
     """``normalize_t : t -> nf(t)``, by the closed form of Proposition 4.1.
 
-    *arena* is the engine's internal hook
-    (:meth:`repro.engine.interning.Interner.normalize`): given a node
-    whose children are canonical, it returns the arena's canonical copy,
-    so the normal form comes back interned node by node.  Without it the
-    normal form's nodes are fresh and share only their leaves.  Either
-    way the kernel reads the sort key every node carries: worlds come out
-    in canonical order and are deduplicated by comparing keys, never by
+    The normal form's nodes are fresh and share only their leaves.  The
+    kernel reads the sort key every node carries: worlds come out in
+    canonical order and are deduplicated by comparing keys, never by
     hashing them.
     """
     # repro.engine imports this module, so the checkpoint is bound late.
     from repro.engine.deadline import checkpoint
 
     value_type = checked_type(value, value_type)
-    return _normal_form(value, value_type, arena, checkpoint)
+    return _normal_form(value, value_type, checkpoint)
 
 
 _KEY = attrgetter("_key")
@@ -275,7 +265,7 @@ def _ranked(ws: list[Value]) -> tuple[list[Value], dict[int, int]]:
 
 
 def _normal_form(
-    value: Value, value_type: Type, arena: Canon | None, checkpoint: Callable[[str], None]
+    value: Value, value_type: Type, checkpoint: Callable[[str], None]
 ) -> Value:
     """The kernel: ``x`` in set form, or the or-set of its distinct worlds."""
     # Leaves are shared: the first atom of each key stands for all of them,
@@ -285,8 +275,7 @@ def _normal_form(
     def collect(cls: type, elems: Sequence[Value]) -> Value:
         # A set or or-set of distinct elements in canonical order: the
         # kernel's worlds come out that way, so nothing is sorted.
-        node = ordered_collection(cls, tuple(elems))
-        return node if arena is None else arena(node)
+        return ordered_collection(cls, tuple(elems))
 
     def worlds(v: Value, t: Type) -> list[Value]:
         # The distinct worlds of `v : t`, in canonical order.  A type
@@ -302,10 +291,7 @@ def _normal_form(
             out = []
             for f in firsts:
                 checkpoint("normalize")
-                if arena is None:
-                    out.extend([Pair(f, s) for s in seconds])
-                else:
-                    out.extend([arena(Pair(f, s)) for s in seconds])
+                out.extend([Pair(f, s) for s in seconds])
             return out
         if cls is OrSetValue:
             if type(t) is not OrSetType:
@@ -370,10 +356,8 @@ def _normal_form(
             if type(t) is VariantType:
                 t = t.left if v.side == 0 else t.right
             side = v.side
-            out = [Variant(side, w) for w in worlds(v.payload, t)]
-            return out if arena is None else list(map(arena, out))
-        leaf = leaves.setdefault(sort_key(v), v)
-        return [leaf if arena is None else arena(leaf)]
+            return [Variant(side, w) for w in worlds(v.payload, t)]
+        return [leaves.setdefault(sort_key(v), v)]
 
     try:
         found = worlds(value, value_type)

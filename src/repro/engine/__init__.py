@@ -1,4 +1,4 @@
-"""The compile-and-run engine: plan IR, optimizer passes, interned runtime.
+"""The compile-and-run engine: plan IR, optimizer passes, backends.
 
 This package gives the evaluation stack the classic query-engine shape:
 
@@ -9,9 +9,8 @@ This package gives the evaluation stack the classic query-engine shape:
    a pipeline of composable equational passes before compilation;
 3. **run** — :mod:`repro.engine.backends` executes the plan eagerly or
    as a stream (:mod:`repro.engine.columnar` as fused kernels,
-   :mod:`repro.engine.process` sharded across worker processes), with
-   :mod:`repro.engine.interning` hash-consing values and memoizing
-   ``normalize``.
+   :mod:`repro.engine.process` sharded across worker processes,
+   :mod:`repro.engine.symbolic` answering world queries in closed form).
 
 The single entry point is :func:`run` (or :meth:`Engine.run`)::
 
@@ -22,7 +21,7 @@ The single entry point is :func:`run` (or :meth:`Engine.run`)::
     engine.run(q, db, backend="streaming")           # lazy spine
     engine.run(q, db, backend="process")             # process-sharded spine
     engine.run(q, db, backend="fused")               # columnar fused kernels
-    engine.run(q, db, optimize=False, intern=False)  # plain compiled
+    engine.run(q, db, optimize=False)                # no optimizer passes
     engine.run_many(q, dbs)                          # compile once, dedupe
 
 The default ``backend="auto"`` picks an in-process backend *per call*
@@ -38,9 +37,9 @@ runs only when a caller names ``backend="process"``.
 used by the REPL, the I/O helpers, the examples and the benchmarks.
 
 The module-level :data:`DEFAULT_ENGINE` is safe for concurrent use: the
-plan cache is guarded by a lock (and LRU-bounded), and the shared
-:class:`Interner` serializes arena access internally — which is what
-lets the serving layer's executor threads hammer one engine at once.
+plan cache, its only shared state, is guarded by a lock (and
+LRU-bounded) — which is what lets the serving layer's executor threads
+hammer one engine at once.
 """
 
 from __future__ import annotations
@@ -86,7 +85,6 @@ from repro.engine.deadline import (
     current_deadline,
     deadline_scope,
 )
-from repro.engine.interning import Interner
 from repro.engine.process import ProcessBackend, default_process_count
 from repro.engine.passes import (
     COND_PUSHDOWN,
@@ -105,12 +103,6 @@ from repro.engine.symbolic import (
     SymbolicBackend,
     plan_supports_symbolic,
     trace_worlds,
-)
-from repro.engine.symbolic import (
-    _certain_of_worlds as _certain_of,
-)
-from repro.engine.symbolic import (
-    _possible_of_worlds as _possible_of,
 )
 from repro.engine.verify import (
     PassVerificationError,
@@ -141,7 +133,6 @@ __all__ = [
     "LATE_NORMALIZE",
     "default_pipeline",
     "optimize_morphism",
-    "Interner",
     "Backend",
     "EagerBackend",
     "StreamingBackend",
@@ -191,23 +182,25 @@ __all__ = [
 
 
 class Engine:
-    """Compile-and-run driver tying passes, plans, backends and the arena.
+    """Compile-and-run driver tying passes, plans and backends together.
 
-    One engine owns one :class:`Interner` (so repeated runs share the
-    memoized normal forms) and one compiled-plan cache keyed on the
-    program, per optimization setting.  The plan cache is an LRU bounded
-    by *max_plans*, and both caches are safe to use from multiple
-    threads.
+    One engine owns one compiled-plan cache keyed on the program, per
+    optimization setting: an LRU bounded by *max_plans*, safe to use from
+    multiple threads.  Results are not cached; every call runs its plan.
+
+    The entry points :meth:`run`, :meth:`run_many`, :meth:`possibilities`,
+    :meth:`count_worlds`, :meth:`exists`, :meth:`certain` and
+    :meth:`possible` accept a keyword ``intern`` and ignore it: it used to
+    switch a value arena that no longer exists, and it stays accepted
+    until ``perfbench/run.py`` stops passing it.
     """
 
     def __init__(
         self,
         pipeline: Pipeline | None = None,
-        interner: Interner | None = None,
         max_plans: int = 256,
     ) -> None:
         self.pipeline = pipeline if pipeline is not None else default_pipeline()
-        self.interner = interner if interner is not None else Interner()
         self.backends: dict[str, Backend] = dict(BACKENDS)
         self.max_plans = max_plans
         self._plans: OrderedDict[tuple[Morphism, bool], Plan] = OrderedDict()
@@ -320,31 +313,17 @@ class Engine:
         ``"auto"`` (the default), which picks per call from the cost
         model's static world-count estimate and the plan's spine profile
         (:func:`repro.engine.cost_model.select_backend`); ``optimize``
-        toggles the pass pipeline; ``intern`` routes values through the
-        hash-consing arena (enabling the memoized ``normalize``).
+        toggles the pass pipeline.
         """
         plan = self.compile(program, optimize)
-        concrete = ensure_value(value)
-        interner = self.interner if intern else None
-        if interner is not None:
-            concrete = interner.intern(concrete)
-        result = self._execute(backend, plan, concrete, interner)
-        if interner is not None:
-            result = interner.intern(result)
-        return result
+        return self._execute(backend, plan, ensure_value(value))
 
-    def _execute(
-        self,
-        backend: str,
-        plan: Plan,
-        concrete: Value,
-        interner: Interner | None,
-    ) -> Value:
+    def _execute(self, backend: str, plan: Plan, concrete: Value) -> Value:
         """Resolve *backend* (adaptively for ``"auto"``) and execute."""
         checkpoint("engine dispatch")
         if backend == "auto":
             backend = select_backend(plan, concrete, available=self.backends).backend
-        return self._backend(backend).execute(plan, concrete, interner)
+        return self._backend(backend).execute(plan, concrete)
 
     def run_many(
         self,
@@ -367,16 +346,12 @@ class Engine:
         ``run_many(p, vs)[i] == run(p, vs[i])``.  ``backend="auto"``
         (the default) selects an in-process backend per distinct input,
         so a batch can mix small eager inputs with wide fused or
-        streamed ones.  ``intern`` routes inputs and results through the
-        engine's arena, as in :meth:`run`.
+        streamed ones.  Equal inputs share one result object.
         """
         if backend != "auto":
             self._backend(backend)  # validate the name up front
         plan = self.compile(program, optimize)
-        arena = self.interner if intern else None
         concrete = [ensure_value(v) for v in values]
-        if arena is not None:
-            concrete = [arena.intern(v) for v in concrete]
         if not concrete:
             return []
 
@@ -394,12 +369,9 @@ class Engine:
 
         chosen = self.backends.get(backend)
         if isinstance(chosen, ProcessBackend):
-            results = chosen.run_values(plan, unique, arena)
+            results = chosen.run_values(plan, unique)
         else:
-            results = []
-            for v in unique:
-                result = self._execute(backend, plan, v, arena)
-                results.append(arena.intern(result) if arena is not None else result)
+            results = [self._execute(backend, plan, v) for v in unique]
         return [results[slot] for slot in slots]
 
     def possibilities(
@@ -419,10 +391,7 @@ class Engine:
         first witness short-circuits without materializing a normal form.
         """
         plan = self.compile(program, optimize)
-        interner = self.interner if intern else None
         concrete = ensure_value(value)
-        if interner is not None:
-            concrete = interner.intern(concrete)
         if backend == "auto":
             choice = select_backend(
                 plan, concrete, existential=True, available=self.backends
@@ -430,14 +399,17 @@ class Engine:
             chosen = self.backends[choice.backend]
         else:
             chosen = self._backend(backend)
-        return chosen.possibilities(plan, concrete, interner)
+        return chosen.possibilities(plan, concrete)
 
     # -- world queries -----------------------------------------------------
 
-    def _world_query_backend(
-        self, plan: Plan, concrete: Value, backend: str
-    ) -> Backend:
-        """Resolve the backend for a world query (whole-world-set consumer)."""
+    def _world_query(
+        self, program: Morphism, value: object, backend: str, optimize: bool
+    ) -> tuple[Backend, Plan, Value]:
+        """Compile, and resolve the backend for a world query (a
+        whole-world-set consumer)."""
+        plan = self.compile(program, optimize)
+        concrete = ensure_value(value)
         if backend == "auto":
             choice = select_backend(
                 plan,
@@ -446,18 +418,8 @@ class Engine:
                 world_query=True,
                 available=self.backends,
             )
-            return self.backends[choice.backend]
-        return self._backend(backend)
-
-    def _world_query_setup(
-        self, program: Morphism, value: object, optimize: bool, intern: bool
-    ) -> tuple[Plan, Value, Interner | None]:
-        plan = self.compile(program, optimize)
-        interner = self.interner if intern else None
-        concrete = ensure_value(value)
-        if interner is not None:
-            concrete = interner.intern(concrete)
-        return plan, concrete, interner
+            return self.backends[choice.backend], plan, concrete
+        return self._backend(backend), plan, concrete
 
     def count_worlds(
         self,
@@ -475,13 +437,8 @@ class Engine:
         time linear in the *input*, even when the count itself is
         astronomical.  Other backends count by deduplicated enumeration.
         """
-        plan, concrete, interner = self._world_query_setup(
-            program, value, optimize, intern
-        )
-        chosen = self._world_query_backend(plan, concrete, backend)
-        if isinstance(chosen, SymbolicBackend):
-            return chosen.count_worlds(plan, concrete, interner)
-        return len(set(chosen.possibilities(plan, concrete, interner)))
+        chosen, plan, concrete = self._world_query(program, value, backend, optimize)
+        return chosen.count_worlds(plan, concrete)
 
     def exists(
         self,
@@ -500,16 +457,8 @@ class Engine:
         With a predicate (any ``Value -> bool`` callable), worlds are
         streamed lazily and the first witness short-circuits.
         """
-        plan, concrete, interner = self._world_query_setup(
-            program, value, optimize, intern
-        )
-        chosen = self._world_query_backend(plan, concrete, backend)
-        if predicate is None and isinstance(chosen, SymbolicBackend):
-            return chosen.exists(plan, concrete, interner)
-        stream = chosen.possibilities(plan, concrete, interner)
-        if predicate is None:
-            return next(iter(stream), None) is not None
-        return any(predicate(world) for world in stream)
+        chosen, plan, concrete = self._world_query(program, value, backend, optimize)
+        return chosen.exists(plan, concrete, predicate)
 
     def certain(
         self,
@@ -532,18 +481,8 @@ class Engine:
         iff it is some member's only world) instead of intersecting
         exponentially many worlds.
         """
-        plan, concrete, interner = self._world_query_setup(
-            program, value, optimize, intern
-        )
-        chosen = self._world_query_backend(plan, concrete, backend)
-        if isinstance(chosen, SymbolicBackend):
-            elements = chosen.certain(plan, concrete, interner)
-        else:
-            elements = _certain_of(chosen.possibilities(plan, concrete, interner))
-        result: Value = SetValue(elements)
-        if interner is not None:
-            result = interner.intern(result)
-        return result
+        chosen, plan, concrete = self._world_query(program, value, backend, optimize)
+        return SetValue(chosen.certain(plan, concrete))
 
     def possible(
         self,
@@ -556,18 +495,8 @@ class Engine:
     ) -> Value:
         """The set of elements present in *some* world of the output —
         the dual of :meth:`certain` (possible answers)."""
-        plan, concrete, interner = self._world_query_setup(
-            program, value, optimize, intern
-        )
-        chosen = self._world_query_backend(plan, concrete, backend)
-        if isinstance(chosen, SymbolicBackend):
-            elements = chosen.possible(plan, concrete, interner)
-        else:
-            elements = _possible_of(chosen.possibilities(plan, concrete, interner))
-        result: Value = SetValue(elements)
-        if interner is not None:
-            result = interner.intern(result)
-        return result
+        chosen, plan, concrete = self._world_query(program, value, backend, optimize)
+        return SetValue(chosen.possible(plan, concrete))
 
     def choose_backend(
         self,
@@ -604,10 +533,9 @@ class Engine:
             ) from None
 
     def clear_caches(self) -> None:
-        """Drop compiled plans and the value arena."""
+        """Drop compiled plans."""
         with self._lock:
             self._plans.clear()
-        self.interner.clear()
 
 
 #: The module-level engine behind :func:`run` — shared so the REPL, the

@@ -29,7 +29,7 @@ so index order *is* a valid bottom-up order):
   or-set, so lazy consumers can stop at the first witness.
 
 The result is a :class:`PlanFacts` record cached on the plan object
-(plans themselves are cached/interned by the :class:`~repro.engine.Engine`,
+(plans themselves are cached by the :class:`~repro.engine.Engine`,
 so the facts live exactly as long as the plan): repeated
 ``select_backend`` / ``fuse_plan`` / ``can_transport`` calls read one
 memoized record instead of re-walking the plan.  The four historical

@@ -5,8 +5,7 @@ Two strategies share the plan IR:
 * :class:`EagerBackend` binds the plan to nested closures (see
   :meth:`repro.engine.plan.Plan.bind`) and runs them directly — the same
   semantics as the recursive interpreter, minus the per-composition
-  interpretive overhead, plus the interner's memoized ``normalize``
-  leaves when an arena is supplied.
+  interpretive overhead.
 
 * :class:`StreamingBackend` threads *lazy* collections through the
   top-level spine of the plan in the style of :mod:`repro.core.lazy`:
@@ -24,7 +23,11 @@ queries short-circuit without producing a whole normal form.  It reads
 the one world stream, :func:`repro.core.lazy.iter_possibilities`, a
 deadline checkpoint per world; the streaming backend streams each
 element of a lazy or-set spine the same way, so the first conceptual
-value comes before any materialization.
+value comes before any materialization.  The world queries
+(:meth:`Backend.count_worlds`, :meth:`~Backend.exists`,
+:meth:`~Backend.certain`, :meth:`~Backend.possible`) are computed from
+that stream by default; the symbolic backend answers them in closed
+form instead.
 
 Three more strategies register themselves when their modules are
 imported (which :mod:`repro.engine` always does): the multiprocess
@@ -50,7 +53,7 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 from repro.core.lazy import iter_possibilities, stream_worlds
-from repro.errors import OrNRATypeError
+from repro.errors import OrNRATypeError, OrNRAValueError
 from repro.lang.bag_ops import BagMu, BagToSet, BagUnique, SetToBag
 from repro.lang.orset_ops import OrMu, OrToSet, SetToOr
 from repro.lang.set_ops import SetMu
@@ -62,25 +65,89 @@ from repro.values.values import (
 )
 
 from repro.engine.deadline import checkpoint
-from repro.engine.interning import Interner
 from repro.engine.plan import MAP_KINDS, Plan
 
 __all__ = ["Backend", "EagerBackend", "StreamingBackend", "BACKENDS"]
 
 
 class Backend:
-    """Interface: execute a compiled plan on a value."""
+    """Interface: execute a compiled plan on a value, and query its worlds."""
 
     name = "abstract"
 
-    def execute(self, plan: Plan, value: Value, interner: Interner | None = None) -> Value:
+    def execute(self, plan: Plan, value: Value) -> Value:
         raise NotImplementedError
 
-    def possibilities(
-        self, plan: Plan, value: Value, interner: Interner | None = None
-    ) -> Iterator[Value]:
+    def possibilities(self, plan: Plan, value: Value) -> Iterator[Value]:
         """Stream the conceptual values of the program's output lazily."""
-        return iter_possibilities(self.execute(plan, value, interner))
+        return iter_possibilities(self.execute(plan, value))
+
+    # -- world queries, by enumeration ---------------------------------------
+
+    def count_worlds(self, plan: Plan, value: Value) -> int:
+        """The number of distinct worlds of the program's output."""
+        return len(set(self.possibilities(plan, value)))
+
+    def exists(
+        self,
+        plan: Plan,
+        value: Value,
+        predicate: Callable[[Value], bool] | None = None,
+    ) -> bool:
+        """Does some world satisfy *predicate* (with none: is there a world)?
+
+        Worlds are streamed, so the first witness short-circuits.
+        """
+        worlds = self.possibilities(plan, value)
+        if predicate is None:
+            return next(worlds, None) is not None
+        return any(predicate(world) for world in worlds)
+
+    def certain(self, plan: Plan, value: Value) -> frozenset[Value]:
+        """The elements in every world of the (collection-valued) output."""
+        return _certain_of_worlds(self.possibilities(plan, value))
+
+    def possible(self, plan: Plan, value: Value) -> frozenset[Value]:
+        """The elements in some world of the (collection-valued) output."""
+        return _possible_of_worlds(self.possibilities(plan, value))
+
+
+def _not_a_collection(world: Value) -> OrNRATypeError:
+    """The error of ``certain``/``possible`` on a world that is no collection."""
+    return OrNRATypeError(
+        f"certain/possible expect collection-valued worlds, got {world!r}"
+    )
+
+
+def _world_elements(world: Value) -> frozenset[Value]:
+    if isinstance(world, (SetValue, BagValue, OrSetValue)):
+        return frozenset(world.elems)
+    raise _not_a_collection(world)
+
+
+def _certain_of_worlds(worlds: Iterator[Value]) -> frozenset[Value]:
+    """The intersection of the worlds' element sets."""
+    result: frozenset[Value] | None = None
+    for world in worlds:
+        elems = _world_elements(world)
+        result = elems if result is None else result & elems
+        if not result:
+            break
+    if result is None:
+        raise OrNRAValueError("certain() of an inconsistent value (no worlds)")
+    return result
+
+
+def _possible_of_worlds(worlds: Iterator[Value]) -> frozenset[Value]:
+    """The union of the worlds' element sets."""
+    result: set[Value] = set()
+    empty = True
+    for world in worlds:
+        empty = False
+        result |= _world_elements(world)
+    if empty:
+        raise OrNRAValueError("possible() of an inconsistent value (no worlds)")
+    return frozenset(result)
 
 
 class EagerBackend(Backend):
@@ -88,14 +155,9 @@ class EagerBackend(Backend):
 
     name = "eager"
 
-    def execute(self, plan: Plan, value: Value, interner: Interner | None = None) -> Value:
+    def execute(self, plan: Plan, value: Value) -> Value:
         checkpoint("eager execution")
-        if interner is None:
-            return plan.bind()(value)
-        # The interner owns the bound-closure memo (not the plan): an
-        # arena is passed per call, a plan can outlive any arena that
-        # runs it, and a plan-side entry would pin that arena.
-        return interner.bound_plan(plan)(value)
+        return plan.bind()(value)
 
 
 # -- streaming ---------------------------------------------------------------
@@ -158,14 +220,10 @@ class StreamingBackend(Backend):
 
     name = "streaming"
 
-    def execute(self, plan: Plan, value: Value, interner: Interner | None = None) -> Value:
-        leaf = interner.leaf_apply if interner is not None else None
-        result = self._eval(plan, plan.root, value, leaf, {})
-        return _materialize(result)
+    def execute(self, plan: Plan, value: Value) -> Value:
+        return _materialize(self._eval(plan, plan.root, value, {}))
 
-    def possibilities(
-        self, plan: Plan, value: Value, interner: Interner | None = None
-    ) -> Iterator[Value]:
+    def possibilities(self, plan: Plan, value: Value) -> Iterator[Value]:
         """Stream conceptual values without materializing the lazy spine.
 
         When the plan's output is a lazy *or-set* spine, each element's
@@ -175,8 +233,7 @@ class StreamingBackend(Backend):
         Set/bag-kinded outputs materialize first.  Yield order may differ
         from the eager backend's; the yielded *set* of values is identical.
         """
-        leaf = interner.leaf_apply if interner is not None else None
-        result = self._eval(plan, plan.root, value, leaf, {})
+        result = self._eval(plan, plan.root, value, {})
         if isinstance(result, _Stream) and result.kind == "orset":
             return _dedup(w for elem in result.elems for w in stream_worlds(elem))
         return iter_possibilities(_materialize(result))
@@ -186,7 +243,6 @@ class StreamingBackend(Backend):
         plan: Plan,
         idx: int,
         value: "Value | _Stream",
-        leaf: Callable | None,
         bound: dict[int, Callable[[Value], Value]],
     ) -> "Value | _Stream":
         node = plan.nodes[idx]
@@ -196,7 +252,7 @@ class StreamingBackend(Backend):
             return value
         if op == "chain":
             for kid in node.kids:
-                value = self._eval(plan, kid, value, leaf, bound)
+                value = self._eval(plan, kid, value, bound)
             return value
         if op == "map":
             kind, _wrapper, _tw, noun = MAP_KINDS[type(node.source)]
@@ -206,7 +262,7 @@ class StreamingBackend(Backend):
             def mapped(elems=stream.elems, body=body):
                 for e in elems:
                     checkpoint("streaming map")
-                    yield _materialize(self._eval(plan, body, e, leaf, bound))
+                    yield _materialize(self._eval(plan, body, e, bound))
 
             return _Stream(kind, mapped())
         source_cls = type(node.source)
@@ -243,10 +299,7 @@ class StreamingBackend(Backend):
         if fn is None:
             fn = Plan._build_node(
                 node,
-                lambda k: (
-                    lambda v: _materialize(self._eval(plan, k, v, leaf, bound))
-                ),
-                leaf,
+                lambda k: lambda v: _materialize(self._eval(plan, k, v, bound)),
             )
             bound[idx] = fn
         return fn(concrete)

@@ -63,7 +63,6 @@ from repro.values.values import Atom, Value
 
 from repro.engine.backends import _MU, _RETAG, _WRAPPER_OF, BACKENDS, Backend
 from repro.engine.deadline import checkpoint
-from repro.engine.interning import Interner
 from repro.engine.plan import Plan, PlanNode, _linearize
 
 __all__ = [
@@ -564,22 +563,17 @@ class FusedBackend(Backend):
     """Eager execution of the fused plan: one kernel per fused spine run.
 
     Plans are fused on entry (:func:`repro.engine.passes.fuse_plan`
-    caches the derived plan on the original, so repeated executions —
-    and the interner's bound-closure memo — see one stable object); a
-    plan with nothing to fuse degrades to plain eager execution.
+    caches the derived plan on the original, so repeated executions see
+    one stable object and its bound closure); a plan with nothing to
+    fuse degrades to plain eager execution.
     """
 
     name = "fused"
 
-    def execute(
-        self, plan: Plan, value: Value, interner: Interner | None = None
-    ) -> Value:
+    def execute(self, plan: Plan, value: Value) -> Value:
         from repro.engine.passes import fuse_plan
 
-        fused = fuse_plan(plan)
-        if interner is None:
-            return fused.bind()(value)
-        return interner.bound_plan(fused)(value)
+        return fuse_plan(plan).bind()(value)
 
 
 BACKENDS["fused"] = FusedBackend()

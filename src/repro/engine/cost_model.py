@@ -301,11 +301,6 @@ OPERATOR_CLASSES = ("expansion", "alpha", "traversal", "other")
 #: *measured* per-program latencies when the load harness has data.
 OPERATOR_COSTS = {"expansion": 64, "alpha": 16, "traversal": 2, "other": 1}
 
-# Back-compat aliases (pre-calibration names for the same knobs).
-NORMALIZE_WEIGHT = OPERATOR_COSTS["expansion"]
-ALPHA_WEIGHT = OPERATOR_COSTS["alpha"]
-TRAVERSAL_WEIGHT = OPERATOR_COSTS["traversal"]
-
 #: The active learned table (``None`` → :data:`OPERATOR_COSTS`).
 _CALIBRATION: "dict[str, float] | None" = None
 

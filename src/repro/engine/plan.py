@@ -29,8 +29,7 @@ Ops
 ``map``     :class:`SetMap` / :class:`OrMap` / :class:`DMap`; ``kind``
             records the collection family, ``kids[0]`` is the body
 ``leaf``    any other combinator; executes via the morphism's own
-            ``apply`` (or a backend-supplied override, which is how the
-            interning runtime memoizes ``normalize`` nodes)
+            ``apply``
 ``fused``   a run of spine stages collapsed by
             :func:`repro.engine.passes.fuse_plan`; ``spec`` is the stage
             list, ``kids`` are the map-stage bodies, ``source`` the
@@ -78,8 +77,6 @@ MAP_KINDS: dict[type, tuple[str, type, type, str]] = {
     DMap: ("bag", BagValue, BagType, "dmap expects a bag"),
 }
 
-LeafApply = Callable[[Morphism], Callable[[Value], Value]]
-
 
 @dataclass
 class PlanNode:
@@ -120,57 +117,33 @@ class Plan:
     nodes: list[PlanNode]
     root: int
     source: Morphism
-    _bound: dict[object, Callable[[Value], Value]] = field(
-        default_factory=dict, repr=False
-    )
+    _bound: Callable[[Value], Value] | None = field(default=None, repr=False)
 
     # -- execution ---------------------------------------------------------
 
-    def bind(
-        self,
-        leaf_apply: LeafApply | None = None,
-        cache_key: object = None,
-        cache: bool = True,
-    ) -> Callable[[Value], Value]:
-        """Build (and memoize) the executable closure for this plan.
+    def bind(self) -> Callable[[Value], Value]:
+        """The plan's executable closure, built on first use and kept.
 
-        *leaf_apply* lets a backend substitute the executor of leaf nodes
-        (the interning runtime replaces ``Normalize`` leaves with a
-        memoized version); *cache_key* identifies that substitution so
-        repeated binds are free.  Pass ``cache=False`` to skip the
-        plan-side memo entirely — callers whose *leaf_apply* closes over
-        shorter-lived state (an :class:`~repro.engine.interning.Interner`
-        the plan may outlive) must own the caching themselves, or the
-        plan would pin that state for its own lifetime.
+        Every node becomes a closure over its children's closures, bottom
+        up; a shared node is built once.
         """
-        if not cache:
-            return self._bind_fresh(leaf_apply)
-        cached = self._bound.get(cache_key)
-        if cached is not None:
-            return cached
-        fn = self._bind_fresh(leaf_apply)
-        self._bound[cache_key] = fn
-        return fn
+        fn = self._bound
+        if fn is None:
+            fns: list[Callable[[Value], Value] | None] = [None] * len(self.nodes)
 
-    def _bind_fresh(self, leaf_apply: LeafApply | None) -> Callable[[Value], Value]:
-        fns: list[Callable[[Value], Value] | None] = [None] * len(self.nodes)
-
-        def build(i: int) -> Callable[[Value], Value]:
-            ready = fns[i]
-            if ready is not None:
+            def build(i: int) -> Callable[[Value], Value]:
+                ready = fns[i]
+                if ready is None:
+                    ready = fns[i] = self._build_node(self.nodes[i], build)
                 return ready
-            node = self.nodes[i]
-            fn = self._build_node(node, build, leaf_apply)
-            fns[i] = fn
-            return fn
 
-        return build(self.root)
+            fn = self._bound = build(self.root)
+        return fn
 
     @staticmethod
     def _build_node(
         node: PlanNode,
         build: Callable[[int], Callable[[Value], Value]],
-        leaf_apply: LeafApply | None,
     ) -> Callable[[Value], Value]:
         op = node.op
         if op == "id":
@@ -223,12 +196,10 @@ class Plan:
 
             return build_fused_kernel(node, build)
         # leaf
-        if leaf_apply is not None:
-            return leaf_apply(node.source)
         return node.source.apply
 
     def execute(self, value: Value) -> Value:
-        """Run the plan with the default (direct ``apply``) leaf executor."""
+        """Run the plan on *value*."""
         return self.bind()(value)
 
     # -- pickling ----------------------------------------------------------
@@ -236,7 +207,7 @@ class Plan:
     def __getstate__(self) -> dict:
         """Pickle only the IR, not the derived runtime state.
 
-        Bound closures (``_bound``) are unpicklable and rebuilt on demand;
+        The bound closure (``_bound``) is unpicklable and rebuilt on demand;
         cached profiles and payloads (set by the cost model and the
         process backend via ``setattr``) are derived and cheap to
         recompute.  This is what lets the process backend ship compiled
@@ -249,7 +220,7 @@ class Plan:
         self.nodes = state["nodes"]
         self.root = state["root"]
         self.source = state["source"]
-        self._bound = {}
+        self._bound = None
 
     # -- typing ------------------------------------------------------------
 

@@ -34,10 +34,9 @@ Transport and supervision:
   rebind.  Values cross the boundary as ordinary pickles.  The worker
   entry points are module-level functions, not closures: a
   lambda-capturing closure would not survive the trip.
-* **no worker arena** — workers bind plain leaves, so a ``normalize``
-  leaf runs the kernel with its own call-scoped table, as
-  ``Normalize.apply`` does; the coordinator merges shard results in
-  order, and an arena the caller passes re-interns the final value.
+* **plain leaves** — workers bind each leaf to its morphism's
+  ``apply``, as every backend does, so a ``normalize`` leaf runs the
+  kernel; the coordinator merges shard results in order.
 * **graceful degradation** — a plan that does not pickle (a user
   primitive wrapping a lambda, say) falls back to eager execution in the
   coordinating process (counted in ``stats()["pickle_fallbacks"]``), and
@@ -100,7 +99,6 @@ from repro.engine.backends import _WRAPPER_OF, BACKENDS, Backend
 from repro.engine.columnar import Arena, compile_stages, encode_input, run_stages
 from repro.engine.deadline import checkpoint, current_deadline
 from repro.engine.faults import InjectedFault
-from repro.engine.interning import Interner
 from repro.engine.plan import MAP_KINDS, Plan, PlanNode
 from repro.engine.supervisor import CircuitBreaker, Supervisor
 
@@ -143,7 +141,6 @@ def even_chunks(items: list, n: int) -> list[list]:
 def _bind_subtree(
     plan: Plan,
     idx: int,
-    leaf: Callable | None,
     bound: dict[int, Callable[[Value], Value]] | None = None,
 ) -> Callable[[Value], Value]:
     """Eager closures for the subtree at *idx*, cached in *bound*."""
@@ -152,7 +149,7 @@ def _bind_subtree(
     def build(i: int) -> Callable[[Value], Value]:
         fn = cache.get(i)
         if fn is None:
-            fn = Plan._build_node(plan.nodes[i], build, leaf)
+            fn = Plan._build_node(plan.nodes[i], build)
             cache[i] = fn
         return fn
 
@@ -195,7 +192,7 @@ def _run_chunk_remote(
     idx = plan.root if body_idx is None else body_idx
     fn = state["bound"].get((key, idx))
     if fn is None:
-        fn = _bind_subtree(plan, idx, None)
+        fn = _bind_subtree(plan, idx)
         state["bound"][(key, idx)] = fn
     return [fn(e) for e in chunk]
 
@@ -215,7 +212,7 @@ def _run_fused_slice_remote(
     stages = state["bound"].get((key, node_idx, "fused"))
     if stages is None:
         stages = compile_stages(
-            plan.nodes[node_idx], functools.partial(_bind_subtree, plan, leaf=None)
+            plan.nodes[node_idx], functools.partial(_bind_subtree, plan)
         )
         state["bound"][(key, node_idx, "fused")] = stages
     out = run_stages(stages, Arena(kind, bases, raws))
@@ -453,11 +450,7 @@ class ProcessBackend(Backend):
     # -- execution ---------------------------------------------------------
 
     def execute(
-        self,
-        plan: Plan,
-        value: Value,
-        interner: Interner | None = None,
-        shard_hint: int | None = None,
+        self, plan: Plan, value: Value, shard_hint: int | None = None
     ) -> Value:
         """Run the plan; *shard_hint* (from the cost model's estimate)
         sizes the chunks whenever a spine collection is sharded."""
@@ -470,9 +463,8 @@ class ProcessBackend(Backend):
             # An unpicklable plan cannot reach the workers; correctness
             # beats parallelism, so run it eagerly in-process.
             self._count("pickle_fallbacks")
-            return BACKENDS["eager"].execute(plan, value, interner)
-        leaf = interner.leaf_apply if interner is not None else None
-        return self._eval(plan, plan.root, value, leaf, {}, shard_hint)
+            return BACKENDS["eager"].execute(plan, value)
+        return self._eval(plan, plan.root, value, {}, shard_hint)
 
     # -- the sharded spine walk --------------------------------------------
 
@@ -481,7 +473,6 @@ class ProcessBackend(Backend):
         plan: Plan,
         idx: int,
         value: Value,
-        leaf: Callable | None,
         bound: dict[int, Callable[[Value], Value]],
         hint: int | None = None,
     ) -> Value:
@@ -497,13 +488,13 @@ class ProcessBackend(Backend):
         checkpoint("sharded stage")
         if node.op == "chain":
             for kid in node.kids:
-                value = self._eval(plan, kid, value, leaf, bound, hint)
+                value = self._eval(plan, kid, value, bound, hint)
             return value
         if node.op == "map":
-            return self._run_map(plan, node, value, leaf, bound, hint)
+            return self._run_map(plan, node, value, bound, hint)
         if node.op == "fused":
-            return self._run_fused(plan, node, value, leaf, bound, hint)
-        return _bind_subtree(plan, idx, leaf, bound)(value)
+            return self._run_fused(plan, node, value, bound, hint)
+        return _bind_subtree(plan, idx, bound)(value)
 
     def _shard_count(self, n: int, hint: int | None) -> int:
         """How many shards an *n*-element collection splits into.
@@ -543,7 +534,6 @@ class ProcessBackend(Backend):
         plan: Plan,
         node: PlanNode,
         value: Value,
-        leaf: Callable | None,
         bound: dict[int, Callable[[Value], Value]],
         hint: int | None = None,
     ) -> Value:
@@ -556,14 +546,14 @@ class ProcessBackend(Backend):
         _kind, wrapper, _tw, _noun = MAP_KINDS[type(node.source)]
         if not isinstance(value, wrapper):
             # The eager closure raises the map's own type error.
-            return _bind_subtree(plan, node.idx, leaf, bound)(value)
+            return _bind_subtree(plan, node.idx, bound)(value)
         n = self._shard_count(len(value.elems), hint)
         if n > 1:
             chunks = even_chunks(list(value.elems), n)
             results = self._remote(plan, _run_chunk_remote, repeat(node.kids[0]), chunks)
             if results is not None:
                 return wrapper(e for chunk in results for e in chunk)
-        body = _bind_subtree(plan, node.kids[0], leaf, bound)
+        body = _bind_subtree(plan, node.kids[0], bound)
 
         def mapped() -> Iterator[Value]:
             for e in value.elems:
@@ -579,14 +569,13 @@ class ProcessBackend(Backend):
         plan: Plan,
         node: PlanNode,
         value: Value,
-        leaf: Callable | None,
         bound: dict[int, Callable[[Value], Value]],
         hint: int | None = None,
     ) -> Value:
         """One fused node: a map-only kernel runs on arena slices in
         workers; anything else, a narrow input or a failed pool runs the
         kernel here."""
-        kernel = _bind_subtree(plan, node.idx, leaf, bound)
+        kernel = _bind_subtree(plan, node.idx, bound)
         spec = node.spec or ()
         if (
             # mu re-segments and retag/unique change cardinality across
@@ -621,12 +610,7 @@ class ProcessBackend(Backend):
 
     # -- batches -----------------------------------------------------------
 
-    def run_values(
-        self,
-        plan: Plan,
-        values: Sequence[Value],
-        interner: Interner | None = None,
-    ) -> list[Value]:
+    def run_values(self, plan: Plan, values: Sequence[Value]) -> list[Value]:
         """Fan *whole inputs* across the worker pool, one chunk per task.
 
         The batch hook behind ``Engine.run_many``: each input is
@@ -640,12 +624,8 @@ class ProcessBackend(Backend):
             chunks = even_chunks(list(values), self.max_workers)
             shards = self._remote(plan, _run_chunk_remote, repeat(None), chunks)
         if shards is None:
-            results = [self.execute(plan, v, interner) for v in values]
-        else:
-            results = [r for shard in shards for r in shard]
-        if interner is not None:
-            results = [interner.intern(r) for r in results]
-        return results
+            return [self.execute(plan, v) for v in values]
+        return [r for shard in shards for r in shard]
 
     # -- bookkeeping -------------------------------------------------------
 

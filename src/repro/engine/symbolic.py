@@ -44,11 +44,11 @@ supported queries at ``>=10^9`` estimated worlds finish in milliseconds.
 from __future__ import annotations
 
 from math import prod
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.core.lazy import has_world, iter_possibilities
 from repro.core.normalize import Normalize, checked_type
-from repro.errors import OrNRATypeError, OrNRAValueError
+from repro.errors import OrNRAValueError
 from repro.lang.orset_ops import Alpha, OrMap
 from repro.types.kinds import Type, contains_bag
 from repro.values.values import (
@@ -63,9 +63,8 @@ from repro.values.values import (
 )
 
 from repro.engine.analysis import CHEAP_REAL_OPS, plan_facts
-from repro.engine.backends import BACKENDS, Backend, EagerBackend
+from repro.engine.backends import BACKENDS, Backend, EagerBackend, _not_a_collection
 from repro.engine.deadline import checkpoint
-from repro.engine.interning import Interner
 from repro.engine.plan import Plan
 
 __all__ = [
@@ -434,7 +433,7 @@ class SymbolicBackend(Backend):
     distinct worlds of the traced value), :meth:`count_worlds`,
     :meth:`exists`, :meth:`certain` and :meth:`possible`, all answered
     by the :class:`ChoiceSpace` recursion when the trace supports the
-    plan and by eager enumeration when it does not.
+    plan and by eager's enumeration when it does not.
     """
 
     name = "symbolic"
@@ -442,10 +441,8 @@ class SymbolicBackend(Backend):
     def __init__(self) -> None:
         self._eager = EagerBackend()
 
-    def execute(
-        self, plan: Plan, value: Value, interner: Interner | None = None
-    ) -> Value:
-        return self._eager.execute(plan, value, interner)
+    def execute(self, plan: Plan, value: Value) -> Value:
+        return self._eager.execute(plan, value)
 
     def space(self, plan: Plan, value: Value) -> ChoiceSpace | None:
         """The traced value's choice space, or ``None`` when unsupported."""
@@ -454,82 +451,45 @@ class SymbolicBackend(Backend):
         except SymbolicUnsupported:
             return None
 
-    def possibilities(
-        self, plan: Plan, value: Value, interner: Interner | None = None
-    ) -> Iterator[Value]:
+    def possibilities(self, plan: Plan, value: Value) -> Iterator[Value]:
         space = self.space(plan, value)
         if space is None:
-            return self._eager.possibilities(plan, value, interner)
+            return self._eager.possibilities(plan, value)
         return space.iter_worlds()
 
     # -- world queries -------------------------------------------------------
 
-    def count_worlds(
-        self, plan: Plan, value: Value, interner: Interner | None = None
-    ) -> int:
+    def count_worlds(self, plan: Plan, value: Value) -> int:
         space = self.space(plan, value)
         if space is None:
-            return len(set(self._eager.possibilities(plan, value, interner)))
+            return self._eager.count_worlds(plan, value)
         return space.count_worlds()
 
     def exists(
-        self, plan: Plan, value: Value, interner: Interner | None = None
+        self,
+        plan: Plan,
+        value: Value,
+        predicate: Callable[[Value], bool] | None = None,
     ) -> bool:
+        if predicate is not None:
+            # A predicate reads worlds: stream this backend's own.
+            return super().exists(plan, value, predicate)
         space = self.space(plan, value)
         if space is None:
-            return any(True for _ in self._eager.possibilities(plan, value, interner))
+            return self._eager.exists(plan, value)
         return space.satisfiable()
 
-    def certain(
-        self, plan: Plan, value: Value, interner: Interner | None = None
-    ) -> frozenset[Value]:
+    def certain(self, plan: Plan, value: Value) -> frozenset[Value]:
         space = self.space(plan, value)
         if space is None:
-            return _certain_of_worlds(self._eager.possibilities(plan, value, interner))
+            return self._eager.certain(plan, value)
         return space.certain_members()
 
-    def possible(
-        self, plan: Plan, value: Value, interner: Interner | None = None
-    ) -> frozenset[Value]:
+    def possible(self, plan: Plan, value: Value) -> frozenset[Value]:
         space = self.space(plan, value)
         if space is None:
-            return _possible_of_worlds(self._eager.possibilities(plan, value, interner))
+            return self._eager.possible(plan, value)
         return space.possible_members()
-
-
-def _world_elements(world: Value) -> frozenset[Value]:
-    if isinstance(world, (SetValue, BagValue, OrSetValue)):
-        return frozenset(world.elems)
-    raise _not_a_collection(world)
-
-
-def _not_a_collection(world: Value) -> OrNRATypeError:
-    return OrNRATypeError(
-        f"certain/possible expect collection-valued worlds, got {world!r}"
-    )
-
-
-def _certain_of_worlds(worlds: Iterator[Value]) -> frozenset[Value]:
-    result: frozenset[Value] | None = None
-    for world in worlds:
-        elems = _world_elements(world)
-        result = elems if result is None else result & elems
-        if not result:
-            break
-    if result is None:
-        raise OrNRAValueError("certain() of an inconsistent value (no worlds)")
-    return result
-
-
-def _possible_of_worlds(worlds: Iterator[Value]) -> frozenset[Value]:
-    result: set[Value] = set()
-    empty = True
-    for world in worlds:
-        empty = False
-        result |= _world_elements(world)
-    if empty:
-        raise OrNRAValueError("possible() of an inconsistent value (no worlds)")
-    return frozenset(result)
 
 
 BACKENDS["symbolic"] = SymbolicBackend()

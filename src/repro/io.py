@@ -232,11 +232,9 @@ def run_text(
 
     The batch-mode counterpart of the REPL's ``apply``: the program goes
     through the engine (optimizer passes, plan compilation), so repeated
-    calls share compiled plans.  Values are *not* interned — these
-    helpers serve arbitrary one-shot inputs, and the default engine's
-    arena pins everything it interns for the process lifetime.
-    *timeout* (seconds) bounds the evaluation: past it, the engine's
-    cooperative checkpoints raise :class:`~repro.errors.DeadlineExceeded`.
+    calls share compiled plans.  *timeout* (seconds) bounds the
+    evaluation: past it, the engine's cooperative checkpoints raise
+    :class:`~repro.errors.DeadlineExceeded`.
 
     >>> run_text("ormap(map(pi_1)) o alpha", "{<(1, 2), (3, 4)>}")
     '<{1}, {3}>'
@@ -249,7 +247,6 @@ def run_text(
             parsed_morphism(morphism_text),
             parse_value(value_text),
             backend=backend,
-            intern=False,
         )
     return format_value(result)
 
@@ -273,7 +270,6 @@ def run_json(
             parsed_morphism(morphism_text),
             value_from_json(value_json),
             backend=backend,
-            intern=False,
         )
     return value_to_json(result)
 
@@ -299,7 +295,6 @@ def count_worlds_text(
         parsed_morphism(morphism_text),
         parse_value(value_text),
         backend=backend,
-        intern=False,
     )
 
 
@@ -313,7 +308,6 @@ def count_worlds_json(
         parsed_morphism(morphism_text),
         value_from_json(value_json),
         backend=backend,
-        intern=False,
     )
 
 
@@ -331,7 +325,6 @@ def certain_text(morphism_text: str, value_text: str, backend: str = "auto") -> 
         parsed_morphism(morphism_text),
         parse_value(value_text),
         backend=backend,
-        intern=False,
     )
     return format_value(result)
 
@@ -346,7 +339,6 @@ def certain_json(
         parsed_morphism(morphism_text),
         value_from_json(value_json),
         backend=backend,
-        intern=False,
     )
     return value_to_json(result)
 
@@ -360,10 +352,9 @@ def run_text_many(
     """Batched :func:`run_text`: parse and compile once, dedupe.
 
     Unlike a loop of ``run_text`` calls, structurally equal inputs are
-    computed and formatted once.  Like ``run_text``, values are not
-    interned, so nothing stays pinned in the default engine's arena.
-    *morphism_text* may also be a pre-resolved Morphism; *timeout* bounds
-    the whole batch's evaluation (see :func:`run_text`).
+    computed and formatted once.  *morphism_text* may also be a
+    pre-resolved Morphism; *timeout* bounds the whole batch's evaluation
+    (see :func:`run_text`).
     """
     from repro.engine import DEFAULT_ENGINE
     from repro.lang.parser import parse_value
@@ -373,7 +364,6 @@ def run_text_many(
             parsed_morphism(morphism_text),
             [parse_value(text) for text in value_texts],
             backend=backend,
-            intern=False,
         )
     return _encode_each(results, format_value)
 
@@ -396,10 +386,8 @@ def run_json_many(
     backend (see :meth:`repro.engine.Engine.run_many`).  Results come
     back in input order, each distinct one encoded once: equal inputs get
     one shared result dict, which callers must treat as read-only.
-    Values are not interned (see :func:`run_text`), so nothing is pinned
-    in the default engine's arena.  *morphism_text* may also be a
-    pre-resolved Morphism; *timeout* bounds the whole batch's evaluation
-    (see :func:`run_text`).
+    *morphism_text* may also be a pre-resolved Morphism; *timeout*
+    bounds the whole batch's evaluation (see :func:`run_text`).
     """
     from repro.engine import DEFAULT_ENGINE
 
@@ -408,7 +396,6 @@ def run_json_many(
             parsed_morphism(morphism_text),
             [value_from_json(v) for v in values_json],
             backend=backend,
-            intern=False,
         )
     return _encode_each(results, value_to_json)
 

@@ -47,6 +47,7 @@ from __future__ import annotations
 import sys
 from typing import TextIO
 
+from repro.core.normalize import Normalize
 from repro.core.worlds import worlds
 from repro.engine import Engine
 from repro.errors import OrNRAError
@@ -94,7 +95,7 @@ class Repl:
         self.values: dict[str, tuple[Value, Type]] = {}
         self.morphisms: dict[str, Morphism] = {}
         # All evaluation routes through one compile-and-run engine, so
-        # repeated queries share compiled plans and memoized normal forms.
+        # repeated queries share compiled plans.
         self.engine = Engine()
         self.backend = "auto"
 
@@ -149,7 +150,7 @@ class Repl:
             return self._cmd_serve(rest)
         if head == "normalize":
             value, t = self._lookup_value(rest)
-            result = self.engine.interner.normalize(value, t)
+            result = self.engine.run(Normalize(t), value, backend=self.backend)
             return self._render(result, nf_type(t))
         if head == "plan":
             return self.engine.explain(self._morphism(rest))

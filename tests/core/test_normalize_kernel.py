@@ -11,13 +11,15 @@ from hypothesis import example, given, settings
 
 from repro.core.normalize import normalize, normalize_with_strategy
 from repro.core.worlds import worlds
-from repro.engine.interning import Interner
-from repro.types.kinds import contains_orset
+from repro.types.kinds import SetType, TypeVar, contains_orset
 from repro.types.parse import parse_type
 from repro.types.rewrite import innermost_strategy
 from repro.values.convert import to_sets
 from repro.values.values import (
+    BagValue,
     OrSetValue,
+    SetValue,
+    sort_key,
     vbag,
     vinl,
     vinr,
@@ -26,7 +28,8 @@ from repro.values.values import (
     vset,
 )
 
-from tests.strategies import typed_values
+from tests.keys import nodes, reference_sort_key
+from tests.strategies import design, typed_values
 
 
 @given(typed_values(max_depth=3, max_width=3, variants=True, bags=True))
@@ -45,7 +48,6 @@ def test_kernel_matches_rewrite_and_worlds(pair):
     x, t = pair
     reference = normalize_with_strategy(x, t, innermost_strategy)
     assert normalize(x, t) == reference
-    assert Interner().normalize(x, t) == reference
     if contains_orset(t):
         # Bags collapse to sets in the normal form; worlds() keeps them.
         assert reference == OrSetValue(to_sets(w) for w in worlds(x))
@@ -55,14 +57,25 @@ def test_kernel_matches_rewrite_and_worlds(pair):
 
 def test_kernel_leaves_no_garbage_cycles():
     # The kernel's recursive closure must not keep a call's nodes and
-    # hash-consing table alive until the cyclic collector runs.
+    # leaf table alive until the cyclic collector runs.
     x = vpair(vset(*(vorset(10 * i, 10 * i + 5) for i in range(1, 5))), vorset(1, 2))
     gc.collect()
     gc.disable()
     try:
         normalize(x)
         assert gc.collect() == 0
-        Interner().normalize(x)
-        assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_kernel_keys_match_sort_key():
+    # The kernel builds each key from its children's; the stored key must
+    # equal the one recomputed by its definition, and every collection it
+    # builds must be in canonical order.
+    mixed = vpair(vset(vinl(vorset(1, 2)), vinr(vorset(3))), design(3))
+    opaque = (vset(vorset(1, 2), vorset()), SetType(TypeVar("a")))
+    for x, t in ((mixed, None), opaque):
+        for node in nodes(normalize(x, t)):
+            assert sort_key(node) == reference_sort_key(node)
+            if isinstance(node, (SetValue, OrSetValue, BagValue)):
+                assert type(node)(node.elems).elems == node.elems

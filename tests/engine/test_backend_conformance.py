@@ -38,11 +38,10 @@ from repro.lang.set_ops import SetMap, SetMu
 from repro.morphgen import random_lossless_morphism
 from repro.values.values import vorset, vset
 
-from tests.engine.test_interning import design
-from tests.strategies import typed_orset_values
+from tests.strategies import design, typed_orset_values
 
-# One engine for the whole module so plan/interner caches and the
-# process pool are shared across examples (workers start once).
+# One engine for the whole module so the plan cache and the process
+# pool are shared across examples (workers start once).
 ENGINE = Engine()
 ENGINE.backends["process"] = ProcessBackend(max_workers=2, min_shard=2)
 
@@ -103,17 +102,15 @@ class TestResultConformance:
         q = Compose(SetMu(), SetMap(OrToSet()))
         batch = [vset(vorset(i, i + 1), vorset(i + 2)) for i in range(6)] * 2
         # map(normalize) over sets of designs: overlapping windows repeat
-        # a design across inputs and the batch repeats whole inputs, so
-        # intern=False runs every normalize leaf unmemoized (on process,
-        # in workers that hold no arena).
+        # a design across inputs and the batch repeats whole inputs (on
+        # process, the distinct inputs run in the workers).
         designs = [design(4, base=100 * b) for b in range(4)]
         design_batch = [vset(*designs[i : i + 2]) for i in range(3)] * 2
         for program, values in ((q, batch), (SetMap(Normalize()), design_batch)):
             reference = [program(v) for v in values]
             for name in ALL_BACKENDS:
-                for intern in (True, False):
-                    results = ENGINE.run_many(program, values, backend=name, intern=intern)
-                    assert results == reference, (name, intern, program.describe())
+                results = ENGINE.run_many(program, values, backend=name)
+                assert results == reference, (name, program.describe())
 
 
 class TestPossibilitiesConformance:

@@ -3,21 +3,18 @@
 ``DEFAULT_ENGINE`` is shared by the REPL, the I/O helpers and library
 callers; the serving layer's executor threads hammer it concurrently.
 These tests drive ``run``/``run_many``/``compile`` from many
-threads at once and assert the interner stats stay coherent, the plan
-cache converges to one plan per program, and every result equals the
-single-threaded answer.
+threads at once and assert the plan cache converges to one plan per
+program and every result equals the single-threaded answer.
 """
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
-from repro.core.normalize import Normalize
-from repro.engine import Engine, Interner
+from repro.engine import Engine
 from repro.lang.morphisms import Compose, Id, PairOf
 from repro.lang.orset_ops import Alpha, OrMap
 from repro.lang.primitives import plus
 from repro.lang.set_ops import SetMap
-from repro.values.values import vorset, vpair, vset
+from repro.values.values import vorset, vset
 
 DOUBLE = Compose(plus(), PairOf(Id(), Id()))
 QUERY = Compose(OrMap(SetMap(DOUBLE)), Alpha())
@@ -58,8 +55,6 @@ class TestConcurrentRun:
                 assert eng.run(QUERY, inputs[i]) == expected[i]
 
         _hammer(work)
-        stats = eng.interner.stats()
-        assert stats["intern_hits"] + stats["intern_misses"] > 0
 
     def test_shared_engine_mixed_backends(self):
         eng = Engine()
@@ -73,22 +68,6 @@ class TestConcurrentRun:
                 assert eng.run(QUERY, v, backend=backend) == QUERY(v)
 
         _hammer(work)
-
-    def test_interned_results_stay_canonical_under_threads(self):
-        eng = Engine()
-        v = vpair(vset(vorset(1, 2), vorset(3)), vorset(1, 2))
-        results: list = []
-
-        def work(_i: int) -> None:
-            local = [eng.run(Normalize(), v) for _ in range(ROUNDS)]
-            results.extend(local)
-
-        _hammer(work)
-        # All threads converge on one canonical interned object.
-        assert len({id(r) for r in results}) == 1
-        stats = eng.interner.stats()
-        assert stats["normalize_misses"] >= 1
-        assert stats["normalize_hits"] >= THREADS * ROUNDS - THREADS
 
     def test_plan_cache_converges_to_one_plan(self):
         eng = Engine()
@@ -133,30 +112,3 @@ class TestConcurrentRunMany:
         for backend in ("eager", "streaming"):
             many = eng.run_many(QUERY, batch, backend=backend)
             assert many == [eng.run(QUERY, v, backend=backend) for v in batch]
-
-    def test_bounded_interner_hammered(self):
-        eng = Engine(interner=Interner(max_size=64))
-
-        def work(i: int) -> None:
-            for r in range(ROUNDS):
-                v = vset(vorset(100 * i + r, 100 * i + r + 1))
-                assert eng.run(QUERY, v) == QUERY(v)
-
-        _hammer(work)
-        stats = eng.interner.stats()
-        assert stats["evictions"] >= 1
-        # The arena can overshoot by at most one value's node count
-        # between threshold checks; it must never grow without bound.
-        assert stats["arena_size"] <= 64 + 64
-
-
-class TestConcurrentInterner:
-    def test_intern_is_canonical_across_threads(self):
-        interner = Interner()
-        value = vpair(vset(vorset(1, 2), vorset(3)), vorset(1, 2))
-        with ThreadPoolExecutor(max_workers=THREADS) as pool:
-            canons = list(pool.map(lambda _: interner.intern(value), range(64)))
-        assert len({id(c) for c in canons}) == 1
-        stats = interner.stats()
-        assert stats["intern_misses"] >= 1
-        assert stats["arena_size"] == len(interner)

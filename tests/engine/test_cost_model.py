@@ -439,47 +439,3 @@ class TestLateNormalization:
         m = Compose(Normalize(), OrMap(Normalize()))
         assert default_pipeline().run(m) == Normalize()
 
-
-class TestInternerLRU:
-    def test_hot_entries_survive_eviction(self):
-        from repro.engine.interning import Interner
-
-        interner = Interner(max_size=8)
-        hot = interner.intern(vorset(777))
-        for i in range(50):
-            interner.intern(vorset(i, i + 1))
-            interner.intern(vorset(777))  # touch: keeps the entry MRU
-        assert interner.intern(vorset(777)) is hot
-        assert interner.stats()["evictions"] >= 1
-
-    def test_cold_entries_leave_first(self):
-        from repro.engine.interning import Interner
-
-        interner = Interner(max_size=4)
-        cold = interner.intern(vorset(1000))
-        for i in range(20):
-            interner.intern(vorset(i))
-        assert not interner.is_interned(cold)
-
-    def test_normalize_memo_survives_large_normal_form(self):
-        # Interning a normal form with more nested entries than the
-        # arena holds must not evict the memo that was just written.
-        from repro.engine.interning import Interner
-
-        interner = Interner(max_size=4)
-        v = vset(vorset(1, 2), vorset(3, 4))
-        first = interner.normalize(v)
-        assert interner.normalize(v) is first
-        assert interner.normalize_misses == 1
-
-    def test_normalize_memo_survives_touches(self):
-        from repro.engine.interning import Interner
-
-        interner = Interner(max_size=16)
-        v = vpair(vset(vorset(1, 2), vorset(3)), vorset(1, 2))
-        first = interner.normalize(v)
-        for i in range(6):
-            interner.intern(vorset(5000 + i))
-            interner.normalize(v)  # touches v's entry each round
-        assert interner.normalize(v) is first
-        assert interner.normalize_misses == 1

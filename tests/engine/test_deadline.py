@@ -138,7 +138,7 @@ class TestBackendCheckpoints:
         started = time.monotonic()
         with deadline_scope(Deadline.after(0.2)):
             with pytest.raises(DeadlineExceeded):
-                eng.count_worlds(Normalize(), shared, backend="symbolic", intern=False)
+                eng.count_worlds(Normalize(), shared, backend="symbolic")
         assert time.monotonic() - started < 2.0
 
     def test_symbolic_world_stream_is_lazy_below_a_set(self):
@@ -176,7 +176,7 @@ class TestBackendCheckpoints:
         with deadline_scope(Deadline.after(0.2)):
             with pytest.raises(DeadlineExceeded):
                 E.Engine().exists(
-                    Id(), vset(x), lambda w: False, backend=name, intern=False
+                    Id(), vset(x), lambda w: False, backend=name
                 )
         assert time.monotonic() - started < 2.0
 

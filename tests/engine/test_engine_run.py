@@ -1,5 +1,5 @@
 """Tests for engine.run(): backends, equivalence with direct
-interpretation, interning integration and the possibilities stream."""
+interpretation, the plan cache and the possibilities stream."""
 
 import random
 from collections import Counter
@@ -20,7 +20,21 @@ from repro.lang.stdlib import select
 from repro.lang.primitives import predicate
 from repro.morphgen import random_lossless_morphism
 from repro.types.kinds import INT
-from repro.values.values import SetValue, vbag, vorset, vpair, vset
+from repro.values.values import (
+    Atom,
+    BagValue,
+    OrSetValue,
+    Pair,
+    SetValue,
+    UnitValue,
+    Variant,
+    vbag,
+    vorset,
+    vpair,
+    vset,
+)
+
+from tests.strategies import design
 
 DOUBLE = Compose(plus(), PairOf(Id(), Id()))
 
@@ -49,7 +63,7 @@ class TestEquivalenceWithDirectInterpretation:
         v = vset(vset(1, 2), vset(3))
         expected = q(v)
         assert engine.run(q, v, backend=backend, optimize=False) == expected
-        assert engine.run(q, v, backend=backend, intern=False) == expected
+        assert engine.run(q, v, backend=backend) == expected
 
     def test_normalize_program(self, backend):
         v = vpair(vset(vorset(1, 2), vorset(3)), vorset(1, 2))
@@ -108,24 +122,12 @@ class TestEngineObject:
         with pytest.raises(ValueError, match="unknown backend"):
             Engine().run(Id(), vset(1), backend="warp")
 
-    def test_interned_results_are_canonical(self):
-        eng = Engine()
-        out1 = eng.run(OrMap(DOUBLE), vorset(1, 2))
-        out2 = eng.run(OrMap(DOUBLE), vorset(1, 2))
-        assert out1 is out2
-
-    def test_repeated_normalize_hits_memo(self):
-        eng = Engine()
-        v = vpair(vset(vorset(1, 2), vorset(3)), vorset(1, 2))
-        eng.run(Normalize(), v)
-        eng.run(Normalize(), v)
-        assert eng.interner.normalize_hits >= 1
-
     def test_clear_caches(self):
         eng = Engine()
         eng.run(OrMap(DOUBLE), vorset(1, 2))
+        assert len(eng._plans) == 1
         eng.clear_caches()
-        assert len(eng.interner) == 0
+        assert len(eng._plans) == 0
 
     def test_possibilities_stream(self):
         eng = Engine()
@@ -136,11 +138,6 @@ class TestEngineObject:
     def test_possibilities_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backend"):
             Engine().possibilities(Id(), vset(1), backend="streming")
-
-    def test_possibilities_respects_intern_flag(self):
-        eng = Engine()
-        list(eng.possibilities(Id(), vset(vorset(1, 2)), intern=False))
-        assert len(eng.interner) == 0
 
     def test_explain_produces_typed_plan(self):
         from repro.types.parse import parse_type
@@ -173,6 +170,43 @@ class TestEngineObject:
         assert (programs[5], True) in eng._plans
         assert (programs[0], True) not in eng._plans
 
+    def test_default_run_hashes_no_value(self, monkeypatch):
+        # A run computes its result and nothing else: neither the input
+        # nor any node of the normal form is hashed.
+        x = design(6)
+        hashed = Counter()
+        for cls in (Atom, UnitValue, Pair, SetValue, OrSetValue, BagValue, Variant):
+            unpatched = cls.__hash__
+
+            def counting_hash(v, _unpatched=unpatched):
+                hashed[type(v).__name__] += 1
+                return _unpatched(v)
+
+            monkeypatch.setattr(cls, "__hash__", counting_hash)
+        result = Engine().run(Normalize(), x)
+        monkeypatch.undo()
+        assert result == Normalize()(x)
+        assert sum(hashed.values()) == 0, dict(hashed)
+
+    def test_intern_keyword_is_accepted_and_ignored(self):
+        # perfbench/run.py still passes `intern=False` to engine.possible.
+        from repro.io import parsed_morphism
+
+        program = parsed_morphism("normalize")
+        v = vset(vorset(1, 2), vorset(3))
+        assert engine.possible(program, v) == engine.possible(program, v)
+        eng = Engine()
+        for flag in (True, False):
+            assert eng.run(program, v, intern=flag) == eng.run(program, v)
+            assert eng.run_many(program, [v], intern=flag) == eng.run_many(program, [v])
+            assert set(eng.possibilities(program, v, intern=flag)) == set(
+                eng.possibilities(program, v)
+            )
+            assert eng.count_worlds(program, v, intern=flag) == eng.count_worlds(program, v)
+            assert eng.exists(program, v, intern=flag) == eng.exists(program, v)
+            assert eng.certain(program, v, intern=flag) == eng.certain(program, v)
+            assert eng.possible(program, v, intern=flag) == eng.possible(program, v)
+
 
 class TestRunMany:
     def test_matches_run_elementwise(self, backend):
@@ -188,21 +222,11 @@ class TestRunMany:
         batch = [vorset(1, 2), vorset(3), vorset(1, 2), vorset(3), vorset(1, 2)]
         results = eng.run_many(OrMap(DOUBLE), batch)
         assert results == [eng.run(OrMap(DOUBLE), v) for v in batch]
-        # Duplicates come back as the same interned object.
+        # Duplicates come back as one result object.
         assert results[0] is results[2] is results[4]
 
     def test_empty_batch(self):
         assert Engine().run_many(Id(), []) == []
-
-    def test_cached_plan_holds_no_arena_bound_closure(self):
-        # Regression: the bound-closure memo lives on the interner, not
-        # on the cached plan, so a plan never pins an arena.
-        eng = Engine()
-        q = OrMap(DOUBLE)
-        eng.run_many(q, [vorset(1, 2)] * 4)
-        plan = eng.compile(q)
-        assert id(plan) in eng.interner._bound_plans
-        assert all(not isinstance(k, tuple) for k in plan._bound)
 
     def test_module_level_run_many(self):
         batch = [vorset(1, 2), vorset(3)]
@@ -224,7 +248,7 @@ class TestRunMany:
             return unpatched(v)
 
         monkeypatch.setattr(SetValue, "__hash__", counting_hash)
-        results = Engine().run_many(SetMap(DOUBLE), batch, intern=False)
+        results = Engine().run_many(SetMap(DOUBLE), batch)
         monkeypatch.undo()
         assert results == [SetMap(DOUBLE)(v) for v in batch]
         assert [hashed[id(v)] for v in batch] == [1, 1, 1]

@@ -141,13 +141,6 @@ class TestSpineStages:
         assert sharded.run(SetMap(DOUBLE), v, backend="process") == SetMap(DOUBLE)(v)
         assert backend.remote_chunks > before
 
-    def test_interned_execution(self, sharded):
-        q = Compose(SetMap(DOUBLE), SetMap(DOUBLE))
-        v = vset(*range(30))
-        out = sharded.run(q, v, backend="process")
-        assert out == q(v)
-        assert sharded.interner.is_interned(out)
-
     def test_tiny_chunks_agree(self, sharded):
         q = SetMap(SetMap(DOUBLE))
         v = vset(vset(1, 2), vset(3, 4), vset(5))

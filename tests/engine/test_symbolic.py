@@ -185,7 +185,7 @@ class TestChoiceSpaceOracle:
         # 67 worlds by the tight family's 3^12 in closed form.
         v = vpair(tight_family(12)[0], shared_family(5))
         with deadline_scope(Deadline.after(2.0)):
-            count = Engine().count_worlds(Normalize(), v, intern=False)
+            count = Engine().count_worlds(Normalize(), v)
         assert count == 3**12 * 67
 
     def test_colliding_orset_of_sets_counts_exactly(self):
@@ -221,20 +221,20 @@ class TestCollapsingMembers:
         # subset_orsets(5) has ~3*10^11 choice vectors and one world.
         with deadline_scope(Deadline.after(1.0)):
             for query in (ENGINE.certain, ENGINE.possible):
-                answer = query(Normalize(), vset(subset_orsets(5)), intern=False)
+                answer = query(Normalize(), vset(subset_orsets(5)))
                 assert answer == vset(vset(1, 2, 3, 4, 5))
 
     def test_certain_does_not_count_a_colliding_member(self):
         # The member's first world settles that it has two; counting its
         # worlds would fold 3^20 choice vectors.
         with deadline_scope(Deadline.after(1.0)):
-            assert ENGINE.certain(Normalize(), vset(shared_family(20)), intern=False) == vset()
+            assert ENGINE.certain(Normalize(), vset(shared_family(20))) == vset()
 
     def test_possible_folds_a_colliding_member(self):
         with deadline_scope(Deadline.after(2.0)):
-            possible = ENGINE.possible(Normalize(), vset(shared_family(12)), intern=False)
+            possible = ENGINE.possible(Normalize(), vset(shared_family(12)))
         assert len(possible.elems) == 4817
-        assert ENGINE.count_worlds(Normalize(), shared_family(12), intern=False) == 4817
+        assert ENGINE.count_worlds(Normalize(), shared_family(12)) == 4817
 
 
 def pairwise_reference(parts):

@@ -1,4 +1,4 @@
-"""Hypothesis strategies for or-NRA types and values.
+"""Hypothesis strategies for or-NRA types and values, and fixed inputs.
 
 Strategies are deliberately small-biased: the interesting invariants
 (coherence, duplicate collapse, bounds) already show up at width <= 3 and
@@ -28,6 +28,9 @@ from repro.values.values import (
     Value,
     Variant,
     boolean,
+    vorset,
+    vpair,
+    vset,
 )
 
 __all__ = [
@@ -37,6 +40,7 @@ __all__ = [
     "value_of",
     "typed_values",
     "typed_orset_values",
+    "design",
 ]
 
 base_types = st.sampled_from([INT, BOOL])
@@ -149,4 +153,13 @@ def typed_orset_values(
     (variants and bags are opt-in)."""
     return orset_types(max_depth, variants, bags).flatmap(
         lambda t: st.tuples(value_of(t, max_width, min_width), st.just(t))
+    )
+
+
+def design(width: int, base: int = 0) -> Value:
+    """A Section 4 design: ``({<a_i, b_i> : i <= width}, <c, d>)``, whose
+    normal form has ``2^(width+1)`` worlds."""
+    return vpair(
+        vset(*(vorset(base + 10 * i, base + 10 * i + 5) for i in range(1, width + 1))),
+        vorset(base + 1, base + 2),
     )

@@ -223,15 +223,6 @@ class TestBatchedEndpoints:
 
         assert run_json_many("normalize", []) == []
 
-    def test_run_json_many_pins_nothing_in_default_engine(self):
-        from repro.engine import DEFAULT_ENGINE
-        from repro.io import run_json_many, run_text_many
-
-        before = len(DEFAULT_ENGINE.interner)
-        run_json_many("normalize", [value_to_json(vset(vorset(7000, 7001)))])
-        run_text_many("normalize", ["{<7002, 7003>}"])
-        assert len(DEFAULT_ENGINE.interner) == before
-
     def test_run_text_many_matches_run_text(self):
         from repro.io import run_text, run_text_many
 

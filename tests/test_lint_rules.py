@@ -61,7 +61,7 @@ class TestLR002DefaultEngineMutation:
         assert codes("DEFAULT_ENGINE = Engine()\n", "src/repro/io.py") == ["LR002"]
 
     def test_attribute_assignment_flagged(self):
-        src = "from repro.engine import DEFAULT_ENGINE\nDEFAULT_ENGINE.interner = None\n"
+        src = "from repro.engine import DEFAULT_ENGINE\nDEFAULT_ENGINE.pipeline = None\n"
         assert codes(src, "examples/demo.py") == ["LR002"]
 
     def test_nested_attribute_assignment_flagged(self):
@@ -146,31 +146,6 @@ class TestLR005NoSatInEngine:
         src = "from repro.sat.dpll import dpll_sat\n"
         assert codes(src, "benchmarks/bench_sat_hardness.py") == []
         assert codes(src, "src/repro/sat/via_normalization.py") == []
-
-
-class TestLR006OneArena:
-    def test_bare_and_attribute_calls_flagged(self):
-        src = "a = Interner()\nb = interning.Interner(max_size=8)\n"
-        vs = check_source(src, "src/repro/io.py")
-        assert [(v.code, v.line) for v in vs] == [("LR006", 1), ("LR006", 2)]
-        assert "traced benchmark" in vs[0].message
-
-    def test_every_source_module_flagged(self):
-        assert codes("state = Interner()\n", PROCESS) == ["LR006"]
-        assert codes("arena = Interner()\n", "src/repro/serve/server.py") == ["LR006"]
-
-    def test_engine_module_and_other_trees_pass(self):
-        src = "arena = Interner()\n"
-        assert codes(src, "src/repro/engine/__init__.py") == []
-        assert codes(src, "tests/engine/test_interning.py") == []
-        assert codes(src, "benchmarks/bench_engine.py") == []
-
-    def test_references_without_a_call_pass(self):
-        src = "def f(arena: Interner | None = None):\n    return isinstance(arena, Interner)\n"
-        assert codes(src, "src/repro/engine/backends.py") == []
-
-    def test_allow_comment_suppresses(self):
-        assert codes("a = Interner()  # lint: allow-LR006\n", "src/repro/io.py") == []
 
 
 class TestLR007:

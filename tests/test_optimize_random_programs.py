@@ -74,7 +74,7 @@ def test_engine_run_agrees_with_direct_interpreter(seed):
     eng = Engine()
     assert eng.run(f, v) == expected
     assert eng.run(f, v, backend="streaming") == expected
-    assert eng.run(f, v, intern=False, optimize=False) == expected
+    assert eng.run(f, v, optimize=False) == expected
 
 
 @settings(max_examples=50, deadline=None)

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.normalize import normalize
-from repro.engine.interning import Interner
 from repro.io import value_from_json, value_to_json
 from repro.lang.orset_ops import Alpha
 from repro.lang.parser import parse_value
@@ -54,10 +53,7 @@ class TestStoredKeys:
         assert decoded == value and parsed == value
         assert_reference_keys(decoded)
         assert_reference_keys(parsed)
-        result = normalize(value, t)
-        assert Interner().normalize(value, t) == result
-        assert_reference_keys(result)
-        assert_reference_keys(Interner().normalize(value, t))
+        assert_reference_keys(normalize(value, t))
         unpickled = pickle.loads(pickle.dumps(value))
         assert unpickled == value
         assert_reference_keys(unpickled)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint rules the generic linters cannot express.
 
-Eight invariants of this engine are architectural, not stylistic, and a
+Seven invariants of this engine are architectural, not stylistic, and a
 violation is a latent bug that no unit test reliably catches:
 
 * **LR001 — no lambdas in transport-path modules.**  The callables
@@ -36,13 +36,6 @@ violation is a latent bug that no unit test reliably catches:
   Section 6 reduction and its reference solver.  A solver call back in
   the engine reintroduces the per-candidate SAT loops the recursion
   replaced.
-
-* **LR006 — one arena per engine.**  Only ``repro/engine/__init__.py``,
-  where ``Engine.__init__`` builds each engine's arena, may call
-  ``Interner(``.  A scoped arena (per call, per batch, per worker)
-  hashes every input and output, and pays only when its scope
-  normalizes one value twice — its cost shows only in a traced
-  benchmark, not as an error.
 
 * **LR007 — only ``values.py`` fills a collection or stores a key.**
   Only ``repro/values/values.py`` may call ``object.__setattr__(…,
@@ -108,7 +101,7 @@ SAT_PACKAGE = "repro.sat"
 WORLDS_ORACLE = "repro.core.worlds"
 WORLD_STREAM = "src/repro/core/lazy.py"
 
-#: The source tree, in which only ENGINE_HOME may create an arena (LR006).
+#: The source tree, in which only VALUES_HOME fills collections (LR007).
 SOURCE_PACKAGE = "src/repro/"
 
 #: The one module in the source tree that fills collections directly (LR007).
@@ -172,7 +165,6 @@ def check_source(source: str, path: str) -> list[Violation]:
     serve = SERVE_PACKAGE in posix and not posix.endswith(PROTOCOL_HOME)
     engine = ENGINE_PACKAGE in posix
     stream = engine or posix.endswith(WORLD_STREAM)
-    source = SOURCE_PACKAGE in posix and not engine_home
     fills = SOURCE_PACKAGE in posix and not posix.endswith(VALUES_HOME)
 
     # `object.__setattr__` as a call's target: the one use LR007 reads on.
@@ -226,14 +218,6 @@ def check_source(source: str, path: str) -> list[Violation]:
                 "repro.core.worlds imported by the engine: it is the oracle "
                 "the engine is tested against, and it enumerates without a "
                 "deadline; stream worlds through repro.core.lazy",
-            )
-        if source and isinstance(node, ast.Call) and _call_name(node) == "Interner":
-            report(
-                node,
-                "LR006",
-                "Interner() outside repro/engine/__init__.py: a scoped arena "
-                "hashes every input and output, and its cost shows only in a "
-                "traced benchmark; use an Engine's arena (intern=True)",
             )
         if fills and _writes_slot(node, setattr_calls):
             report(
