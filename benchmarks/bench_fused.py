@@ -13,8 +13,11 @@ Two workloads measure the fusion layer (`engine/columnar.py` +
 * **fused-tight-family** — the Theorem 6.5 tight family under
   ``mu o map(ortoset)``: a ``map`` whose body does *not* raw-compile
   (the boxed fallback path) followed by a flatten, fused into one
-  kernel with the segment-free mu.  Measures that fusion still wins
-  when elements stay boxed, by skipping intermediate collections.
+  kernel with the segment-free mu.  Measures whether skipping the
+  intermediate collection pays when every element stays boxed.  It
+  does not: the committed ``BENCH_fused.json`` reads ``fused_vs_eager``
+  0.85, so fused is slower than eager here.  No gate covers this row,
+  and ``auto`` routes this shape to ``streaming``.
 
 Run ``python benchmarks/bench_fused.py`` (add ``--quick`` for the CI
 smoke sizes) to print the table and write ``BENCH_fused.json`` next to

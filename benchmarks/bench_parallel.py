@@ -12,6 +12,12 @@ compile-and-run engine:
   equal inputs, so each distinct world is normalized once.
 * **batched-text-serving** — the same shape through the paper-notation
   endpoint (``run_text_many`` vs a ``run_text`` loop).
+* **io-codec** — the JSON codec alone, decode and encode timed apart
+  with the cyclic collector on (as a serving process runs), on two
+  shapes: a 2,000-atom set, which shares nothing, and ``map(normalize)``'s
+  output over 48 designs of width 6, whose worlds share sub-objects
+  that ``value_to_json`` encodes once.  Decode reads the text a client
+  sends, a fresh tree.  It records timings only; no gate reads it.
 
 Sharding a single input across worker processes is measured by
 ``bench_serve.py``'s process-vs-eager row.
@@ -25,13 +31,23 @@ entry point beats the sequential loop.
 from __future__ import annotations
 
 import argparse
+import gc
+import json
 import pathlib
 import random
 
 from harness import best_of, write_results
 
-from repro.io import run_json, run_json_many, run_text, run_text_many, value_to_json
-from repro.values.values import format_value, vorset, vpair, vset
+from repro.io import (
+    parsed_morphism,
+    run_json,
+    run_json_many,
+    run_text,
+    run_text_many,
+    value_from_json,
+    value_to_json,
+)
+from repro.values.values import Atom, format_value, vorset, vpair, vset
 
 OUT_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_parallel.json"
 
@@ -55,6 +71,9 @@ def _multi_world_batch(
 
 
 def _workloads(quick: bool = False) -> list[dict]:
+    # The codec row runs first, before the batch rows fill the heap that
+    # every full collection walks.
+    codec = _codec_row()
     results: list[dict] = []
     total, distinct, width = (60, 6, 5) if quick else (240, 12, 7)
     batch = _multi_world_batch(total, distinct, width)
@@ -91,7 +110,26 @@ def _workloads(quick: bool = False) -> list[dict]:
             "speedup": t_seq / t_many,
         }
     )
+    results.append(codec)
     return results
+
+
+def _codec_row() -> dict:
+    """io-codec: decode and encode timed apart, collector on, two shapes."""
+    from repro.engine import run
+
+    atom_set = vset(*(Atom("int", i) for i in range(2000)))
+    designs = vset(*(_design(6, salt=100 * s) for s in range(48)))
+    normal_forms = run(parsed_morphism("map(normalize)"), designs)
+    row: dict = {"workload": "io-codec", "collector": "on"}
+    gc.enable()
+    for name, value in (("atom_set", atom_set), ("normal_forms", normal_forms)):
+        data = json.loads(json.dumps(value_to_json(value)))
+        assert value_from_json(data) == value
+        gc.collect()
+        row[f"{name}_decode_s"] = best_of(lambda d=data: value_from_json(d), repeat=5)
+        row[f"{name}_encode_s"] = best_of(lambda v=value: value_to_json(v), repeat=5)
+    return row
 
 
 def main() -> None:
@@ -99,9 +137,19 @@ def main() -> None:
     results = _workloads(quick=args.quick)
     print(f"{'workload':<26} {'baseline (ms)':>14} {'batched (ms)':>13} {'speedup':>8}")
     for row in results:
+        if row["workload"] == "io-codec":
+            continue
         print(
             f"{row['workload']:<26} {row['sequential_s'] * 1000:>14.2f}"
             f" {row['run_many_s'] * 1000:>13.2f} {row['speedup']:>7.1f}x"
+        )
+    codec = results[-1]
+    print(f"\n{'io-codec (collector on)':<26} {'decode (ms)':>14} {'encode (ms)':>13}")
+    shapes = (("atom_set", "2,000-atom set"), ("normal_forms", "48 design(6) NFs"))
+    for name, label in shapes:
+        print(
+            f"{label:<26} {codec[f'{name}_decode_s'] * 1000:>14.2f}"
+            f" {codec[f'{name}_encode_s'] * 1000:>13.2f}"
         )
     write_results(OUT_PATH, results)
     print(f"\nwrote {OUT_PATH}")

@@ -31,6 +31,7 @@ from repro.values.values import (
     UnitValue,
     Value,
     Variant,
+    collection_from_list,
     format_value,
 )
 
@@ -58,34 +59,71 @@ __all__ = [
 def value_to_json(v: Value) -> object:
     """Encode *v* as plain JSON-serializable data.
 
-    Dispatches on the exact class, as the normal-form kernel does, with
-    atoms and sets, the commonest nodes, tested first.
+    Within one call, each distinct pair, set, or-set, bag, variant and
+    unit node is encoded once: where the same node object recurs (a
+    normal form builds its worlds from shared sub-objects), its dict is
+    reused, so the result may hold one dict in several places.  Callers
+    must treat it as read-only.  Atoms are written inline by their parent
+    and never shared.  ``json.dumps`` of the result reads exactly as if
+    every node had been encoded afresh.
+    """
+    return _encode(v, {})
+
+
+_COLLECTION_NAMES = {SetValue: "set", OrSetValue: "orset", BagValue: "bag"}
+
+
+def _encode(v: Value, memo: dict[int, dict]) -> dict:
+    """The JSON of *v*; a non-atom node's dict is stored in *memo* under
+    ``id(v)``, and callers look there first.
+
+    Dispatches on the exact class, as the normal-form kernel does.  The
+    memo is keyed by object identity, which is stable because the value
+    being encoded keeps every node alive for the whole call.  Each level
+    of nesting costs one frame, as the tree walk did for pairs.
     """
     cls = type(v)
     if cls is Atom:
         return {"atom": v.base, "value": v.value}
-    if cls is SetValue:
-        return {"set": [value_to_json(e) for e in v.elems]}
-    if cls is OrSetValue:
-        return {"orset": [value_to_json(e) for e in v.elems]}
-    if cls is Pair:
-        return {"pair": [value_to_json(v.fst), value_to_json(v.snd)]}
-    if cls is BagValue:
-        return {"bag": [value_to_json(e) for e in v.elems]}
-    if cls is Variant:
-        key = "inl" if v.side == 0 else "inr"
-        return {key: value_to_json(v.payload)}
-    if cls is UnitValue:
-        return {"unit": True}
-    raise OrNRAValueError(f"not a value: {v!r}")
+    get = memo.get
+    name = _COLLECTION_NAMES.get(cls)
+    if name is not None:
+        out = []
+        append = out.append
+        for e in v.elems:
+            if type(e) is Atom:
+                append({"atom": e.base, "value": e.value})
+            else:
+                append(get(id(e)) or _encode(e, memo))
+        data: dict = {name: out}
+    elif cls is Pair:
+        fst, snd = v.fst, v.snd
+        left = get(id(fst)) or _encode(fst, memo)
+        data = {"pair": [left, get(id(snd)) or _encode(snd, memo)]}
+    elif cls is Variant:
+        side = "inl" if v.side == 0 else "inr"
+        data = {side: get(id(v.payload)) or _encode(v.payload, memo)}
+    elif cls is UnitValue:
+        data = {"unit": True}
+    else:
+        raise OrNRAValueError(f"not a value: {v!r}")
+    memo[id(v)] = data
+    return data
 
 
 def value_from_json(data: object) -> Value:
     """Decode the JSON structure produced by :func:`value_to_json`.
 
-    The result is the value the constructors build, because it is built
-    by them: each node's sort key is built once, from the keys its
-    children carry, rather than once for every collection above it.
+    The result is the value the constructors build: each node's sort key
+    is built once, from the keys its children carry, rather than once
+    for every collection above it.  A collection element that is exactly
+    an atom as the encoder writes it (a dict of ``"atom"``, a ``str``,
+    and ``"value"``, a ``bool``/``int``/``float``/``str``) is built
+    inline; every other element is decoded in full.  Each collection's
+    elements go to :func:`~repro.values.values.collection_from_list`,
+    which keeps elements already in canonical order (as the encoder
+    writes them) without sorting, and sorts and deduplicates any others
+    as the constructors do, the last of equal elements surviving.
 
     Every malformed fragment — a ``"pair"`` that is not a two-element
     list, a non-list ``"set"``/``"orset"``/``"bag"``, an ``"atom"``
@@ -98,10 +136,11 @@ def value_from_json(data: object) -> Value:
 
 
 _COLLECTIONS = (("set", SetValue), ("orset", OrSetValue), ("bag", BagValue))
+_SCALARS = (bool, int, float, str)
 
 
 def _decode(data: object) -> Value:
-    """The value *data* encodes, built bottom-up by the constructors."""
+    """The value *data* encodes, built bottom-up."""
     if not isinstance(data, dict):
         raise OrNRAValueError(f"malformed value JSON: {data!r}")
     if "unit" in data:
@@ -110,7 +149,7 @@ def _decode(data: object) -> Value:
         if "value" not in data:
             raise OrNRAValueError(f"malformed value JSON: atom without a value: {data!r}")
         payload = data["value"]
-        if not isinstance(payload, (bool, int, float, str)):
+        if not isinstance(payload, _SCALARS):
             raise OrNRAValueError(
                 f"malformed value JSON: atom value must be a scalar, got {payload!r}"
             )
@@ -130,9 +169,21 @@ def _decode(data: object) -> Value:
                     f"malformed value JSON: {name!r} expects a list of elements, "
                     f"got {elems!r}"
                 )
-            decoded = [_decode(e) for e in elems]
+            decoded = []
+            append = decoded.append
+            for e in elems:
+                # An atom is built inline when it is exactly the shape the
+                # encoder writes; anything else goes through _decode, which
+                # names every malformed fragment.
+                if type(e) is dict and len(e) == 2:
+                    base = e.get("atom")
+                    payload = e.get("value")
+                    if type(base) is str and type(payload) in _SCALARS:
+                        append(Atom(base, payload))
+                        continue
+                append(_decode(e))
             try:
-                return cls(decoded)
+                return collection_from_list(cls, decoded)
             except TypeError as exc:
                 raise OrNRAValueError(
                     f"malformed value JSON: {name!r} holds atoms that do not "
@@ -385,7 +436,9 @@ def run_json_many(
     fan out across worker processes when the batch runs on the process
     backend (see :meth:`repro.engine.Engine.run_many`).  Results come
     back in input order, each distinct one encoded once: equal inputs get
-    one shared result dict, which callers must treat as read-only.
+    one shared result dict, and within a result every recurring sub-value
+    shares one dict too (see :func:`value_to_json`), so callers must
+    treat results as read-only.
     *morphism_text* may also be a pre-resolved Morphism; *timeout*
     bounds the whole batch's evaluation (see :func:`run_text`).
     """

@@ -14,6 +14,9 @@ Grammar (values)::
     v ::= int | true | false | "string" | () | base:ident
         | (v, v) | {v, ...} | <v, ...> | [|v, ...|] | inl v | inr v
 
+Inside a string, ``\\"`` stands for ``"`` and ``\\\\`` for ``\\``; a backslash
+before any other character is itself.
+
 Grammar (morphisms)::
 
     m ::= m o m                      composition (right associative)
@@ -180,13 +183,18 @@ def _parse_value(cur: _Cursor) -> Value:
     if ch == '"':
         cur.expect('"')
         start = cur.pos
-        while cur.pos < len(cur.text) and cur.text[cur.pos] != '"':
+        text = cur.text
+        chars: list[str] = []
+        while cur.pos < len(text) and text[cur.pos] != '"':
+            # \" and \\ stand for " and \; any other backslash is literal.
+            if text[cur.pos] == "\\" and text[cur.pos + 1 : cur.pos + 2] in ('"', "\\"):
+                cur.pos += 1
+            chars.append(text[cur.pos])
             cur.pos += 1
-        if cur.pos >= len(cur.text):
+        if cur.pos >= len(text):
             raise OrNRAParseError("unterminated string literal", start)
-        literal = cur.text[start : cur.pos]
         cur.pos += 1
-        return Atom("string", literal)
+        return Atom("string", "".join(chars))
     if ch == "-" or ch.isdigit():
         cur.skip_ws()
         start = cur.pos

@@ -25,8 +25,7 @@ Construction helpers accept raw Python scalars and wrap them in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import attrgetter, eq
+from operator import attrgetter, eq, le, lt
 from typing import Iterable, Iterator
 
 from repro.errors import OrNRAValueError
@@ -68,6 +67,7 @@ __all__ = [
     "vinr",
     "sort_key",
     "ordered_collection",
+    "collection_from_list",
     "format_value",
     "infer_type",
     "check_type",
@@ -146,29 +146,38 @@ class Pair(Value):
         return f"Pair({self.fst!r}, {self.snd!r})"
 
 
-def _fill(node: Value, elems: Iterable[Value], distinct: bool) -> None:
-    """Store *elems* in the collection *node*, sorted by key, and its key.
+def _fill(node: Value, elems: list[Value]) -> None:
+    """Store the list *elems* in the collection *node*, sorted by key, and
+    its key; the list is taken over and may be reordered in place.
 
-    A set or an or-set keeps, of each run of equal keys, the element that
-    came last, as a dict keyed by sort key would.  Nothing is hashed:
-    equal keys are adjacent once sorted (the sort is stable).
+    The elements' stored keys are read once up front.  Elements whose keys
+    already strictly increase (for a bag: never decrease) are stored as
+    they come, with no sort and no duplicate scan.  Otherwise they are
+    sorted, and a set or
+    an or-set keeps, of each run of equal keys, the element that came
+    last, as a dict keyed by sort key would.  Nothing is hashed: equal
+    keys are adjacent once sorted (the sort is stable).
     """
-    ordered = list(elems)
+    cls = type(node)
     try:
-        ordered.sort(key=_KEY)
-    except AttributeError:  # an unpickled element; the list is left as it was
-        ordered.sort(key=sort_key)
-    keys = tuple(map(_KEY, ordered))
-    if distinct and any(map(eq, keys, islice(keys, 1, None))):
-        kept = [0]
-        for i in range(1, len(keys)):
-            if keys[i] == keys[kept[-1]]:
-                kept[-1] = i
-            else:
-                kept.append(i)
-        ordered = [ordered[i] for i in kept]
-        keys = tuple(keys[i] for i in kept)
-    _store(node, tuple(ordered), keys)
+        keys = tuple(map(_KEY, elems))
+    except AttributeError:  # an unpickled element: compute and store its key
+        keys = tuple(map(sort_key, elems))
+    follows = le if cls is BagValue else lt
+    if not all(map(follows, keys, keys[1:])):
+        elems.sort(key=_KEY)
+        keys = tuple(map(_KEY, elems))
+        if cls is not BagValue and any(map(eq, keys, keys[1:])):
+            kept = [0]
+            for i in range(1, len(keys)):
+                if keys[i] == keys[kept[-1]]:
+                    kept[-1] = i
+                else:
+                    kept.append(i)
+            elems = [elems[i] for i in kept]
+            keys = tuple(keys[i] for i in kept)
+    _SET_ELEMS[cls](node, tuple(elems))
+    _set_key(node, (_COLLECTION_TAGS[cls], len(keys), keys))
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,7 +187,7 @@ class SetValue(Value):
     elems: tuple[Value, ...]
 
     def __init__(self, elems: Iterable[Value]) -> None:
-        _fill(self, elems, True)
+        _fill(self, list(elems))
 
     def __iter__(self) -> Iterator[Value]:
         return iter(self.elems)
@@ -204,7 +213,7 @@ class OrSetValue(Value):
     elems: tuple[Value, ...]
 
     def __init__(self, elems: Iterable[Value]) -> None:
-        _fill(self, elems, True)
+        _fill(self, list(elems))
 
     def __iter__(self) -> Iterator[Value]:
         return iter(self.elems)
@@ -250,7 +259,7 @@ class BagValue(Value):
     elems: tuple[Value, ...]
 
     def __init__(self, elems: Iterable[Value]) -> None:
-        _fill(self, elems, False)
+        _fill(self, list(elems))
 
     def __iter__(self) -> Iterator[Value]:
         return iter(self.elems)
@@ -287,13 +296,6 @@ def _atom_key(base: str, value: object) -> tuple:
     if value.__class__ is bool:
         value = int(value)  # type: ignore[call-overload]
     return (1, _ATOM_RANK.get(base, 3), base, value)
-
-
-def _store(node: Value, elems: tuple, keys: tuple) -> None:
-    """Fill the collection *node* with *elems*, whose keys are *keys*."""
-    cls = type(node)
-    _SET_ELEMS[cls](node, elems)
-    _set_key(node, (_COLLECTION_TAGS[cls], len(elems), keys))
 
 
 UNIT_VALUE = UnitValue()
@@ -401,7 +403,8 @@ def ordered_collection(cls: type, elems: tuple[Value, ...]) -> Value:
     for a set or an or-set, distinct; nothing is sorted or compared.  The
     node's key is read off its elements' keys.  The normal-form kernel,
     which derives its worlds' order from keys it has sorted once, builds
-    its collections this way; everything else calls the constructors.
+    its collections this way; everything else calls the constructors or
+    :func:`collection_from_list`, which check the order.
     """
     try:
         keys = tuple(map(_KEY, elems))
@@ -413,6 +416,20 @@ def ordered_collection(cls: type, elems: tuple[Value, ...]) -> Value:
     return node
 
 
+def collection_from_list(cls: type, elems: list[Value]) -> Value:
+    """``cls(elems)``, taking the list *elems* over instead of copying it.
+
+    The list may be reordered in place, so the caller must not use it
+    again.  Elements already in canonical order are stored as they come,
+    unsorted and unscanned; any others are sorted and deduplicated exactly
+    as the constructors do.  The JSON decoder builds its collections this
+    way.
+    """
+    node = object.__new__(cls)
+    _fill(node, elems)
+    return node
+
+
 def format_value(v: Value) -> str:
     """Render *v* in the paper's notation (``<..>``, ``{..}``, ``(..)``)."""
     if isinstance(v, UnitValue):
@@ -421,7 +438,8 @@ def format_value(v: Value) -> str:
         if v.base == "bool":
             return "true" if v.value else "false"
         if v.base == "string":
-            return f'"{v.value}"'
+            text = str(v.value).replace("\\", "\\\\").replace('"', '\\"')
+            return f'"{text}"'
         if v.base == "int":
             return str(v.value)
         return f"{v.base}:{v.value}"

@@ -1,9 +1,12 @@
 """Tests for serialization (Section 7's I/O facilities)."""
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.normalize import normalize
 from repro.errors import OrNRAValueError
 from repro.io import (
     dumps_type,
@@ -29,7 +32,7 @@ from repro.values.values import (
     vset,
 )
 
-from tests.strategies import object_types, typed_values
+from tests.strategies import design, object_types, typed_orset_values, typed_values
 
 
 class TestJsonRoundTrip:
@@ -116,6 +119,118 @@ class TestMalformedFragments:
             value_from_json({"inl": {key: nested}})
 
 
+def reference_to_json(v):
+    """The tree-walk encoding: every node encoded afresh, nothing shared."""
+    if isinstance(v, Atom):
+        return {"atom": v.base, "value": v.value}
+    if isinstance(v, SetValue):
+        return {"set": [reference_to_json(e) for e in v.elems]}
+    if isinstance(v, OrSetValue):
+        return {"orset": [reference_to_json(e) for e in v.elems]}
+    if isinstance(v, Pair):
+        return {"pair": [reference_to_json(v.fst), reference_to_json(v.snd)]}
+    if isinstance(v, BagValue):
+        return {"bag": [reference_to_json(e) for e in v.elems]}
+    if isinstance(v, Variant):
+        return {"inl" if v.side == 0 else "inr": reference_to_json(v.payload)}
+    return {"unit": True}
+
+
+def _reusing(children):
+    """Nodes over *children* that hold one child object in several places."""
+    lists = st.lists(children, max_size=3)
+    return st.one_of(
+        children.map(lambda c: Pair(c, c)),
+        st.tuples(children, children).map(lambda p: Pair(*p)),
+        lists.map(lambda xs: BagValue(xs + xs)),
+        lists.map(SetValue),
+        lists.map(OrSetValue),
+        st.tuples(st.integers(0, 1), children).map(lambda p: Variant(*p)),
+    )
+
+
+#: Values with bags that repeat, variants, unit, empty collections,
+#: subtrees reused by object, and normal forms (which the kernel builds
+#: from shared sub-objects).
+ENCODABLE = st.recursive(
+    st.one_of(
+        typed_values(max_depth=3, max_width=3, variants=True, bags=True).map(
+            lambda p: p[0]
+        ),
+        typed_orset_values(max_depth=3, max_width=3).map(lambda p: normalize(p[0])),
+        st.sampled_from([UNIT_VALUE, SetValue([]), OrSetValue([]), BagValue([])]),
+    ),
+    _reusing,
+    max_leaves=6,
+)
+
+
+def _lists(data, seen):
+    """The distinct list objects (by identity) in the JSON *data*."""
+    if isinstance(data, list):
+        seen[id(data)] = data
+        for e in data:
+            _lists(e, seen)
+    elif isinstance(data, dict):
+        for e in data.values():
+            _lists(e, seen)
+    return seen
+
+
+def _non_atom_nodes(v, seen):
+    """The distinct non-atom nodes (by identity) of the value *v*."""
+    if isinstance(v, Atom) or id(v) in seen:
+        return seen
+    seen[id(v)] = v
+    if isinstance(v, Pair):
+        _non_atom_nodes(v.fst, seen)
+        _non_atom_nodes(v.snd, seen)
+    elif isinstance(v, Variant):
+        _non_atom_nodes(v.payload, seen)
+    else:
+        for e in getattr(v, "elems", ()):
+            _non_atom_nodes(e, seen)
+    return seen
+
+
+class TestSharedEncoder:
+    """value_to_json encodes each distinct non-atom node once per call, and
+    the JSON text reads exactly as the tree walk's."""
+
+    @given(ENCODABLE)
+    def test_text_matches_tree_walk(self, value):
+        data = value_to_json(value)
+        expected = reference_to_json(value)
+        assert json.dumps(data, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert json.dumps(data) == json.dumps(expected)
+        assert value_from_json(data) == value
+
+    def test_one_list_per_distinct_node(self):
+        value = normalize(design(6))
+        data = value_to_json(value)
+        # The tree walk writes 257 lists for this normal form.
+        assert len(_lists(data, {})) == len(_non_atom_nodes(value, {})) == 193
+        assert json.dumps(data, sort_keys=True) == json.dumps(
+            reference_to_json(value), sort_keys=True
+        )
+
+    def test_reused_subtree_shares_its_dict(self):
+        inner = vset(vorset(1, 2), vorset(3))
+        data = value_to_json(vpair(inner, inner))
+        left, right = data["pair"]
+        assert left is right
+
+    def test_each_call_encodes_afresh(self):
+        value = vset(vorset(1, 2))
+        assert value_to_json(value) is not value_to_json(value)
+
+    def test_non_value_rejected(self):
+        from repro.values.values import ordered_collection
+
+        with pytest.raises(OrNRAValueError, match="not a value: 3"):
+            value_to_json(ordered_collection(SetValue, (3,)))
+
+
 def reference_from_json(data):
     """The decoding that builds every node through its constructor."""
     if "unit" in data:
@@ -170,16 +285,78 @@ class TestKeyedDecoder:
     )
     def test_matches_constructor_decoding(self, pair, rng):
         value, _ = pair
-        data = scrambled(value_to_json(value), rng)
-        decoded = value_from_json(data)
-        expected = reference_from_json(data)
-        assert decoded == expected
-        assert repr(decoded) == repr(expected)
+        # The encoder's own output is in canonical order and takes the
+        # path that stores elements as they come; scrambled input sorts.
+        canonical = value_to_json(value)
+        for data in (canonical, scrambled(canonical, rng)):
+            decoded = value_from_json(data)
+            expected = reference_from_json(data)
+            assert decoded == expected
+            assert repr(decoded) == repr(expected)
 
     def test_last_equal_element_survives(self):
         ones = [{"atom": "int", "value": 1}, {"atom": "int", "value": 1.0}]
         assert repr(value_from_json({"set": ones})) == "SetValue([Atom(int:1.0)])"
         assert repr(value_from_json({"set": ones[::-1]})) == "SetValue([Atom(int:1)])"
+
+    def test_equal_keys_in_order_keep_the_last(self):
+        elems = [Atom("int", 0), Atom("int", 1), Atom("int", 1.0), Atom("int", 2)]
+        data = {"set": [{"atom": a.base, "value": a.value} for a in elems]}
+        decoded = value_from_json(data)
+        assert repr(decoded) == repr(SetValue(elems))
+        assert repr(decoded) == "SetValue([Atom(int:0), Atom(int:1.0), Atom(int:2)])"
+
+    def test_canonical_bag_keeps_its_repeats(self):
+        bag = vbag(1, 1, 2)
+        data = value_to_json(bag)
+        assert [e["value"] for e in data["bag"]] == [1, 1, 2]
+        decoded = value_from_json(data)
+        assert decoded == bag
+        assert len(decoded) == 3
+
+    @pytest.mark.parametrize("key", ["set", "orset", "bag"])
+    @pytest.mark.parametrize(
+        "element",
+        [
+            {"atom": "int", "value": 1, "extra": 0},
+            {"atom": 5, "value": 1},
+            {"unit": True, "atom": "int", "value": 1},
+            {"atom": "int", "value": True},
+            {"value": 1.5, "atom": "int"},
+        ],
+    )
+    def test_odd_elements_decode_as_the_reference(self, key, element):
+        # A non-str base such as 5 becomes the base "5".
+        data = {key: [element, {"atom": "int", "value": 7}]}
+        decoded = value_from_json(data)
+        assert repr(decoded) == repr(reference_from_json(data))
+
+    @pytest.mark.parametrize("key", ["set", "orset", "bag"])
+    @pytest.mark.parametrize(
+        ("element", "message"),
+        [
+            (
+                {"atom": "int", "value": [1]},
+                "malformed value JSON: atom value must be a scalar, got [1]",
+            ),
+            (
+                {"atom": "int", "value": None},
+                "malformed value JSON: atom value must be a scalar, got None",
+            ),
+            (
+                {"atom": "int", "extra": 1},
+                "malformed value JSON: atom without a value: "
+                "{'atom': 'int', 'extra': 1}",
+            ),
+            ([1], "malformed value JSON: [1]"),
+        ],
+    )
+    def test_malformed_elements_keep_their_errors(self, key, element, message):
+        with pytest.raises(OrNRAValueError) as alone:
+            value_from_json(element)
+        with pytest.raises(OrNRAValueError) as inside:
+            value_from_json({key: [{"atom": "int", "value": 0}, element]})
+        assert str(alone.value) == str(inside.value) == message
 
 
 class TestTextRoundTrip:
@@ -190,6 +367,31 @@ class TestTextRoundTrip:
 
     def test_example(self):
         assert value_from_text("{<1, 2>}") == vset(vorset(1, 2))
+
+    # Any text, with the quote and the backslash drawn often.
+    @given(st.lists(st.text(st.characters() | st.sampled_from('"\\')), max_size=4))
+    def test_string_atoms_round_trip(self, texts):
+        value = vpair(
+            vset(*(Atom("string", t) for t in texts)),
+            vorset(*(Atom("string", t) for t in texts)),
+        )
+        assert value_from_text(value_to_text(value)) == value
+
+    def test_quote_and_backslash_are_escaped(self):
+        value = vset(Atom("string", 'a"b'), Atom("string", "c\\d"))
+        text = value_to_text(value)
+        assert text == '{"a\\"b", "c\\\\d"}'
+        assert value_from_text(text) == value
+        assert value_from_text('"a\\\\"') == Atom("string", "a\\")
+
+    def test_other_backslashes_stay_literal(self):
+        assert value_from_text('"a\\nb"') == Atom("string", "a\\nb")
+
+    def test_escaped_quote_does_not_close_the_string(self):
+        from repro.errors import OrNRAParseError
+
+        with pytest.raises(OrNRAParseError, match="unterminated string"):
+            value_from_text('"a\\"')
 
 
 class TestTypeRoundTrip:

@@ -28,6 +28,7 @@ from repro.values.values import (
     atom,
     boolean,
     check_type,
+    collection_from_list,
     format_value,
     from_python,
     infer_type,
@@ -215,6 +216,13 @@ class TestKeyedCollection:
         assert node == expected
         assert repr(node) == repr(expected)
         assert sort_key(node) == sort_key(expected) == reference_sort_key(expected)
+        # collection_from_list stores ordered elements as they come and
+        # sorts any others, as the constructor does.
+        for given_elems in (list(expected.elems), list(elems)):
+            node = collection_from_list(cls, given_elems)
+            assert type(node) is cls
+            assert repr(node) == repr(expected)
+            assert sort_key(node) == reference_sort_key(expected)
 
     def test_last_equal_element_survives(self):
         elems = [Atom("int", 1), Atom("int", 1.0)]

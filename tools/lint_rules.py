@@ -48,8 +48,10 @@ violation is a latent bug that no unit test reliably catches:
   stored key is right only if it is built in that layout.  A second copy
   of the layout drifts silently, and then equality, hashing and the
   worlds oracle disagree without an error; builders call the node
-  constructors, or ``ordered_collection`` for elements already in
-  canonical order, instead.
+  constructors, ``collection_from_list`` for a list they hand over
+  (it keeps elements already in canonical order as they come and sorts
+  any others), or ``ordered_collection`` for elements the caller
+  vouches are in canonical order, instead.
 
 * **LR008 — the engine does not read the worlds oracle.**  No module
   under ``repro/engine/``, and not ``repro/core/lazy.py``, may import
@@ -61,7 +63,7 @@ violation is a latent bug that no unit test reliably catches:
 
 Usage::
 
-    python tools/lint_rules.py src tests benchmarks
+    python tools/lint_rules.py src tests benchmarks examples
 
 Violations print as ``path:line:col: LR00x message`` and exit status 1.
 A deliberate exception is suppressed with an end-of-line comment
@@ -225,7 +227,7 @@ def check_source(source: str, path: str) -> list[Violation]:
                 "LR007",
                 "value slot written outside repro/values/values.py: a second "
                 "copy of sort_key's layout drifts silently; build the node "
-                "with a constructor or ordered_collection",
+                "with a constructor, collection_from_list or ordered_collection",
             )
     return out
 
