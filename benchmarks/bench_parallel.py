@@ -12,12 +12,16 @@ compile-and-run engine:
   equal inputs, so each distinct world is normalized once.
 * **batched-text-serving** — the same shape through the paper-notation
   endpoint (``run_text_many`` vs a ``run_text`` loop).
-* **io-codec** — the JSON codec alone, decode and encode timed apart
-  with the cyclic collector on (as a serving process runs), on two
-  shapes: a 2,000-atom set, which shares nothing, and ``map(normalize)``'s
-  output over 48 designs of width 6, whose worlds share sub-objects
-  that ``value_to_json`` encodes once.  Decode reads the text a client
-  sends, a fresh tree.  It records timings only; no gate reads it.
+* **io-codec** — the JSON codec alone, timed with the cyclic collector
+  on (as a serving process runs), on two shapes: a 2,000-atom set,
+  which shares nothing, and ``map(normalize)``'s output over 48 designs
+  of width 6, whose worlds share sub-objects that the encoders write
+  once.  Decode reads the text a client sends, a fresh tree; encode is
+  ``value_to_json``; dumps is the canonical text through the dicts,
+  ``json.dumps(value_to_json(v), sort_keys=True)``; text is the same
+  text from ``dumps_value``, which writes it straight from the value
+  (the row asserts the two texts are equal).  It records timings only;
+  no gate reads it.
 
 Sharding a single input across worker processes is measured by
 ``bench_serve.py``'s process-vs-eager row.
@@ -39,6 +43,7 @@ import random
 from harness import best_of, write_results
 
 from repro.io import (
+    dumps_value,
     parsed_morphism,
     run_json,
     run_json_many,
@@ -114,8 +119,13 @@ def _workloads(quick: bool = False) -> list[dict]:
     return results
 
 
+def _dict_text(value) -> str:
+    return json.dumps(value_to_json(value), sort_keys=True)
+
+
 def _codec_row() -> dict:
-    """io-codec: decode and encode timed apart, collector on, two shapes."""
+    """io-codec: decode, encode and the two text writers timed apart,
+    collector on, two shapes."""
     from repro.engine import run
 
     atom_set = vset(*(Atom("int", i) for i in range(2000)))
@@ -126,9 +136,12 @@ def _codec_row() -> dict:
     for name, value in (("atom_set", atom_set), ("normal_forms", normal_forms)):
         data = json.loads(json.dumps(value_to_json(value)))
         assert value_from_json(data) == value
+        assert dumps_value(value) == _dict_text(value)
         gc.collect()
         row[f"{name}_decode_s"] = best_of(lambda d=data: value_from_json(d), repeat=5)
         row[f"{name}_encode_s"] = best_of(lambda v=value: value_to_json(v), repeat=5)
+        row[f"{name}_dumps_s"] = best_of(lambda v=value: _dict_text(v), repeat=5)
+        row[f"{name}_text_s"] = best_of(lambda v=value: dumps_value(v), repeat=5)
     return row
 
 
@@ -144,12 +157,17 @@ def main() -> None:
             f" {row['run_many_s'] * 1000:>13.2f} {row['speedup']:>7.1f}x"
         )
     codec = results[-1]
-    print(f"\n{'io-codec (collector on)':<26} {'decode (ms)':>14} {'encode (ms)':>13}")
+    print(
+        f"\n{'io-codec (collector on)':<26} {'decode (ms)':>14} {'encode (ms)':>13}"
+        f" {'dumps (ms)':>11} {'text (ms)':>10}"
+    )
     shapes = (("atom_set", "2,000-atom set"), ("normal_forms", "48 design(6) NFs"))
     for name, label in shapes:
         print(
             f"{label:<26} {codec[f'{name}_decode_s'] * 1000:>14.2f}"
             f" {codec[f'{name}_encode_s'] * 1000:>13.2f}"
+            f" {codec[f'{name}_dumps_s'] * 1000:>11.2f}"
+            f" {codec[f'{name}_text_s'] * 1000:>10.2f}"
         )
     write_results(OUT_PATH, results)
     print(f"\nwrote {OUT_PATH}")

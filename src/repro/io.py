@@ -49,6 +49,7 @@ __all__ = [
     "run_json",
     "run_text_many",
     "run_json_many",
+    "run_json_texts",
     "count_worlds_text",
     "count_worlds_json",
     "certain_text",
@@ -197,8 +198,95 @@ def _decode(data: object) -> Value:
 
 
 def dumps_value(v: Value) -> str:
-    """Serialize *v* to a JSON string."""
-    return json.dumps(value_to_json(v), sort_keys=True)
+    """Serialize *v* to canonical JSON text.
+
+    The text is exactly ``json.dumps(value_to_json(v), sort_keys=True)``,
+    written straight from the value with no dicts in between.  Within one
+    call, each distinct pair, set, or-set, bag, variant and unit node is
+    written once: where the same node object recurs, its text is reused,
+    as :func:`value_to_json` reuses dicts.  Atom payloads that are exactly
+    a ``str``, ``int``, ``bool`` or ``float`` are formatted here, as
+    ``json`` formats them; any other payload goes through ``json.dumps``,
+    so it is written, or refused, exactly as before.
+    """
+    return _write(v, {})
+
+
+_HEADS = {SetValue: '{"set": [', OrSetValue: '{"orset": [', BagValue: '{"bag": ['}
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _payload_json(x: object) -> str:
+    return json.dumps(x, sort_keys=True)
+
+
+#: Exact payload type -> its JSON text, as ``json.dumps`` writes it.
+_PAYLOAD_TEXT: dict[type, Callable[..., str]] = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    float: _float_text,
+}
+
+#: String base -> ``'{"atom": <base>, "value": '``; bounded, so hostile
+#: bases cannot grow it without limit.
+_ATOM_HEADS: dict[str, str] = {}
+
+
+def _atom_head(base: object) -> str:
+    head = '{"atom": ' + json.dumps(base, sort_keys=True) + ', "value": '
+    if type(base) is str and len(_ATOM_HEADS) < 256:
+        _ATOM_HEADS[base] = head
+    return head
+
+
+def _write(v: Value, memo: dict[int, str]) -> str:
+    """The JSON text of *v*; a non-atom node's text is stored in *memo*
+    under ``id(v)``, and callers look there first (as in :func:`_encode`)."""
+    cls = type(v)
+    heads = _ATOM_HEADS
+    formats = _PAYLOAD_TEXT
+    if cls is Atom:
+        payload = v.value
+        head = heads.get(v.base) or _atom_head(v.base)
+        return f"{head}{(formats.get(type(payload)) or _payload_json)(payload)}}}"
+    get = memo.get
+    open_ = _HEADS.get(cls)
+    if open_ is not None:
+        parts = []
+        append = parts.append
+        for e in v.elems:
+            if type(e) is Atom:
+                payload = e.value
+                head = heads.get(e.base) or _atom_head(e.base)
+                append(f"{head}{(formats.get(type(payload)) or _payload_json)(payload)}}}")
+            else:
+                append(get(id(e)) or _write(e, memo))
+        text = f"{open_}{', '.join(parts)}]}}"
+    elif cls is Pair:
+        fst, snd = v.fst, v.snd
+        left = get(id(fst)) or _write(fst, memo)
+        right = get(id(snd)) or _write(snd, memo)
+        text = f'{{"pair": [{left}, {right}]}}'
+    elif cls is Variant:
+        side = "inl" if v.side == 0 else "inr"
+        text = f'{{"{side}": {get(id(v.payload)) or _write(v.payload, memo)}}}'
+    elif cls is UnitValue:
+        text = '{"unit": true}'
+    else:
+        raise OrNRAValueError(f"not a value: {v!r}")
+    memo[id(v)] = text
+    return text
 
 
 def loads_value(text: str) -> Value:
@@ -427,11 +515,12 @@ def run_json_many(
 ) -> list[object]:
     """Batched :func:`run_json`: parse and compile once, dedupe.
 
-    The batch endpoint for serving many worlds of one query — and the
-    function the async front-end (:mod:`repro.serve`) fans each
-    micro-batch into: the program is parsed and compiled once (parses
-    are LRU-memoized across calls via :func:`parsed_morphism`, so a
-    serving loop pays the parse once per query text, not per batch),
+    The batch endpoint for serving many worlds of one query — and, as
+    :func:`run_json_texts`, the function the async front-end
+    (:mod:`repro.serve`) fans each micro-batch into: the program is
+    parsed and compiled once (parses are LRU-memoized across calls via
+    :func:`parsed_morphism`, so a serving loop pays the parse once per
+    query text, not per batch),
     structurally equal inputs are computed once, and distinct inputs
     fan out across worker processes when the batch runs on the process
     backend (see :meth:`repro.engine.Engine.run_many`).  Results come
@@ -442,15 +531,40 @@ def run_json_many(
     *morphism_text* may also be a pre-resolved Morphism; *timeout*
     bounds the whole batch's evaluation (see :func:`run_text`).
     """
+    results = _run_decoded(morphism_text, values_json, backend, timeout)
+    return _encode_each(results, value_to_json)
+
+
+def run_json_texts(
+    morphism_text,
+    values_json: list,
+    backend: str = "eager",
+    timeout: float | None = None,
+) -> list[str]:
+    """:func:`run_json_many` with each result as its :func:`dumps_value` text.
+
+    The function the async front-end (:mod:`repro.serve`) fans each
+    micro-batch into: a server sends its results as JSON text, so each
+    distinct result is written once, straight from the value, and its
+    dicts are never built.  ``json.loads`` of each text equals the
+    matching :func:`run_json_many` result.
+    """
+    results = _run_decoded(morphism_text, values_json, backend, timeout)
+    return _encode_each(results, dumps_value)
+
+
+def _run_decoded(
+    morphism_text, values_json: list, backend: str, timeout: float | None
+) -> list[Value]:
+    """The results of *morphism_text* over the decoded *values_json*."""
     from repro.engine import DEFAULT_ENGINE
 
     with _deadline_scope(timeout):
-        results = DEFAULT_ENGINE.run_many(
+        return DEFAULT_ENGINE.run_many(
             parsed_morphism(morphism_text),
             [value_from_json(v) for v in values_json],
             backend=backend,
         )
-    return _encode_each(results, value_to_json)
 
 
 def _encode_each(results: list[Value], encode: Callable[[Value], object]) -> list:

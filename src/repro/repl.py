@@ -298,7 +298,7 @@ class Repl:
         # output's trailing line shows micro-batching and dedupe at work.
         import asyncio
 
-        from repro.io import value_from_json, value_to_json
+        from repro.io import loads_value, value_to_json
         from repro.serve import AsyncEngine
 
         m, names = self._split_trailing_names(rest, "expected  serve MORPHISM NAME...")
@@ -311,7 +311,7 @@ class Repl:
 
         results, stats = asyncio.run(drive())
         lines = [
-            f"{name}: {self._render(value_from_json(result))}"
+            f"{name}: {self._render(loads_value(result))}"
             for name, result in zip(names, results, strict=True)
         ]
         lines.append(

@@ -7,7 +7,8 @@
   front-end: admit JSON queries concurrently from many clients,
   micro-batch them over a configurable window, deduplicate structurally
   equal inputs, and fan each batch into
-  :func:`repro.io.run_json_many` off the event loop;
+  :func:`repro.io.run_json_texts` off the event loop, so each result
+  comes back as its canonical JSON text;
 * ``python -m repro.serve`` (:mod:`repro.serve.__main__`) — a JSON-lines
   stdio server, for driving the service from another process or a
   shell pipe;
@@ -17,7 +18,9 @@
   with per-client token-bucket rate limits;
 * :mod:`repro.serve.proto` — the wire protocol both transports speak:
   one dispatcher (:func:`~repro.serve.proto.answer`) decodes every
-  frame, runs its op and maps every failure to a structured error frame;
+  frame, runs its op and maps every failure to a structured error frame,
+  and one encoder (:func:`~repro.serve.proto.encode_frame`) writes every
+  response frame, splicing result texts in as they are;
 * :mod:`repro.serve.metrics` — the latency observability layer:
   ring-buffer histograms (:class:`RingHistogram`) behind
   :class:`ServerMetrics`, recording admission/queue/execute/total

@@ -41,6 +41,7 @@ from repro.serve.proto import (
     OversizedFrame,
     add_engine_flags,
     answer,
+    encode_frame,
     engine_from_flags,
     error_frame,
 )
@@ -53,7 +54,7 @@ _OVERSIZED = object()
 
 
 def _emit(payload: dict, stdout) -> None:
-    print(json.dumps(payload, sort_keys=True), file=stdout, flush=True)
+    print(encode_frame(payload), file=stdout, flush=True)
 
 
 async def _answer(engine: AsyncEngine, line: str, stdout) -> None:
@@ -155,7 +156,8 @@ async def amain(
         if pending:
             await asyncio.gather(*pending)
     if not args.quiet:
-        print(f"serve stats: {json.dumps(engine.stats(), sort_keys=True)}", file=stderr)
+        stats = json.dumps(engine.stats(), sort_keys=True)  # lint: allow-LR009
+        print(f"serve stats: {stats}", file=stderr)
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -8,7 +8,8 @@ per-client rate limits and latency observability.  One
 
 * **NDJSON frames** — the same newline-delimited JSON protocol as the
   stdio server, answered by the same dispatcher
-  (:func:`repro.serve.proto.answer`): runs, ``values`` batches,
+  (:func:`repro.serve.proto.answer`) and written by the same encoder
+  (:func:`repro.serve.proto.encode_frame`): runs, ``values`` batches,
   ``{"op": "count"}`` world counts and ``{"op": "stats"}`` snapshots.
   Frames on one connection are admitted concurrently, so a burst of
   lines lands in one micro-batch and duplicate inputs are deduplicated —
@@ -17,8 +18,13 @@ per-client rate limits and latency observability.  One
   request frame as their JSON body; ``GET /stats`` answers the stats
   snapshot.  Structured error codes map onto status
   lines (429 for ``overloaded`` with a ``Retry-After`` header, 504 for
-  ``deadline``, 413 for ``cost``, ...).  One request per connection
-  (``Connection: close``) — curl-ability, not a web server.
+  ``deadline``, 413 for ``cost``, ...), and so does broken framing: a
+  ``Content-Length`` that is not a length, or a body that ends short of
+  it, is ``malformed`` (400); a header line, the headers or a declared
+  body over ``max_line`` is ``oversized`` (431), refused before the body
+  is read.
+  One request per connection (``Connection: close``) — curl-ability,
+  not a web server.
 
 **Rate limits.**  With ``rate=`` set, each client (keyed by peer
 address) gets a :class:`~repro.serve.metrics.TokenBucket`; a client over
@@ -45,7 +51,6 @@ or from a shell: ``python -m repro.serve.net --port 7707``.
 from __future__ import annotations
 
 import asyncio
-import json
 import math
 import sys
 import time
@@ -60,6 +65,7 @@ from repro.serve.proto import (
     OversizedFrame,
     add_engine_flags,
     answer,
+    encode_frame,
     engine_from_flags,
     error_frame,
 )
@@ -246,7 +252,7 @@ class NetServer:
                 pass
 
     async def _write_frame(self, writer, write_lock, payload: dict) -> None:
-        blob = (json.dumps(payload, sort_keys=True) + "\n").encode()
+        blob = (encode_frame(payload) + "\n").encode()
         async with write_lock:
             if writer.is_closing():
                 return
@@ -271,17 +277,16 @@ class NetServer:
         parts = request_line.split()
         method = parts[0]
         path = parts[1] if len(parts) > 1 else "/"
-        headers: "dict[str, str]" = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length") or 0)
-        body = await reader.readexactly(length) if length > 0 else b""
-        status, payload = await self._http_dispatch(method, path, body, key)
-        blob = json.dumps(payload, sort_keys=True).encode()
+        try:
+            body = await self._read_http_body(reader)
+        except OversizedFrame as exc:
+            self._counters["oversized"] += 1
+            status, payload = HTTP_STATUS["oversized"], error_frame(exc)
+        except OrNRAError as exc:
+            status, payload = HTTP_STATUS["malformed"], error_frame(exc)
+        else:
+            status, payload = await self._http_dispatch(method, path, body, key)
+        blob = encode_frame(payload).encode()
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
             "Content-Type: application/json\r\n"
@@ -295,6 +300,47 @@ class NetServer:
             await writer.drain()
         except (ConnectionError, RuntimeError):
             pass
+
+    async def _read_http_body(self, reader) -> bytes:
+        """Read the headers after the request line, then the body.
+
+        A header line over the stream limit, a header block or a declared
+        length over ``max_line``, raises :class:`OversizedFrame` before
+        any body is read; a ``Content-Length`` that is not a decimal
+        number, or a body that ends short of it, raises a
+        malformed-request error.
+        """
+        headers: "dict[str, str]" = {}
+        size = 0
+        while True:
+            try:
+                raw = await reader.readline()
+            except ValueError:
+                raise OversizedFrame(
+                    f"header line over {self.max_line} bytes"
+                ) from None
+            size += len(raw)
+            if size > self.max_line:
+                raise OversizedFrame(f"headers over {self.max_line} bytes")
+            if raw in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = raw.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        declared = headers.get("content-length", "0")
+        if not (declared.isascii() and declared.isdigit()):
+            raise OrNRAError(f"malformed Content-Length {declared[:40]!r}")
+        digits = declared.lstrip("0") or "0"
+        # Count the digits first: int() refuses thousands of them.
+        fits = len(digits) <= len(str(self.max_line))
+        length = int(digits) if fits else self.max_line + 1
+        if length > self.max_line:
+            raise OversizedFrame(f"request body over {self.max_line} bytes")
+        try:
+            return await reader.readexactly(length)
+        except asyncio.IncompleteReadError as exc:
+            raise OrNRAError(
+                f"request body ended after {len(exc.partial)} of {length} bytes"
+            ) from None
 
     async def _http_dispatch(self, method, path, body: bytes, key):
         if method == "GET" and path == "/stats":

@@ -4,7 +4,8 @@
 :class:`repro.serve.net.NetServer` (TCP NDJSON and HTTP) speak the same
 frames and answer them through the same code: :func:`answer` decodes a
 frame, dispatches its op against an :class:`AsyncEngine` and maps every
-failure to an error frame.  The transports only move lines.
+failure to an error frame, and :func:`encode_frame` writes the response
+frame's text.  The transports only move lines.
 
 Request::
 
@@ -20,6 +21,15 @@ Response::
     {"id": 3, "result": {"count": 4, "approximate": false}}
     {"id": 4, "stats": {...}}
     {"id": 1, "error": "...", "code": "overloaded", "retry_after": 0.05}
+
+Run results are JSON text: :meth:`AsyncEngine.run_json` resolves to
+the result's canonical JSON text, written once on the engine's executor
+thread, so :func:`answer`'s payload carries a ``str`` under ``result``
+(a run) or a list of them under ``results`` (a ``values`` batch).
+:func:`encode_frame` splices those texts into the frame as they are;
+a count's ``result`` dict, stats and error frames it writes as
+``json.dumps(payload, sort_keys=True)``, and a spliced frame reads
+byte for byte as that call would write it from the result dicts.
 
 Every failure is a *structured* error frame: the ``code`` names which
 admission or evaluation guard fired (``overloaded`` / ``deadline`` /
@@ -45,6 +55,7 @@ __all__ = [
     "OversizedFrame",
     "add_engine_flags",
     "answer",
+    "encode_frame",
     "engine_from_flags",
     "error_frame",
 ]
@@ -89,6 +100,34 @@ def error_frame(exc: BaseException) -> dict:
     return {"error": str(exc), "code": "error"}
 
 
+_encode_key = json.encoder.encode_basestring_ascii
+#: ``json.dumps(obj, sort_keys=True)``, without building an encoder per call.
+_dumps = json.JSONEncoder(sort_keys=True).encode
+
+
+def encode_frame(payload: dict) -> str:
+    """The text of the response frame *payload*, one line, no newline.
+
+    Exactly ``json.dumps(payload, sort_keys=True)`` of the frame with its
+    run results as dicts: a ``str`` under ``result`` and each ``str``
+    under ``results`` are already canonical JSON text, and are spliced
+    in as they are.  Every transport writes its frames through here.
+    """
+    if type(payload.get("result")) is not str and "results" not in payload:
+        return _dumps(payload)
+    fields = []
+    for key in sorted(payload):
+        value = payload[key]
+        if key == "results":
+            text = f"[{', '.join(value)}]"
+        elif key == "result" and type(value) is str:
+            text = value
+        else:
+            text = _dumps(value)
+        fields.append(f"{_encode_key(key)}: {text}")
+    return f"{{{', '.join(fields)}}}"
+
+
 async def answer(
     text: str, engine: AsyncEngine, *, stats=None, admit=None, op=None
 ) -> dict:
@@ -100,7 +139,8 @@ async def answer(
     ``stats`` op's snapshot (default ``engine.stats``); *op* overrides
     the frame's own op (HTTP's ``POST /count``).  The response carries
     the request's ``id`` whenever the frame decoded far enough to have
-    one.
+    one.  Run results in it are JSON text; write it with
+    :func:`encode_frame`.
     """
     request_id = None
     try:

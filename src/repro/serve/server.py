@@ -7,7 +7,8 @@ concurrent clients; :class:`AsyncEngine` is the admission layer that
 turns that stream back into batches:
 
 * ``await engine.run_json(program, value)`` admits a single request and
-  resolves when its result is ready;
+  resolves to its result's canonical JSON text (what
+  :func:`repro.io.dumps_value` writes) when it is ready;
 * requests are collected into **micro-batches**: the first request opens
   a batching window (``batch_window`` seconds, ``max_batch`` requests)
   and everything admitted inside it ships as one batch;
@@ -15,10 +16,13 @@ turns that stream back into batches:
   on the canonical JSON encoding of their inputs — one thousand clients
   asking ``normalize`` of the same world trigger *one* evaluation, and
   every duplicate admits for free (``stats()["deduped_inputs"]``);
-* each group fans into :func:`repro.io.run_json_many` on an executor
-  thread, so the event loop never blocks on evaluation; groups of one
-  batch run concurrently, and distinct inputs inside a group fan out
-  across worker processes only on an explicit ``backend="process"``.
+* each group fans into :func:`repro.io.run_json_texts` on an executor
+  thread, so the event loop never blocks on evaluation or encoding: each
+  distinct result's text is written once there, and the transports
+  splice it into their frames as it is
+  (:func:`repro.serve.proto.encode_frame`).  Groups of one batch run
+  concurrently, and distinct inputs inside a group fan out across worker
+  processes only on an explicit ``backend="process"``.
 
 Robustness — the admission layer is also where overload and slowness
 are turned into *bounded, typed* failures instead of unbounded queues
@@ -73,7 +77,7 @@ import json
 from typing import Sequence
 
 from repro.errors import CostBudgetExceeded, DeadlineExceeded, Overloaded
-from repro.io import count_worlds_json, run_json_many
+from repro.io import count_worlds_json, run_json_texts
 from repro.serve.metrics import ServerMetrics
 
 __all__ = ["AsyncEngine", "ServerClosed"]
@@ -141,7 +145,7 @@ class AsyncEngine:
     Use as an async context manager, or call :meth:`close` explicitly::
 
         async with AsyncEngine() as engine:
-            out = await engine.run_json("normalize", {"orset": [...]})
+            text = await engine.run_json("normalize", {"orset": [...]})
     """
 
     def __init__(
@@ -325,11 +329,14 @@ class AsyncEngine:
 
         future.add_done_callback(_record)
 
-    async def run_json(self, program, value_json, *, timeout: float | None = None) -> object:
-        """Admit one request and await its result.
+    async def run_json(self, program, value_json, *, timeout: float | None = None) -> str:
+        """Admit one request and await its result, as JSON text.
 
         *program* is surface-syntax text (or a pre-resolved Morphism);
-        *value_json* is the :func:`repro.io.value_to_json` encoding.
+        *value_json* is the :func:`repro.io.value_to_json` encoding.  The
+        result is its value's canonical JSON text, exactly what
+        :func:`repro.io.dumps_value` writes (``json.loads`` it, or
+        :func:`repro.io.loads_value` it, for the dicts or the value).
         Structurally equal concurrent requests share one evaluation.
         *timeout* (seconds) overrides the engine's ``default_timeout``
         for this request; past it the evaluation fails with
@@ -361,8 +368,9 @@ class AsyncEngine:
 
     async def run_many(
         self, program, values_json: Sequence, *, timeout: float | None = None
-    ) -> list:
-        """Admit a whole client-side batch concurrently; results in order."""
+    ) -> list[str]:
+        """Admit a whole client-side batch concurrently; results (JSON
+        texts, as :meth:`run_json` gives them) in order."""
         return list(
             await asyncio.gather(
                 *(self.run_json(program, v, timeout=timeout) for v in values_json)
@@ -567,7 +575,7 @@ class AsyncEngine:
         def evaluate() -> list:
             with deadline_scope(group_deadline):
                 faults.fire("serve.eval")
-                return run_json_many(program, unique, self.backend)
+                return run_json_texts(program, unique, self.backend)
 
         try:
             results = await loop.run_in_executor(None, evaluate)
@@ -592,10 +600,10 @@ class AsyncEngine:
                     continue
                 self._stats["retries"] += 1
 
-                def evaluate(req=req) -> object:
+                def evaluate(req=req) -> str:
                     with deadline_scope(req.deadline):
                         faults.fire("serve.eval")
-                        return run_json_many(program, [req.value], self.backend)[0]
+                        return run_json_texts(program, [req.value], self.backend)[0]
 
                 try:
                     outcome = (True, await loop.run_in_executor(None, evaluate))

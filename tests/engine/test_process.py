@@ -316,7 +316,7 @@ class TestGracefulDegradation:
     def test_async_engine_process_backend_warms_on_start(self):
         import asyncio
 
-        from repro.io import value_to_json
+        from repro.io import dumps_value, value_to_json
         from repro.serve import AsyncEngine
         from repro.values.values import vorset
 
@@ -326,7 +326,7 @@ class TestGracefulDegradation:
                     "normalize", value_to_json(vorset(1, 2))
                 )
 
-        assert asyncio.run(main()) == value_to_json(vorset(1, 2))
+        assert asyncio.run(main()) == dumps_value(vorset(1, 2))
 
     def test_close_then_reuse_reopens_pool(self, pooled):
         backend = pooled.backends["process"]

@@ -20,9 +20,10 @@ import threading
 
 import pytest
 
-from repro.io import run_json, value_to_json
+from repro.io import dumps_value, run_json, value_to_json
 from repro.serve import AsyncEngine, ServerClosed
 from repro.values.values import vorset, vpair, vset
+from tests.serve.transports import eager_text
 
 
 def orset_json(*xs):
@@ -46,7 +47,7 @@ class TestBatchingAndDedupe:
                 return results, engine.stats()
 
         results, stats = asyncio.run(main())
-        expected = run_json("normalize", orset_json(1, 2))
+        expected = eager_text("normalize", orset_json(1, 2))
         assert all(r == expected for r in results)
         assert stats["requests"] == 32
         # All 32 admitted concurrently: at most a couple of windows, and
@@ -66,7 +67,7 @@ class TestBatchingAndDedupe:
         payloads, results, stats = asyncio.run(main())
         # No cross-request bleed: each response equals the sequential
         # evaluation of exactly that request's payload.
-        expected = {json.dumps(p, sort_keys=True): run_json("normalize", p) for p in payloads[:4]}
+        expected = {json.dumps(p, sort_keys=True): eager_text("normalize", p) for p in payloads[:4]}
         for payload, result in zip(payloads, results, strict=True):
             assert result == expected[json.dumps(payload, sort_keys=True)]
         assert stats["requests"] == 40
@@ -92,8 +93,8 @@ class TestBatchingAndDedupe:
                 )
 
         out = asyncio.run(main())
-        assert out[0] == out[1] == run_json("normalize", orset_json(1, 2))
-        assert out[2] == run_json("normalize", orset_json(3))
+        assert out[0] == out[1] == eager_text("normalize", orset_json(1, 2))
+        assert out[2] == eager_text("normalize", orset_json(3))
 
     def test_multiple_programs_group_independently(self):
         async def main():
@@ -103,8 +104,8 @@ class TestBatchingAndDedupe:
                 return await asyncio.gather(norm, ident), engine.stats()
 
         (norm, ident), stats = asyncio.run(main())
-        assert norm == run_json("normalize", orset_json(4, 5))
-        assert ident == orset_json(4, 5)
+        assert norm == eager_text("normalize", orset_json(4, 5))
+        assert ident == dumps_value(vorset(4, 5))
         assert stats["groups"] >= 2
 
 
@@ -119,7 +120,7 @@ class TestErrorIsolation:
 
         outcomes, stats = asyncio.run(main())
         for i, outcome in enumerate(outcomes[:5]):
-            assert outcome == run_json("normalize", orset_json(i))
+            assert outcome == eager_text("normalize", orset_json(i))
         assert isinstance(outcomes[5], Exception)
         assert stats["errors"] == 1
 
@@ -134,7 +135,7 @@ class TestErrorIsolation:
                     await engine.run_json(["normalize"], orset_json(1))
                 return await engine.run_json("normalize", orset_json(1))
 
-        assert asyncio.run(main()) == run_json("normalize", orset_json(1))
+        assert asyncio.run(main()) == eager_text("normalize", orset_json(1))
 
     def test_batcher_survives_dispatch_errors(self):
         # Even if a batch blows up past the per-group guards, the error
@@ -156,7 +157,7 @@ class TestErrorIsolation:
                     await engine.run_json("normalize", orset_json(1))
                 return await engine.run_json("normalize", orset_json(2))
 
-        assert asyncio.run(main()) == run_json("normalize", orset_json(2))
+        assert asyncio.run(main()) == eager_text("normalize", orset_json(2))
 
     def test_unparsable_program_is_per_request(self):
         async def main():
@@ -166,7 +167,7 @@ class TestErrorIsolation:
                 return await asyncio.gather(ok, broken, return_exceptions=True)
 
         ok, broken = asyncio.run(main())
-        assert ok == run_json("normalize", orset_json(7))
+        assert ok == eager_text("normalize", orset_json(7))
         assert isinstance(broken, Exception)
 
 
@@ -187,7 +188,7 @@ class TestShutdown:
         results, stats = asyncio.run(main())
         assert len(results) == 12
         for i, r in enumerate(results):
-            assert r == run_json("normalize", design_json(i % 3))
+            assert r == eager_text("normalize", design_json(i % 3))
         assert stats["requests"] == 12
 
     def test_admission_after_close_is_refused(self):

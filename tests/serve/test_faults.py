@@ -27,7 +27,7 @@ from repro.io import value_to_json
 from repro.serve import AsyncEngine
 from repro.serve.__main__ import amain
 from repro.values.values import vorset, vset
-from tests.serve.transports import run_stdio, run_tcp
+from tests.serve.transports import eager_text, run_stdio, run_tcp
 
 PAYLOAD = value_to_json(vset(1, 2, 3))
 
@@ -59,7 +59,7 @@ class TestResolutionInvariant:
             outcomes, stats = asyncio.run(main())
         assert len(outcomes) == len(payloads)
         for expected, got in zip(payloads, outcomes, strict=True):
-            assert got == expected or isinstance(got, Exception)
+            assert got == eager_text("map(id)", expected) or isinstance(got, Exception)
         assert stats["pending"] == 0
 
     def test_failed_batch_retries_individually_and_succeeds(self):
@@ -76,7 +76,7 @@ class TestResolutionInvariant:
 
         with faults.active_plan(plan):
             results, stats = asyncio.run(main())
-        assert results == payloads
+        assert results == [eager_text("map(id)", p) for p in payloads]
         assert stats["retries"] >= 1
         assert stats["pending"] == 0
 
@@ -109,7 +109,8 @@ class TestBackpressure:
                 return result, excinfo.value, engine.stats()
 
         result, exc, stats = asyncio.run(main())
-        assert result == PAYLOAD  # the admitted request was still served
+        # The admitted request was still served.
+        assert result == eager_text("map(id)", PAYLOAD)
         assert exc.retry_after > 0
         assert stats["shed"] == 1
         assert stats["pending"] == 0
@@ -125,7 +126,7 @@ class TestBackpressure:
                 return small, excinfo.value, engine.stats()
 
         small, exc, stats = asyncio.run(main())
-        assert small == value_to_json(vset(1))
+        assert small == eager_text("map(id)", value_to_json(vset(1)))
         assert exc.estimated > exc.budget == 10
         assert stats["cost_rejected"] == 1
         assert stats["batches"] <= 1  # the rejected input never dispatched
@@ -178,7 +179,7 @@ class TestDeadlines:
 
         doomed, fine = asyncio.run(main())
         assert isinstance(doomed, DeadlineExceeded)
-        assert fine == value_to_json(vset(9))
+        assert fine == eager_text("map(id)", value_to_json(vset(9)))
 
 
 class TestCountDegradation:

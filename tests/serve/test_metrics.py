@@ -7,7 +7,7 @@ import asyncio
 
 import pytest
 
-from repro.io import run_json, value_to_json
+from repro.io import value_to_json
 from repro.serve import AsyncEngine
 from repro.serve.metrics import (
     PHASES,
@@ -17,6 +17,7 @@ from repro.serve.metrics import (
     percentile,
 )
 from repro.values.values import vorset
+from tests.serve.transports import eager_text
 
 
 class FakeClock:
@@ -232,7 +233,7 @@ class TestAsyncEngineLatencyStats:
 
     def test_results_unchanged_by_metrics(self):
         payload = value_to_json(vorset(1, 2, 3))
-        expected = run_json("normalize", payload)
+        expected = eager_text("normalize", payload)
 
         async def run(metrics):
             async with AsyncEngine(metrics=metrics) as engine:

@@ -12,6 +12,8 @@ import asyncio
 import json
 import multiprocessing
 
+import pytest
+
 from repro.engine import BACKENDS
 from repro.io import run_json, value_to_json
 from repro.serve import NetServer, RateLimiter
@@ -63,6 +65,21 @@ async def http_request(address, method, path, body=None):
     writer.close()
     await writer.wait_closed()
     return status, headers, payload
+
+
+async def raw_http(address, data: bytes, *, eof: bool = False):
+    """Send *data* as it is, half-closing the connection after it if *eof*;
+    returns the response's status and payload."""
+    reader, writer = await asyncio.open_connection(*address)
+    writer.write(data)
+    if eof:
+        writer.write_eof()
+    await writer.drain()
+    response = await asyncio.wait_for(reader.read(), 10.0)
+    writer.close()
+    await writer.wait_closed()
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
 
 
 class TestFrames:
@@ -273,3 +290,66 @@ class TestHttp:
         assert missing[0] == 404
         assert bad[0] == 400 and bad[2]["code"] == "malformed"
         assert stats[0] == 200
+
+
+class TestHttpFraming:
+    """Broken HTTP framing gets a typed error frame, never an empty reply."""
+
+    @staticmethod
+    def exchange(data: bytes, *, eof: bool = False, max_line: int = 256):
+        async def main():
+            async with NetServer(batch_window=0.001, max_line=max_line) as server:
+                answer = await raw_http(server.address, data, eof=eof)
+                # The server still serves the next client.
+                after = await raw_http(
+                    server.address,
+                    b"GET /stats HTTP/1.1\r\n\r\n",
+                )
+                return answer, after[0], server.stats()["net"]
+
+        return asyncio.run(main())
+
+    @pytest.mark.parametrize("length", [b"ten", b"-3"])
+    def test_content_length_that_is_not_a_length_is_malformed(self, length):
+        (status, frame), after, _ = self.exchange(
+            b"POST /run HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n{}"
+        )
+        assert (status, frame["code"], after) == (400, "malformed", 200)
+        assert "Content-Length" in frame["error"]
+
+    def test_body_shorter_than_its_length_is_malformed(self):
+        (status, frame), after, _ = self.exchange(
+            b'POST /run HTTP/1.1\r\nContent-Length: 50\r\n\r\n{"program"', eof=True
+        )
+        assert (status, frame["code"], after) == (400, "malformed", 200)
+        assert "10 of 50 bytes" in frame["error"]
+
+    def test_header_line_over_the_stream_limit_is_oversized(self):
+        (status, frame), after, net = self.exchange(
+            b"POST /run HTTP/1.1\r\nX-Pad: " + b"a" * 1024 + b"\r\n\r\n"
+        )
+        assert (status, frame["code"], after) == (431, "oversized", 200)
+        assert net["oversized"] == 1
+
+    def test_headers_over_max_line_are_oversized(self):
+        # Each line fits the stream limit; together they do not.
+        lines = b"".join(b"X-Pad-%d: %s\r\n" % (i, b"a" * 100) for i in range(10))
+        (status, frame), after, _ = self.exchange(b"POST /run HTTP/1.1\r\n" + lines + b"\r\n")
+        assert (status, frame["code"], after) == (431, "oversized", 200)
+
+    def test_declared_body_over_max_line_is_refused_unread(self):
+        # No body follows: an answer at all shows the server never waited
+        # for the 100,000 bytes it was promised.
+        for length in (b"100000", b"9" * 5000):
+            (status, frame), _, net = self.exchange(
+                b"POST /run HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n",
+                max_line=8192,
+            )
+            assert (status, frame["code"], net["oversized"]) == (431, "oversized", 1)
+
+    def test_length_within_max_line_still_serves(self):
+        body = json.dumps({"program": "normalize", "value": orset_json(1, 2)}).encode()
+        head = f"POST /run HTTP/1.1\r\nContent-Length: 000{len(body)}\r\n\r\n"
+        (status, frame), _, _ = self.exchange(head.encode() + body, max_line=len(body))
+        assert status == 200
+        assert frame["result"] == run_json("normalize", orset_json(1, 2))

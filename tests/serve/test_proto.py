@@ -3,7 +3,11 @@
 :func:`repro.serve.proto.answer` is the only frame dispatcher, so the
 stdio server and a :class:`~repro.serve.NetServer` connection must give
 identical answers to the same request line — runs, batches, world
-counts, stats, and every kind of malformed frame.
+counts, stats, and every kind of malformed frame.  And
+:func:`repro.serve.proto.encode_frame` is the only frame encoder: the
+bytes stdio, NDJSON and HTTP write for a frame are exactly
+``json.dumps(payload, sort_keys=True)`` of the payload with its run
+results as :func:`repro.io.run_json` dicts.
 """
 
 from __future__ import annotations
@@ -12,9 +16,11 @@ import json
 
 import pytest
 
-from repro.io import run_json, value_to_json
+from repro.errors import OrNRAError
+from repro.io import count_worlds_json, run_json, value_to_json
+from repro.serve.proto import error_frame
 from repro.values.values import vorset, vset
-from tests.serve.transports import run_stdio, run_tcp
+from tests.serve.transports import http_exchange, run_stdio, run_tcp, stdio_text, tcp_lines
 
 WORLD = value_to_json(vorset(1, 2))
 #: A set of two 2-way or-sets: four worlds.
@@ -81,3 +87,46 @@ def test_stdio_and_tcp_answer_alike(frame, expected):
         # block, and latency figures differ run to run, so compare keys.
         assert set(stdio.pop("stats")) == set(tcp.pop("stats")) - {"net"}
     assert stdio == tcp
+
+
+def _failure(program: str, value, request_id) -> dict:
+    """The error frame for a request that fails as ``run_json`` does."""
+    with pytest.raises(OrNRAError) as failed:
+        run_json(program, value)
+    return {"id": request_id, **error_frame(failed.value)}
+
+
+#: name → (request frame, its response payload built from run_json dicts).
+BYTE_CASES = {
+    "run": (
+        {"id": 1, "program": "normalize", "value": TWO_CHOICES},
+        {"id": 1, "result": run_json("normalize", TWO_CHOICES)},
+    ),
+    "values": (
+        {"id": "b\u00e4tch", "program": "normalize", "values": [WORLD, TWO_CHOICES, WORLD]},
+        {
+            "id": "b\u00e4tch",
+            "results": [run_json("normalize", v) for v in (WORLD, TWO_CHOICES, WORLD)],
+        },
+    ),
+    "count": (
+        {"id": 3, "op": "count", "program": "normalize", "value": TWO_CHOICES},
+        {"id": 3, "result": {"count": count_worlds_json("normalize", TWO_CHOICES),
+                             "approximate": False}},
+    ),
+    "error": (
+        {"id": [4], "program": "mu", "value": WORLD},
+        _failure("mu", WORLD, [4]),
+    ),
+}
+
+
+@pytest.mark.parametrize("frame, payload", list(BYTE_CASES.values()), ids=list(BYTE_CASES))
+def test_every_transport_writes_the_dict_encoding_byte_for_byte(frame, payload):
+    expected = json.dumps(payload, sort_keys=True)
+    line = json.dumps(frame) + "\n"
+    assert stdio_text([line], ["--quiet", "--backend", "eager"]) == expected + "\n"
+    assert tcp_lines([line], backend="eager") == [(expected + "\n").encode()]
+    head, body = http_exchange("/run", json.dumps(frame).encode(), backend="eager")
+    assert body == expected.encode()
+    assert f"Content-Length: {len(body)}".encode() in head.split(b"\r\n")

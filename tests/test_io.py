@@ -231,6 +231,91 @@ class TestSharedEncoder:
             value_to_json(ordered_collection(SetValue, (3,)))
 
 
+#: Text with the quote, the backslash, control characters, non-ASCII
+#: and lone surrogates drawn often.
+AWKWARD_TEXT = st.text(
+    st.characters()
+    | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\ud800",
+                       "\udfff", "\U0001f600"]),
+    max_size=6,
+)
+
+#: (base, payload) pairs, one payload kind per base, so the atoms of one
+#: base in a collection always compare.
+SCALARS = st.one_of(
+    st.tuples(st.just("string"), AWKWARD_TEXT),
+    st.tuples(
+        st.just("float"),
+        st.floats()
+        | st.sampled_from([-0.0, 5e-324, 1e300, float("nan"), float("inf"), float("-inf")]),
+    ),
+    st.tuples(
+        st.just("int"),
+        st.integers() | st.integers(-(2**200), 2**200) | st.sampled_from([2**64, -(2**63) - 1]),
+    ),
+    st.tuples(st.just("bool"), st.booleans()),
+    st.tuples(AWKWARD_TEXT.map(lambda t: "user" + t), st.integers()),
+)
+
+#: Every value kind, with those atoms mixed in anywhere.
+WRITABLE = st.recursive(
+    st.one_of(SCALARS.map(lambda p: Atom(*p)), ENCODABLE), _reusing, max_leaves=8
+)
+
+
+def dict_text(value) -> str:
+    """The canonical text as the JSON module writes it from the dicts."""
+    return json.dumps(value_to_json(value), sort_keys=True)
+
+
+class TestTextWriter:
+    """dumps_value writes exactly the text json.dumps writes from value_to_json."""
+
+    @given(WRITABLE)
+    def test_matches_the_dict_text(self, value):
+        assert dumps_value(value) == dict_text(value)
+
+    @given(st.lists(SCALARS, max_size=4))
+    def test_every_payload_kind(self, pairs):
+        atoms = [Atom(*p) for p in pairs]
+        for value in (*atoms, SetValue(atoms), BagValue(atoms), vpair(OrSetValue(atoms), UNIT_VALUE)):
+            assert dumps_value(value) == dict_text(value)
+
+    @given(
+        st.none()
+        | st.lists(st.integers(), max_size=3)
+        | st.dictionaries(AWKWARD_TEXT, st.floats(), max_size=3)
+    )
+    def test_other_payloads_go_through_json(self, payload):
+        for value in (Atom("other", payload), vset(Atom("other", payload))):
+            assert dumps_value(value) == dict_text(value)
+
+    def test_normal_form_with_shared_worlds(self):
+        value = normalize(design(6))
+        assert dumps_value(value) == dict_text(value)
+        pair = vpair(value, vset(value, vorset(value)))
+        assert dumps_value(pair) == dict_text(pair)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [object(), 1 + 2j, {1, 2}, {1: 2, "a": 3}, 10**5000],
+        ids=["object", "complex", "set", "mixed-keys", "int-past-the-digit-limit"],
+    )
+    def test_refused_payload_raises_as_before(self, payload):
+        value = vset(Atom("odd", payload))
+        with pytest.raises(Exception) as before:
+            dict_text(value)
+        with pytest.raises(Exception) as after:
+            dumps_value(value)
+        assert type(after.value) is type(before.value)
+
+    def test_non_value_rejected(self):
+        from repro.values.values import ordered_collection
+
+        with pytest.raises(OrNRAValueError, match="not a value: 3"):
+            dumps_value(ordered_collection(SetValue, (3,)))
+
+
 def reference_from_json(data):
     """The decoding that builds every node through its constructor."""
     if "unit" in data:

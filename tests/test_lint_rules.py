@@ -127,6 +127,29 @@ class TestLR004ErrorFramesOnlyInProto:
         assert codes(src, "tests/serve/test_net.py") == []
 
 
+class TestLR009FramesOnlyThroughEncodeFrame:
+    def test_dumped_frame_flagged(self):
+        src = "import json\nblob = json.dumps(payload, sort_keys=True).encode()\n"
+        vs = check_source(src, NET)
+        assert [v.code for v in vs] == ["LR009"]
+        assert vs[0].line == 2
+        assert "encode_frame" in vs[0].message
+
+    def test_every_transport_and_import_form_flagged(self):
+        src = "from json import dumps\nprint(dumps(payload), file=stdout)\n"
+        assert codes(src, "src/repro/serve/__main__.py") == ["LR009"]
+
+    def test_allow_comment_suppresses(self):
+        src = "stats = json.dumps(engine.stats())  # lint: allow-LR009\n"
+        assert codes(src, "src/repro/serve/__main__.py") == []
+
+    def test_other_modules_and_calls_pass(self):
+        src = "text = json.dumps(payload, sort_keys=True)\n"
+        assert codes(src, PROTO) == []
+        assert codes(src, "src/repro/serve/server.py") == []
+        assert codes("blob = encode_frame(payload).encode()\n", NET) == []
+
+
 class TestLR005NoSatInEngine:
     def test_from_import_flagged(self):
         src = "import math\nfrom repro.sat.dpll import dpll_sat\n"

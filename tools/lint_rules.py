@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint rules the generic linters cannot express.
 
-Seven invariants of this engine are architectural, not stylistic, and a
+Eight invariants of this engine are architectural, not stylistic, and a
 violation is a latent bug that no unit test reliably catches:
 
 * **LR001 — no lambdas in transport-path modules.**  The callables
@@ -61,6 +61,15 @@ violation is a latent bug that no unit test reliably catches:
   member's worlds first and checks no deadline, and it is what tests
   and benchmarks compare the engine against.
 
+* **LR009 — transports write frames only through ``proto.encode_frame``.**
+  No ``json.dumps`` call may appear in :mod:`repro.serve.net` or
+  :mod:`repro.serve.__main__`.  Run results reach the transports as
+  JSON text; :func:`repro.serve.proto.encode_frame` splices them into
+  the frame as they are, so a transport that dumps a frame itself
+  writes a result as a quoted string, and the transports' bytes drift
+  apart.  The stdio server's stderr stats line, which is no frame,
+  carries ``# lint: allow-LR009``.
+
 Usage::
 
     python tools/lint_rules.py src tests benchmarks examples
@@ -94,6 +103,9 @@ ENGINE_HOME = "src/repro/engine/__init__.py"
 #: The serving package, and the one module in it that builds error frames (LR004).
 SERVE_PACKAGE = "src/repro/serve/"
 PROTOCOL_HOME = "src/repro/serve/proto.py"
+
+#: The transports, which write frames only through proto.encode_frame (LR009).
+FRAME_WRITERS = ("src/repro/serve/net.py", "src/repro/serve/__main__.py")
 
 #: The engine package, which must not import the SAT package (LR005).
 ENGINE_PACKAGE = "src/repro/engine/"
@@ -165,6 +177,7 @@ def check_source(source: str, path: str) -> list[Violation]:
     estimator = posix.endswith(ESTIMATOR_MODULES)
     engine_home = posix.endswith(ENGINE_HOME)
     serve = SERVE_PACKAGE in posix and not posix.endswith(PROTOCOL_HOME)
+    frame_writer = posix.endswith(FRAME_WRITERS)
     engine = ENGINE_PACKAGE in posix
     stream = engine or posix.endswith(WORLD_STREAM)
     fills = SOURCE_PACKAGE in posix and not posix.endswith(VALUES_HOME)
@@ -205,6 +218,13 @@ def check_source(source: str, path: str) -> list[Violation]:
                 "LR004",
                 "error frame built outside serve/proto.py: raise a typed "
                 "error and map it with proto.error_frame",
+            )
+        if frame_writer and isinstance(node, ast.Call) and _is_json_dumps(node.func):
+            report(
+                node,
+                "LR009",
+                "json.dumps in a transport: run results are already JSON "
+                "text; write every frame with proto.encode_frame",
             )
         if engine and _imports(node, SAT_PACKAGE, {"sat"}):
             report(
@@ -257,6 +277,13 @@ def _call_name(node: ast.Call) -> str | None:
     if isinstance(fn, ast.Attribute):
         return fn.attr
     return None
+
+
+def _is_json_dumps(fn: ast.AST) -> bool:
+    """Is *fn* ``json.dumps``, or a bare ``dumps`` (``from json import dumps``)?"""
+    if isinstance(fn, ast.Attribute):
+        return fn.attr == "dumps" and isinstance(fn.value, ast.Name) and fn.value.id == "json"
+    return isinstance(fn, ast.Name) and fn.id == "dumps"
 
 
 def _writes_slot(node: ast.AST, calls: set[int]) -> bool:
