@@ -208,8 +208,13 @@ def dumps_value(v: Value) -> str:
     a ``str``, ``int``, ``bool`` or ``float`` are formatted here, as
     ``json`` formats them; any other payload goes through ``json.dumps``,
     so it is written, or refused, exactly as before.
+
+    The text is written as fragments into one list and joined once, so a
+    call holds O(size of the text), however deep the value nests.
     """
-    return _write(v, {})
+    out: list[str] = []
+    _write(v, out, {}, {})
+    return "".join(out)
 
 
 _HEADS = {SetValue: '{"set": [', OrSetValue: '{"orset": [', BagValue: '{"bag": ['}
@@ -238,55 +243,85 @@ _PAYLOAD_TEXT: dict[type, Callable[..., str]] = {
     float: _float_text,
 }
 
-#: String base -> ``'{"atom": <base>, "value": '``; bounded, so hostile
-#: bases cannot grow it without limit.
-_ATOM_HEADS: dict[str, str] = {}
 
+def _atom_head(base: object, heads: dict[str, str]) -> str:
+    """``'{"atom": <base>, "value": '``, kept in *heads* for a ``str`` base.
 
-def _atom_head(base: object) -> str:
-    head = '{"atom": ' + json.dumps(base, sort_keys=True) + ', "value": '
-    if type(base) is str and len(_ATOM_HEADS) < 256:
-        _ATOM_HEADS[base] = head
+    Only exact strings are kept: ``1``, ``1.0`` and ``True`` are equal
+    keys that ``json`` writes apart.
+    """
+    if type(base) is not str:
+        return '{"atom": ' + _payload_json(base) + ', "value": '
+    head = heads[base] = '{"atom": ' + _PAYLOAD_TEXT[str](base) + ', "value": '
     return head
 
 
-def _write(v: Value, memo: dict[int, str]) -> str:
-    """The JSON text of *v*; a non-atom node's text is stored in *memo*
-    under ``id(v)``, and callers look there first (as in :func:`_encode`)."""
+def _write(
+    v: Value, out: list[str], seen: dict[int, str | tuple[int, int]], heads: dict[str, str]
+) -> None:
+    """Append the JSON text of *v* to *out*, as one or more fragments.
+
+    *seen* maps ``id(node)`` of each non-atom node written so far to its
+    text, or to the ``(start, end)`` span of its fragments in *out*.  A
+    collection of atoms only is written as one fragment, which is its
+    text.  Any other node's span is joined into text only when the node
+    recurs, and that text is written out again there, so the texts in
+    *seen* add up to no more than the output, however deep *v* nests.
+    *heads* holds the atom heads by base, for one call.
+    """
     cls = type(v)
-    heads = _ATOM_HEADS
+    append = out.append
     formats = _PAYLOAD_TEXT
     if cls is Atom:
         payload = v.value
-        head = heads.get(v.base) or _atom_head(v.base)
-        return f"{head}{(formats.get(type(payload)) or _payload_json)(payload)}}}"
-    get = memo.get
+        head = heads.get(v.base) or _atom_head(v.base, heads)
+        append(f"{head}{(formats.get(type(payload)) or _payload_json)(payload)}}}")
+        return
+    key = id(v)
+    known = seen.get(key)
+    if known is not None:
+        if type(known) is tuple:
+            known = seen[key] = "".join(out[known[0] : known[1]])
+        append(known)
+        return
+    start = len(out)
     open_ = _HEADS.get(cls)
     if open_ is not None:
-        parts = []
-        append = parts.append
-        for e in v.elems:
-            if type(e) is Atom:
-                payload = e.value
-                head = heads.get(e.base) or _atom_head(e.base)
-                append(f"{head}{(formats.get(type(payload)) or _payload_json)(payload)}}}")
-            else:
-                append(get(id(e)) or _write(e, memo))
-        text = f"{open_}{', '.join(parts)}]}}"
+        elems = v.elems
+        texts = []
+        put = texts.append
+        for e in elems:
+            if type(e) is not Atom:
+                break
+            payload = e.value
+            head = heads.get(e.base) or _atom_head(e.base, heads)
+            put(f"{head}{(formats.get(type(payload)) or _payload_json)(payload)}}}")
+        else:
+            text = seen[key] = f"{open_}{', '.join(texts)}]}}"
+            append(text)
+            return
+        # Another kind of element: the atoms before it are written already.
+        append(f"{open_}{', '.join(texts)}")
+        for i in range(len(texts), len(elems)):
+            if i:
+                append(", ")
+            _write(elems[i], out, seen, heads)
+        append("]}")
     elif cls is Pair:
-        fst, snd = v.fst, v.snd
-        left = get(id(fst)) or _write(fst, memo)
-        right = get(id(snd)) or _write(snd, memo)
-        text = f'{{"pair": [{left}, {right}]}}'
+        append('{"pair": [')
+        _write(v.fst, out, seen, heads)
+        append(", ")
+        _write(v.snd, out, seen, heads)
+        append("]}")
     elif cls is Variant:
-        side = "inl" if v.side == 0 else "inr"
-        text = f'{{"{side}": {get(id(v.payload)) or _write(v.payload, memo)}}}'
+        append('{"inl": ' if v.side == 0 else '{"inr": ')
+        _write(v.payload, out, seen, heads)
+        append("}")
     elif cls is UnitValue:
-        text = '{"unit": true}'
+        append('{"unit": true}')
     else:
         raise OrNRAValueError(f"not a value: {v!r}")
-    memo[id(v)] = text
-    return text
+    seen[key] = (start, len(out))
 
 
 def loads_value(text: str) -> Value:

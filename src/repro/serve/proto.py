@@ -111,10 +111,9 @@ def encode_frame(payload: dict) -> str:
     Exactly ``json.dumps(payload, sort_keys=True)`` of the frame with its
     run results as dicts: a ``str`` under ``result`` and each ``str``
     under ``results`` are already canonical JSON text, and are spliced
-    in as they are.  Every transport writes its frames through here.
+    in as they are; every other field is written as ``json.dumps`` writes
+    it.  Every transport writes its frames through here.
     """
-    if type(payload.get("result")) is not str and "results" not in payload:
-        return _dumps(payload)
     fields = []
     for key in sorted(payload):
         value = payload[key]

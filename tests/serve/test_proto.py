@@ -18,7 +18,7 @@ import pytest
 
 from repro.errors import OrNRAError
 from repro.io import count_worlds_json, run_json, value_to_json
-from repro.serve.proto import error_frame
+from repro.serve.proto import encode_frame, error_frame
 from repro.values.values import vorset, vset
 from tests.serve.transports import http_exchange, run_stdio, run_tcp, stdio_text, tcp_lines
 
@@ -130,3 +130,15 @@ def test_every_transport_writes_the_dict_encoding_byte_for_byte(frame, payload):
     head, body = http_exchange("/run", json.dumps(frame).encode(), backend="eager")
     assert body == expected.encode()
     assert f"Content-Length: {len(body)}".encode() in head.split(b"\r\n")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"id": 4, "stats": {"latency": {"p50_ms": 0.5, "count": 3}, "b\u00e4tches": [1, 2]}},
+        {"id": "x", "error": "busy", "code": "overloaded", "retry_after": 0.05},
+    ],
+    ids=["stats", "overloaded"],
+)
+def test_frames_without_result_text_are_written_as_json_dumps(payload):
+    assert encode_frame(payload) == json.dumps(payload, sort_keys=True)

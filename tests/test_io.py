@@ -1,6 +1,7 @@
 """Tests for serialization (Section 7's I/O facilities)."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -295,6 +296,31 @@ class TestTextWriter:
         assert dumps_value(value) == dict_text(value)
         pair = vpair(value, vset(value, vorset(value)))
         assert dumps_value(pair) == dict_text(pair)
+
+    def test_recurring_nodes_inside_mixed_collections(self):
+        inner = vpair(vset(1, 2), vorset(3))
+        chain = inner
+        for i in range(40):
+            chain = vpair(chain, Variant(i % 2, inner))
+        value = BagValue([Atom("int", 0), chain, Atom("string", "x"), chain, inner])
+        assert dumps_value(value) == dict_text(value)
+        assert dumps_value(vpair(chain, chain)) == dict_text(vpair(chain, chain))
+
+    def test_deep_value_holds_memory_in_proportion_to_its_text(self):
+        # A pair chain a few hundred levels deep around a large set: a
+        # writer that kept every level's text would hold about 300 times
+        # the output here.
+        value = vset(*(Atom("int", i) for i in range(20_000)))
+        for i in range(300):
+            value = vpair(value, Atom("int", i))
+        tracemalloc.start()
+        try:
+            text = dumps_value(value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == dict_text(value)
+        assert peak < 8 * len(text)
 
     @pytest.mark.parametrize(
         "payload",
