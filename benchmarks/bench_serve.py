@@ -1,4 +1,4 @@
-"""Experiment SERVE — async micro-batched serving and process sharding.
+"""Experiment SERVE — async serving with shared evaluations, and process sharding.
 
 Three workloads measure the serving layer added on top of the batched
 engine:
@@ -9,9 +9,9 @@ engine:
   is the sequential loop a client without the front-end writes —
   ``[run_json(q, v) for v in batch]`` — which normalizes every request
   from scratch.  Submitting the same requests concurrently through
-  :class:`~repro.serve.AsyncEngine` admits them into one micro-batch,
-  deduplicates structurally equal inputs and fans the batch into
-  ``run_json_many``, so each distinct world is evaluated once.
+  :class:`~repro.serve.AsyncEngine` lets structurally equal requests in
+  flight together share one evaluation, so each distinct world is
+  evaluated once.
 * **process-vs-eager-sharding** — a CPU-bound tight-family-style
   workload (``map(normalize)`` over a wide set of multi-world designs):
   eager evaluation runs every element in one process, the process
@@ -24,15 +24,15 @@ engine:
   overload burst (more concurrent clients than ``max_pending``) with a
   seeded :class:`~repro.engine.faults.FaultPlan` injecting evaluation
   errors and slowdowns.  The row records how the storm resolved — served
-  / shed / timed-out counts, retries, p99 latency — plus the
+  / shed / timed-out / failed counts, p99 latency — plus the
   steady-state cost of the robustness layer itself: the throughput ratio
   of a fully-armed engine (deadline, cost budget, admission control) to
   a plain one on the duplicate-heavy mix, which must stay near 1.
 
 Run ``python benchmarks/bench_serve.py`` (add ``--quick`` for CI smoke
 sizes) to print the table and write ``BENCH_serve.json`` next to this
-file; under pytest the same workloads assert that async batched serving
-beats the sequential loop on the duplicate-heavy mix and that the
+file; under pytest the same workloads assert that async serving beats
+the sequential loop on the duplicate-heavy mix and that the
 process backend is structurally exact.
 """
 
@@ -86,14 +86,14 @@ def _eager_texts(query: str, batch: list) -> list[str]:
 
 
 async def _serve_concurrently(query: str, batch: list) -> tuple[list, dict]:
-    async with AsyncEngine(batch_window=0.02, max_batch=1024) as engine:
+    async with AsyncEngine() as engine:
         results = await engine.run_many(query, batch)
         return results, engine.stats()
 
 
-#: The benchmark's seeded fault storm: a couple of failed batch
-#: evaluations (forcing the individual-retry pass) and a couple of slow
-#: ones (driving the deadline machinery).
+#: The benchmark's seeded fault storm: a couple of failed evaluations
+#: (failing the requests that share them) and a couple of slow ones
+#: (driving the deadline machinery).
 STORM = FaultPlan(
     seed=7,
     rules=(
@@ -115,12 +115,7 @@ async def _serve_under_storm(
     outcomes = {"served": 0, "shed": 0, "deadline": 0, "failed": 0}
     latencies: list[float] = []
 
-    async with AsyncEngine(
-        batch_window=0.005,
-        max_batch=1024,
-        max_pending=max_pending,
-        default_timeout=timeout,
-    ) as engine:
+    async with AsyncEngine(max_pending=max_pending, default_timeout=timeout) as engine:
 
         async def one_client(value) -> None:
             start = time.perf_counter()
@@ -151,11 +146,7 @@ async def _serve_armed(query: str, batch: list) -> tuple[list, dict]:
     static cost estimate and the deadline plumbing.
     """
     async with AsyncEngine(
-        batch_window=0.02,
-        max_batch=1024,
-        max_pending=4096,
-        default_timeout=60.0,
-        cost_budget=1_000_000,
+        max_pending=4096, default_timeout=60.0, cost_budget=1_000_000
     ) as engine:
         results = await engine.run_many(query, batch)
         return results, engine.stats()
@@ -177,7 +168,6 @@ def _workloads(quick: bool = False) -> list[dict]:
             "workload": "async-batched-serving",
             "inputs": total,
             "distinct_worlds": distinct,
-            "batches": stats["batches"],
             "deduped_inputs": stats["deduped_inputs"],
             "sequential_s": t_seq,
             "async_s": t_async,
@@ -247,7 +237,6 @@ def _workloads(quick: bool = False) -> list[dict]:
             "shed": outcomes["shed"],
             "deadline": outcomes["deadline"],
             "failed": outcomes["failed"],
-            "retries": stats["retries"],
             "timeouts": stats["timeouts"],
             "p99_latency_s": p99,
             "plain_s": t_plain,
@@ -268,7 +257,7 @@ def main() -> None:
                 f"{row['workload']:<28} burst={row['burst']}"
                 f" served={row['served']} shed={row['shed']}"
                 f" deadline={row['deadline']} failed={row['failed']}"
-                f" retries={row['retries']} p99={row['p99_latency_s'] * 1000:.2f}ms"
+                f" p99={row['p99_latency_s'] * 1000:.2f}ms"
                 f" overhead={row['steady_state_overhead']:.2f}x"
             )
             continue

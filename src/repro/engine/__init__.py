@@ -68,16 +68,12 @@ from repro.engine.cost_model import (
     PlanProfile,
     ShapeEstimate,
     annotate_plan,
-    calibrate,
-    calibration_scope,
     estimate_json,
     estimate_morphism_cost,
     estimate_value,
     operator_features,
     plan_profile,
-    rank_error,
     select_backend,
-    set_calibration,
 )
 from repro.engine.deadline import (
     Deadline,
@@ -152,10 +148,6 @@ __all__ = [
     "estimate_morphism_cost",
     "OPERATOR_COSTS",
     "operator_features",
-    "calibrate",
-    "calibration_scope",
-    "rank_error",
-    "set_calibration",
     "annotate_plan",
     "PlanProfile",
     "plan_profile",

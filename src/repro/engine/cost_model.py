@@ -80,11 +80,6 @@ __all__ = [
     "OPERATOR_CLASSES",
     "OPERATOR_COSTS",
     "operator_features",
-    "calibrate",
-    "rank_error",
-    "set_calibration",
-    "get_calibration",
-    "calibration_scope",
     "annotate_plan",
     "PlanProfile",
     "plan_profile",
@@ -292,17 +287,13 @@ def _estimate_json(
 # traversals touch every element.
 
 #: The operator classes the cost objective distinguishes — the feature
-#: axes of :func:`operator_features` and the keys of every weight table.
+#: axes of :func:`operator_features` and the keys of :data:`OPERATOR_COSTS`.
 OPERATOR_CLASSES = ("expansion", "alpha", "traversal", "other")
 
-#: The hand-tuned per-class weights — the default cost table.  Relative
+#: The hand-tuned per-class weights — the cost table.  Relative
 #: magnitudes encode the Section 6 story (expansion operators carry the
-#: exponential risk); :func:`calibrate` learns a replacement table from
-#: *measured* per-program latencies when the load harness has data.
+#: exponential risk).
 OPERATOR_COSTS = {"expansion": 64, "alpha": 16, "traversal": 2, "other": 1}
-
-#: The active learned table (``None`` → :data:`OPERATOR_COSTS`).
-_CALIBRATION: "dict[str, float] | None" = None
 
 
 def operator_features(m: Morphism, shape: ShapeEstimate | None = None) -> dict:
@@ -313,9 +304,7 @@ def operator_features(m: Morphism, shape: ShapeEstimate | None = None) -> dict:
     count's bit length, mirroring how those operators' real latency grows
     with the input's possibility space.  By construction
     ``estimate_morphism_cost(m, shape)`` is the dot product of this
-    vector with the active weight table — which is what lets a
-    least-squares fit of measured latencies against these features
-    (:func:`calibrate`) produce drop-in replacement weights.
+    vector with :data:`OPERATOR_COSTS`.
     """
     scale = 1
     if shape is not None and shape.worlds > 1:
@@ -338,11 +327,7 @@ def operator_features(m: Morphism, shape: ShapeEstimate | None = None) -> dict:
     return features
 
 
-def estimate_morphism_cost(
-    m: Morphism,
-    shape: ShapeEstimate | None = None,
-    weights: "dict[str, float] | None" = None,
-) -> int:
+def estimate_morphism_cost(m: Morphism, shape: ShapeEstimate | None = None) -> int:
     """Weighted static cost of *m* — the scheduler's objective function.
 
     Plain operator count (like :func:`repro.engine.passes.morphism_cost`)
@@ -351,150 +336,9 @@ def estimate_morphism_cost(
     *shape* for the program's input, the expansion weights scale with the
     estimated world count, so rewrites that drop or delay normalization
     of large pre-images score better the larger the input.
-
-    *weights* overrides the weight table for this call; otherwise the
-    active calibration (:func:`set_calibration`) is used when one is
-    installed, the hand-tuned :data:`OPERATOR_COSTS` when not.  Only the
-    *ordering* the scheduler sees changes with the table — the
-    :class:`ShapeEstimate` soundness bounds are never touched by
-    calibration.
     """
-    table = weights if weights is not None else _CALIBRATION
-    if table is None:
-        table = OPERATOR_COSTS
     features = operator_features(m, shape)
-    cost = sum(features[key] * table.get(key, 1.0) for key in OPERATOR_CLASSES)
-    return max(1, round(cost))
-
-
-# -- learned calibration ------------------------------------------------------
-
-
-def calibrate(samples, *, ridge: float = 1e-9) -> dict:
-    """Fit per-class weights to measured latencies — the learned cost table.
-
-    *samples* is an iterable of ``(features, seconds)`` pairs, where
-    *features* is an :func:`operator_features` vector for a benchmarked
-    program and *seconds* its measured per-request latency (the load
-    harness's p50 is a good choice: medians shrug off batching noise).
-    A ridge-regularized least-squares fit over the four class axes yields
-    seconds-per-operator weights; negative solutions (collinear or
-    under-determined mixes) are clamped to a floor, and the table is
-    rescaled so the cheapest class costs 1 — the scheduler only consumes
-    the *ordering* of costs, so any positive scale is equivalent.
-
-    This replaces the hand-tuned :data:`OPERATOR_COSTS` numbers (install
-    with :func:`set_calibration`) without touching the estimator:
-    ``ShapeEstimate`` bounds stay sound whatever the weights say.
-    """
-    rows = [(dict(f), float(t)) for f, t in samples]
-    if not rows:
-        return dict(OPERATOR_COSTS)
-    keys = OPERATOR_CLASSES
-    n = len(keys)
-    # Normal equations: (X^T X + ridge·I) w = X^T y.
-    xtx = [[ridge * (i == j) for j in range(n)] for i in range(n)]
-    xty = [0.0] * n
-    for features, seconds in rows:
-        vec = [float(features.get(k, 0)) for k in keys]
-        for i in range(n):
-            if not vec[i]:
-                continue
-            xty[i] += vec[i] * seconds
-            for j in range(n):
-                xtx[i][j] += vec[i] * vec[j]
-    solution = _solve(xtx, xty)
-    if solution is None:
-        return dict(OPERATOR_COSTS)
-    positives = [w for w in solution if w > 0]
-    if not positives:
-        return dict(OPERATOR_COSTS)
-    # Clamp degenerate axes to a floor well below the cheapest real
-    # weight, then normalize so the cheapest class costs 1.
-    floor = min(positives) / 16.0
-    unit = min(positives)
-    return {k: max(w, floor) / unit for k, w in zip(keys, solution)}
-
-
-def _solve(matrix, rhs):
-    """Gaussian elimination with partial pivoting; ``None`` if singular."""
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if abs(a[pivot][col]) < 1e-30:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        for row in range(n):
-            if row == col:
-                continue
-            factor = a[row][col] / a[col][col]
-            if factor:
-                for k in range(col, n + 1):
-                    a[row][k] -= factor * a[col][k]
-    return [a[i][n] / a[i][i] for i in range(n)]
-
-
-def rank_error(predicted, measured) -> float:
-    """Fraction of discordant pairs between two orderings (0 = perfect).
-
-    The scheduler and backend selector consume cost *orderings*, not
-    magnitudes, so the calibration quality metric is rank agreement:
-    over every pair with distinct measured latencies, how often does the
-    prediction order them the wrong way?  A predicted tie on a measured
-    non-tie counts half — an uninformative prediction must not score as
-    a correct one.
-    """
-    predicted = list(predicted)
-    measured = list(measured)
-    if len(predicted) != len(measured):
-        raise ValueError("predicted and measured must have equal length")
-    comparable = 0
-    discordant = 0.0
-    for i in range(len(measured)):
-        for j in range(i + 1, len(measured)):
-            dm = measured[i] - measured[j]
-            if dm == 0:
-                continue
-            comparable += 1
-            dp = predicted[i] - predicted[j]
-            if dp == 0:
-                discordant += 0.5
-            elif (dp > 0) != (dm > 0):
-                discordant += 1.0
-    return discordant / comparable if comparable else 0.0
-
-
-def set_calibration(weights: "dict[str, float] | None") -> None:
-    """Install (or with ``None`` clear) the learned weight table.
-
-    Affects :func:`estimate_morphism_cost` — and so the optimizer's
-    rewrite ordering and everything priced off it — process-wide.  The
-    :class:`ShapeEstimate` soundness bounds are independent of the table.
-    """
-    global _CALIBRATION
-    _CALIBRATION = dict(weights) if weights is not None else None
-
-
-def get_calibration() -> "dict[str, float] | None":
-    """The active learned table, or ``None`` when hand-tuned weights rule."""
-    return dict(_CALIBRATION) if _CALIBRATION is not None else None
-
-
-class calibration_scope:
-    """``with calibration_scope(weights): ...`` — scoped :func:`set_calibration`."""
-
-    def __init__(self, weights: "dict[str, float] | None") -> None:
-        self.weights = weights
-        self._saved: "dict[str, float] | None" = None
-
-    def __enter__(self) -> "dict[str, float] | None":
-        self._saved = get_calibration()
-        set_calibration(self.weights)
-        return self.weights
-
-    def __exit__(self, *exc) -> None:
-        set_calibration(self._saved)
+    return max(1, sum(features[key] * OPERATOR_COSTS[key] for key in OPERATOR_CLASSES))
 
 
 # -- plan annotation ---------------------------------------------------------

@@ -75,7 +75,7 @@ SITES = (
     "process.worker_chunk",  # worker entry for plan-subtree shards
     "process.worker_fused",  # worker entry for fused arena slices
     "process.worker_ping",  # worker entry for warm()'s ping task
-    "serve.eval",  # AsyncEngine's executor-side batch evaluation
+    "serve.eval",  # AsyncEngine's executor-side evaluation
     "serve.frame",  # every transport's frame decoding (serve/proto.answer)
 )
 

@@ -550,10 +550,8 @@ def run_json_many(
 ) -> list[object]:
     """Batched :func:`run_json`: parse and compile once, dedupe.
 
-    The batch endpoint for serving many worlds of one query — and, as
-    :func:`run_json_texts`, the function the async front-end
-    (:mod:`repro.serve`) fans each micro-batch into: the program is
-    parsed and compiled once (parses are LRU-memoized across calls via
+    The batch endpoint for serving many worlds of one query: the program
+    is parsed and compiled once (parses are LRU-memoized across calls via
     :func:`parsed_morphism`, so a serving loop pays the parse once per
     query text, not per batch),
     structurally equal inputs are computed once, and distinct inputs
@@ -578,11 +576,12 @@ def run_json_texts(
 ) -> list[str]:
     """:func:`run_json_many` with each result as its :func:`dumps_value` text.
 
-    The function the async front-end (:mod:`repro.serve`) fans each
-    micro-batch into: a server sends its results as JSON text, so each
-    distinct result is written once, straight from the value, and its
-    dicts are never built.  ``json.loads`` of each text equals the
-    matching :func:`run_json_many` result.
+    The function each evaluation of the async front-end
+    (:mod:`repro.serve`) runs, on a one-input batch: a server sends its
+    results as JSON text, so each distinct result is written once,
+    straight from the value, and its dicts are never built.
+    ``json.loads`` of each text equals the matching :func:`run_json_many`
+    result.
     """
     results = _run_decoded(morphism_text, values_json, backend, timeout)
     return _encode_each(results, dumps_value)

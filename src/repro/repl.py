@@ -13,8 +13,8 @@ Commands::
     def f = ormap(pi_1) o alpha       bind a morphism
     apply f x                         evaluate a named/inline morphism
     applymany f x y z                 batched evaluation (run_many)
-    serve f x x y z                   micro-batched evaluation through the
-                                      async serving front-end (dedupes)
+    serve f x x y z                   concurrent requests through the async
+                                      serving front-end (dedupes)
     normalize x                       the conceptual value (or-NRA+)
     worlds x                          possible-worlds denotation
     count f x                         exact world count of f(x) (symbolic —
@@ -69,8 +69,8 @@ _HELP = """commands:
   applymany MORPHISM NAMES..  run a morphism on several bindings at once
                               (compiled once, fanned out via run_many)
   serve MORPHISM NAMES..      run bindings as concurrent requests through
-                              the async serving front-end (micro-batched,
-                              structurally equal inputs deduplicated)
+                              the async serving front-end (structurally
+                              equal inputs share one evaluation)
   normalize NAME              conceptual value (the or-NRA+ primitive)
   worlds NAME                 possible-worlds denotation
   count MORPHISM NAME         exact world count of the output — symbolic
@@ -295,7 +295,7 @@ class Repl:
     def _cmd_serve(self, rest: str) -> str:
         # The serving-layer smoke command: each named binding becomes one
         # concurrent client request against an AsyncEngine, so the
-        # output's trailing line shows micro-batching and dedupe at work.
+        # output's trailing lines show the dedupe at work.
         import asyncio
 
         from repro.io import loads_value, value_to_json
@@ -315,13 +315,12 @@ class Repl:
             for name, result in zip(names, results, strict=True)
         ]
         lines.append(
-            f"served {stats['requests']} request(s) in {stats['batches']} "
-            f"batch(es): {stats['unique_inputs']} unique, "
+            f"served {stats['requests']} request(s): "
             f"{stats['deduped_inputs']} deduplicated"
         )
         lines.append(
             f"robustness: shed {stats['shed']}, timeouts {stats['timeouts']}, "
-            f"retries {stats['retries']}, degraded {stats['degraded']}, "
+            f"degraded {stats['degraded']}, "
             f"breaker {'open' if stats['breaker_open'] else 'closed'}"
         )
         latency = stats.get("latency")

@@ -4,11 +4,10 @@
 ``repro.serve`` turns the library into a *service*:
 
 * :class:`AsyncEngine` (:mod:`repro.serve.server`) — the embeddable
-  front-end: admit JSON queries concurrently from many clients,
-  micro-batch them over a configurable window, deduplicate structurally
-  equal inputs, and fan each batch into
-  :func:`repro.io.run_json_texts` off the event loop, so each result
-  comes back as its canonical JSON text;
+  front-end: admit JSON queries concurrently from many clients, let
+  structurally equal requests in flight together share one evaluation,
+  and run each evaluation through :func:`repro.io.run_json_texts` off
+  the event loop, so each result comes back as its canonical JSON text;
 * ``python -m repro.serve`` (:mod:`repro.serve.__main__`) — a JSON-lines
   stdio server, for driving the service from another process or a
   shell pipe;
@@ -27,8 +26,8 @@
   durations per request, plus the :class:`TokenBucket` rate limiter.
 
 See ``docs/ARCHITECTURE.md`` ("The serving layer" and "Network serving
-& observability") for how admission, batching, the cost model and the
-process backend compose.
+& observability") for how admission, shared evaluation, the cost model
+and the process backend compose.
 """
 
 from repro.serve.metrics import RingHistogram, ServerMetrics, TokenBucket

@@ -7,11 +7,10 @@ line (order may interleave; match on ``id``).  The frames — runs,
 documents, answered by its dispatcher exactly as
 :class:`~repro.serve.net.NetServer` answers them.
 
-Requests on different lines are admitted concurrently, so consecutive
-lines land in the same micro-batch and duplicate inputs are evaluated
-once — the whole point of the front-end.  EOF closes the server cleanly
-(in-flight requests are served first) and prints the batching stats to
-stderr.
+Requests on different lines are admitted concurrently, so duplicate
+inputs in flight together share one evaluation.  EOF closes the server
+cleanly (in-flight requests are served first) and prints the engine's
+stats to stderr.
 
 The framing layer is hardened against hostile or broken peers: input
 lines longer than ``--max-line`` are rejected with a structured error
@@ -22,11 +21,10 @@ structured frame by :func:`repro.serve.proto.error_frame`.
 seconds — a dead peer cannot hold the process open forever.
 
 Flags: the engine flags shared with ``python -m repro.serve.net``
-(``--backend``, default ``auto``; ``--window``, the batching window in
-seconds; ``--max-batch``; ``--timeout``, the per-request deadline in
-seconds; ``--max-pending``; ``--cost-budget``; ``--max-line`` in
-characters), plus ``--idle-timeout`` (seconds) and ``--quiet``
-(suppress the stats line).
+(``--backend``, default ``auto``; ``--timeout``, the per-request
+deadline in seconds; ``--max-pending``; ``--cost-budget``;
+``--max-line`` in characters), plus ``--idle-timeout`` (seconds) and
+``--quiet`` (suppress the stats line).
 """
 
 from __future__ import annotations
@@ -151,8 +149,6 @@ async def amain(
             task = asyncio.ensure_future(_answer(engine, line, stdout))
             pending.add(task)
             task.add_done_callback(pending.discard)
-            # Yield once so same-burst lines land in one batching window.
-            await asyncio.sleep(0)
         if pending:
             await asyncio.gather(*pending)
     if not args.quiet:

@@ -11,9 +11,8 @@ per-client rate limits and latency observability.  One
   (:func:`repro.serve.proto.answer`) and written by the same encoder
   (:func:`repro.serve.proto.encode_frame`): runs, ``values`` batches,
   ``{"op": "count"}`` world counts and ``{"op": "stats"}`` snapshots.
-  Frames on one connection are admitted concurrently, so a burst of
-  lines lands in one micro-batch and duplicate inputs are deduplicated —
-  the whole point of the front-end.
+  Frames on one connection are admitted concurrently, so duplicate
+  inputs in flight together share one evaluation.
 * **a minimal HTTP path** — ``POST /run`` and ``POST /count`` take a
   request frame as their JSON body; ``GET /stats`` answers the stats
   snapshot.  Structured error codes map onto status
@@ -30,7 +29,7 @@ per-client rate limits and latency observability.  One
 address) gets a :class:`~repro.serve.metrics.TokenBucket`; a client over
 its budget is shed with the same :class:`~repro.errors.Overloaded` →
 ``{"code": "overloaded", "retry_after": ...}`` path as engine
-backpressure, *before* the request touches the admission queue.
+backpressure, *before* the request reaches the engine.
 
 Latency for every served request is recorded by the engine's metrics
 layer (:mod:`repro.serve.metrics`): ``stats()["latency"]`` carries
@@ -127,8 +126,8 @@ class NetServer:
     """An asyncio TCP/HTTP server over :class:`AsyncEngine`.
 
     *engine* is an :class:`AsyncEngine` to serve; omitted, one is built
-    from ``**engine_kwargs`` (``backend``, ``batch_window``,
-    ``max_pending``, ``cost_budget``, ...).  *rate* / *burst* arm the
+    from ``**engine_kwargs`` (``backend``, ``max_pending``,
+    ``default_timeout``, ``cost_budget``, ...).  *rate* / *burst* arm the
     per-client token buckets (requests per second; ``None`` disables
     rate limiting).  *port* 0 (the default) picks an ephemeral port —
     read :attr:`address` after :meth:`start`.
@@ -238,8 +237,6 @@ class NetServer:
                 )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
-                # Yield once so same-burst lines land in one batching window.
-                await asyncio.sleep(0)
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
         finally:

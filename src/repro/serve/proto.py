@@ -185,8 +185,6 @@ def _field(request: dict, name: str):
 def add_engine_flags(parser) -> None:
     """Add the engine and line-length flags to an ``argparse`` parser."""
     parser.add_argument("--backend", default="auto")
-    parser.add_argument("--window", type=float, default=0.002)
-    parser.add_argument("--max-batch", type=int, default=64)
     parser.add_argument("--timeout", type=float, default=None)
     parser.add_argument("--max-pending", type=int, default=1024)
     parser.add_argument("--cost-budget", type=int, default=None)
@@ -197,8 +195,6 @@ def engine_from_flags(args) -> AsyncEngine:
     """The :class:`AsyncEngine` that :func:`add_engine_flags`' flags configure."""
     return AsyncEngine(
         backend=args.backend,
-        batch_window=args.window,
-        max_batch=args.max_batch,
         max_pending=args.max_pending,
         default_timeout=args.timeout,
         cost_budget=args.cost_budget,

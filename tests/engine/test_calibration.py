@@ -1,35 +1,21 @@
-"""Tests for the learned cost calibration (:mod:`repro.engine.cost_model`).
+"""Tests for the cost model's operator features (:mod:`repro.engine.cost_model`).
 
-The calibration contract has three legs, each pinned here:
-
-* **linearity** — ``estimate_morphism_cost`` is exactly the dot product
-  of :func:`operator_features` with the active weight table, so a
-  least-squares fit of measured latencies against features yields
-  drop-in weights;
-* **learning** — :func:`calibrate` recovers the ordering of synthetic
-  ground-truth weights, and fixes a mix the hand-tuned table misranks;
-* **soundness isolation** — installing a calibration changes scheduler
-  costs only; the :class:`ShapeEstimate` bounds are untouched.
+``estimate_morphism_cost`` is exactly the dot product of
+:func:`operator_features` with :data:`OPERATOR_COSTS`, and an input's
+shape scales only the expansion-class features.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.engine.cost_model import (
     OPERATOR_CLASSES,
     OPERATOR_COSTS,
-    calibrate,
-    calibration_scope,
     estimate_morphism_cost,
     estimate_value,
-    get_calibration,
     operator_features,
-    rank_error,
-    set_calibration,
 )
 from repro.io import parsed_morphism
-from repro.values.values import vorset, vset
+from repro.values.values import vorset
 
 
 def features_of(program: str, value=None):
@@ -63,111 +49,3 @@ class TestFeaturesAndLinearity:
             features = operator_features(m)
             dot = sum(features[k] * OPERATOR_COSTS[k] for k in OPERATOR_CLASSES)
             assert estimate_morphism_cost(m) == max(1, round(dot))
-
-    def test_explicit_weights_override_table(self):
-        m = parsed_morphism("normalize")
-        cheap = estimate_morphism_cost(m, weights={"expansion": 1.0, "other": 1.0})
-        assert cheap < estimate_morphism_cost(m)
-
-
-class TestCalibrate:
-    def test_recovers_synthetic_ground_truth_ordering(self):
-        true = {"expansion": 4e-3, "alpha": 1e-3, "traversal": 2e-4, "other": 5e-5}
-        mixes = [
-            {"expansion": e, "alpha": a, "traversal": t, "other": o}
-            for e in (0, 1, 3)
-            for a in (0, 2, 5)
-            for t in (1, 4)
-            for o in (1, 6)
-        ]
-        samples = [
-            (f, sum(f[k] * true[k] for k in OPERATOR_CLASSES)) for f in mixes
-        ]
-        learned = calibrate(samples)
-        assert (
-            learned["expansion"]
-            > learned["alpha"]
-            > learned["traversal"]
-            > learned["other"]
-        )
-        # The cheapest class is normalized to cost 1.
-        assert min(learned.values()) == pytest.approx(1.0)
-        # Predictions under the learned table rank the samples perfectly.
-        predicted = [
-            sum(f[k] * learned[k] for k in OPERATOR_CLASSES) for f, _ in samples
-        ]
-        assert rank_error(predicted, [t for _, t in samples]) == 0.0
-
-    def test_fixes_a_mix_the_hand_tuned_table_misranks(self):
-        # Ground truth where traversals are *costlier* than the hand-tuned
-        # table believes relative to alpha: long traversal chains actually
-        # dominate a single alpha step.
-        true = {"expansion": 1e-3, "alpha": 1e-4, "traversal": 8e-5, "other": 1e-6}
-        mixes = [
-            {"expansion": 0, "alpha": 1, "traversal": 0, "other": 1},
-            {"expansion": 0, "alpha": 0, "traversal": 40, "other": 1},
-            {"expansion": 1, "alpha": 0, "traversal": 2, "other": 1},
-            {"expansion": 0, "alpha": 2, "traversal": 1, "other": 3},
-            {"expansion": 2, "alpha": 1, "traversal": 10, "other": 2},
-            {"expansion": 0, "alpha": 0, "traversal": 5, "other": 8},
-        ]
-        measured = [sum(f[k] * true[k] for k in OPERATOR_CLASSES) for f in mixes]
-        hand = [
-            sum(f[k] * OPERATOR_COSTS[k] for k in OPERATOR_CLASSES) for f in mixes
-        ]
-        learned_table = calibrate(list(zip(mixes, measured)))
-        learned = [
-            sum(f[k] * learned_table[k] for k in OPERATOR_CLASSES) for f in mixes
-        ]
-        assert rank_error(hand, measured) > 0.0  # the misrank exists
-        assert rank_error(learned, measured) < rank_error(hand, measured)
-
-    def test_degenerate_inputs_fall_back_to_hand_tuned(self):
-        assert calibrate([]) == OPERATOR_COSTS
-        # All-zero features are singular → fall back, don't crash.
-        zeros = dict.fromkeys(OPERATOR_CLASSES, 0)
-        assert calibrate([(zeros, 1.0), (zeros, 2.0)]) == OPERATOR_COSTS
-
-
-class TestRankError:
-    def test_perfect_reversed_and_tied(self):
-        measured = [1.0, 2.0, 3.0, 4.0]
-        assert rank_error([1, 2, 3, 4], measured) == 0.0
-        assert rank_error([4, 3, 2, 1], measured) == 1.0
-        # A constant prediction is half-wrong on every comparable pair.
-        assert rank_error([7, 7, 7, 7], measured) == 0.5
-
-    def test_measured_ties_are_not_comparable(self):
-        assert rank_error([1, 2], [5.0, 5.0]) == 0.0
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            rank_error([1], [1.0, 2.0])
-
-
-class TestCalibrationScope:
-    def test_scope_installs_and_restores(self):
-        m = parsed_morphism("normalize")
-        base = estimate_morphism_cost(m)
-        table = {"expansion": 1000.0, "alpha": 1.0, "traversal": 1.0, "other": 1.0}
-        assert get_calibration() is None
-        with calibration_scope(table):
-            assert get_calibration() == table
-            assert estimate_morphism_cost(m) > base
-        assert get_calibration() is None
-        assert estimate_morphism_cost(m) == base
-
-    def test_set_calibration_none_clears(self):
-        set_calibration({"expansion": 2.0})
-        try:
-            assert get_calibration() == {"expansion": 2.0}
-        finally:
-            set_calibration(None)
-        assert get_calibration() is None
-
-    def test_soundness_bounds_are_independent_of_calibration(self):
-        value = vset(vorset(1, 2, 3), vorset(4, 5))
-        before = estimate_value(value)
-        with calibration_scope({"expansion": 0.001, "alpha": 0.001}):
-            during = estimate_value(value)
-        assert during == before  # ShapeEstimate never consults the table

@@ -1,8 +1,8 @@
 """Concurrency and stress tests for the asyncio serving front-end.
 
 N concurrent clients with mixed duplicate/distinct queries; the suite
-asserts the front-end's three contracts: structurally equal concurrent
-inputs are deduplicated into one evaluation (observable via
+asserts the front-end's three contracts: structurally equal requests in
+flight together share one evaluation (observable via
 ``AsyncEngine.stats()``), every client gets exactly its own result (no
 cross-request bleed), and shutdown is clean — in-flight requests are
 served, late admissions are refused.
@@ -36,24 +36,49 @@ def design_json(i: int):
     )
 
 
+def same_tick_duplicates(**engine_kwargs):
+    """32 requests for one input, admitted in one tick of the loop."""
+
+    async def main():
+        async with AsyncEngine(**engine_kwargs) as engine:
+            dup = orset_json(1, 2)
+            results = await asyncio.gather(
+                *(engine.run_json("normalize", dup) for _ in range(32))
+            )
+            return results, engine.stats()
+
+    return asyncio.run(main())
+
+
 class TestBatchingAndDedupe:
     def test_concurrent_duplicates_collapse(self):
+        results, stats = same_tick_duplicates()
+        expected = eager_text("normalize", orset_json(1, 2))
+        assert all(r == expected for r in results)
+        # The first request starts the evaluation; the other 31 join it.
+        assert stats["requests"] == 32
+        assert stats["deduped_inputs"] == 31
+
+    def test_concurrent_duplicates_collapse_under_default_timeout(self):
+        # Each request's deadline differs by its admission time; the
+        # joiners still share the first request's evaluation.
+        results, stats = same_tick_duplicates(default_timeout=60.0)
+        assert results == [eager_text("normalize", orset_json(1, 2))] * 32
+        assert stats["deduped_inputs"] == 31
+        assert stats["timeouts"] == 0
+
+    def test_concurrent_counts_collapse(self):
         async def main():
             async with AsyncEngine() as engine:
-                dup = orset_json(1, 2)
                 results = await asyncio.gather(
-                    *(engine.run_json("normalize", dup) for _ in range(32))
+                    *(engine.count_json("normalize", orset_json(1, 2)) for _ in range(8))
                 )
                 return results, engine.stats()
 
         results, stats = asyncio.run(main())
-        expected = eager_text("normalize", orset_json(1, 2))
-        assert all(r == expected for r in results)
-        assert stats["requests"] == 32
-        # All 32 admitted concurrently: at most a couple of windows, and
-        # nearly every input deduplicated away.
-        assert stats["unique_inputs"] < 32
-        assert stats["deduped_inputs"] >= 32 - stats["batches"]
+        assert results == [{"count": 2, "approximate": False}] * 8
+        assert stats["requests"] == 8
+        assert stats["deduped_inputs"] == 7
 
     def test_mixed_duplicate_distinct_clients(self):
         async def main():
@@ -71,23 +96,12 @@ class TestBatchingAndDedupe:
         for payload, result in zip(payloads, results, strict=True):
             assert result == expected[json.dumps(payload, sort_keys=True)]
         assert stats["requests"] == 40
-        assert stats["deduped_inputs"] > 0
+        # Four distinct inputs in one tick: four evaluations, 36 joiners.
+        assert stats["deduped_inputs"] == 36
 
-    def test_max_batch_splits_bursts(self):
+    def test_run_many_answers_in_order(self):
         async def main():
-            async with AsyncEngine(max_batch=4) as engine:
-                results = await asyncio.gather(
-                    *(engine.run_json("normalize", orset_json(i)) for i in range(12))
-                )
-                return results, engine.stats()
-
-        results, stats = asyncio.run(main())
-        assert len(results) == 12
-        assert stats["batches"] >= 3  # 12 distinct admissions, <=4 per batch
-
-    def test_zero_window_still_serves(self):
-        async def main():
-            async with AsyncEngine(batch_window=0.0) as engine:
+            async with AsyncEngine() as engine:
                 return await engine.run_many(
                     "normalize", [orset_json(1, 2), orset_json(1, 2), orset_json(3)]
                 )
@@ -96,7 +110,7 @@ class TestBatchingAndDedupe:
         assert out[0] == out[1] == eager_text("normalize", orset_json(1, 2))
         assert out[2] == eager_text("normalize", orset_json(3))
 
-    def test_multiple_programs_group_independently(self):
+    def test_two_programs_over_one_input_evaluate_apart(self):
         async def main():
             async with AsyncEngine() as engine:
                 norm = engine.run_json("normalize", orset_json(4, 5))
@@ -106,7 +120,8 @@ class TestBatchingAndDedupe:
         (norm, ident), stats = asyncio.run(main())
         assert norm == eager_text("normalize", orset_json(4, 5))
         assert ident == dumps_value(vorset(4, 5))
-        assert stats["groups"] >= 2
+        assert stats["requests"] == 2
+        assert stats["deduped_inputs"] == 0
 
 
 class TestErrorIsolation:
@@ -125,10 +140,8 @@ class TestErrorIsolation:
         assert stats["errors"] == 1
 
     def test_unhashable_program_fails_only_its_caller(self):
-        # Regression: an unhashable program (a list from a malformed
-        # stdio line) used to kill the batcher task and wedge every
-        # later request; it must fail at admission and leave the server
-        # serving.
+        # An unhashable program (a list from a malformed stdio line)
+        # must fail at admission and leave the server serving.
         async def main():
             async with AsyncEngine() as engine:
                 with pytest.raises(TypeError):
@@ -136,28 +149,6 @@ class TestErrorIsolation:
                 return await engine.run_json("normalize", orset_json(1))
 
         assert asyncio.run(main()) == eager_text("normalize", orset_json(1))
-
-    def test_batcher_survives_dispatch_errors(self):
-        # Even if a batch blows up past the per-group guards, the error
-        # lands on that batch's futures and the batcher keeps running.
-        async def main():
-            async with AsyncEngine() as engine:
-                await engine.start()
-                original = engine._dispatch
-                calls = {"n": 0}
-
-                async def flaky(batch):
-                    calls["n"] += 1
-                    if calls["n"] == 1:
-                        raise RuntimeError("dispatch exploded")
-                    await original(batch)
-
-                engine._dispatch = flaky
-                with pytest.raises(RuntimeError):
-                    await engine.run_json("normalize", orset_json(1))
-                return await engine.run_json("normalize", orset_json(2))
-
-        assert asyncio.run(main()) == eager_text("normalize", orset_json(2))
 
     def test_unparsable_program_is_per_request(self):
         async def main():
@@ -174,14 +165,16 @@ class TestErrorIsolation:
 class TestShutdown:
     def test_close_drains_in_flight_requests(self):
         async def main():
-            engine = await AsyncEngine(batch_window=0.05).start()
+            engine = await AsyncEngine().start()
             pending = [
                 asyncio.ensure_future(engine.run_json("normalize", design_json(i % 3)))
                 for i in range(12)
             ]
-            # Admit, then close immediately — well inside the window.
+            # Admit, then close at once: close() returns only when every
+            # admitted request has resolved.
             await asyncio.sleep(0)
             await engine.close()
+            assert all(task.done() for task in pending)
             results = await asyncio.gather(*pending)
             return results, engine.stats()
 
@@ -213,56 +206,6 @@ class TestShutdown:
     def test_close_without_start_is_a_noop(self):
         asyncio.run(AsyncEngine().close())
 
-    def test_straggler_past_the_closed_check_fails_fast(self):
-        # Regression for the close/admission race: a request that passed
-        # the closed check while close() was draining used to enqueue
-        # onto a dead batcher and hang forever.  Stragglers must fail
-        # with ServerClosed promptly.
-        async def main():
-            engine = AsyncEngine(batch_window=0.01)
-            async with engine:
-                await engine.run_json("normalize", orset_json(1))
-            # Simulate the interleaving: the admission check saw the
-            # server open, then close() won the race.
-            engine._closed = False
-            with pytest.raises(ServerClosed):
-                await asyncio.wait_for(
-                    engine.run_json("normalize", orset_json(2)), timeout=2.0
-                )
-
-        asyncio.run(main())
-
-
-class TestCollectNowait:
-    def test_limit_zero_collects_nothing(self):
-        # Regression: limit=0 used to be a magic sentinel for "up to
-        # max_batch", so a computed 0 silently drained a full batch.
-        from repro.serve.server import _Request
-
-        async def main():
-            engine = AsyncEngine()
-            loop = asyncio.get_running_loop()
-            for i in range(3):
-                engine._queue.put_nowait(
-                    _Request("normalize", orset_json(i), ("normalize", str(i)),
-                             loop.create_future())
-                )
-            batch = []
-            assert engine._collect_nowait(batch, limit=0) is False
-            assert batch == []
-            # The default still collects up to max_batch...
-            assert engine._collect_nowait(batch) is False
-            assert len(batch) == 3
-            # ...and an explicit integer cap is honored literally.
-            engine._queue.put_nowait(
-                _Request("normalize", orset_json(9), ("normalize", "9"),
-                         loop.create_future())
-            )
-            small = []
-            assert engine._collect_nowait(small, limit=1) is False
-            assert len(small) == 1
-
-        asyncio.run(main())
 
 
 class TestRobustnessStats:
@@ -278,7 +221,6 @@ class TestRobustnessStats:
             "shed",
             "cost_rejected",
             "timeouts",
-            "retries",
             "degraded",
             "pending",
             "breaker_open",
@@ -398,7 +340,7 @@ class TestReplServeCommand:
         assert lines[0] == "x: <1, 2> : <int>"
         assert lines[1] == "y: <1, 2> : <int>"
         assert lines[2] == "z: <3> : <int>"
-        assert "2 unique, 1 deduplicated" in lines[3]
+        assert lines[3] == "served 3 request(s): 1 deduplicated"
 
     def test_serve_usage_error(self):
         from repro.repl import Repl

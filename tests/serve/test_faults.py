@@ -1,9 +1,9 @@
 """Fault injection against the serving layer: the resolution invariant.
 
 The contract every scenario here exercises: **no admitted request is
-ever left unresolved**.  Whatever the injected fault — a failing batch
+ever left unresolved**.  Whatever the injected fault — a failing
 evaluation, a slow worker, a malformed protocol frame, an overloaded
-queue — every ``run_json`` future finishes with either a result or a
+engine — every ``run_json`` call finishes with either a result or a
 *typed* error (:class:`~repro.errors.Overloaded`,
 :class:`~repro.errors.DeadlineExceeded`,
 :class:`~repro.errors.CostBudgetExceeded`, ...), and the serving
@@ -47,7 +47,7 @@ class TestResolutionInvariant:
         payloads = [value_to_json(vset(i, i + 1)) for i in range(12)]
 
         async def main():
-            async with AsyncEngine(backend="eager", batch_window=0.001) as engine:
+            async with AsyncEngine(backend="eager") as engine:
                 tasks = [
                     asyncio.ensure_future(engine.run_json("map(id)", p))
                     for p in payloads
@@ -62,22 +62,36 @@ class TestResolutionInvariant:
             assert got == eager_text("map(id)", expected) or isinstance(got, Exception)
         assert stats["pending"] == 0
 
-    def test_failed_batch_retries_individually_and_succeeds(self):
-        # One injected failure hits the *group* evaluation; the
-        # per-request retry pass then runs fault-free, so every caller
-        # still gets its result (and the retry counter shows the path).
+    def test_failed_evaluation_fails_only_its_sharers(self):
+        # Two evaluations in flight together, four requests sharing one
+        # and a fifth on its own; one injected error fails exactly the
+        # requests of the evaluation it hits.  The failed evaluation is
+        # not reused: the next identical request evaluates afresh.
         plan = FaultPlan(rules=(FaultRule("serve.eval", "error", times=1),))
-        payloads = [value_to_json(vset(i)) for i in range(4)]
+        shared, alone = value_to_json(vset(1)), value_to_json(vset(2))
+        payloads = [shared] * 4 + [alone]
 
         async def main():
-            async with AsyncEngine(backend="eager", batch_window=0.05) as engine:
-                results = await engine.run_many("map(id)", payloads)
-                return results, engine.stats()
+            async with AsyncEngine(backend="eager") as engine:
+                outcomes = await asyncio.gather(
+                    *(engine.run_json("map(id)", p) for p in payloads),
+                    return_exceptions=True,
+                )
+                failed = [
+                    i for i, o in enumerate(outcomes) if isinstance(o, InjectedFault)
+                ]
+                again = await engine.run_json("map(id)", payloads[failed[0]])
+                return outcomes, failed, again, engine.stats()
 
         with faults.active_plan(plan):
-            results, stats = asyncio.run(main())
-        assert results == [eager_text("map(id)", p) for p in payloads]
-        assert stats["retries"] >= 1
+            outcomes, failed, again, stats = asyncio.run(main())
+        assert failed in ([0, 1, 2, 3], [4])
+        for i, outcome in enumerate(outcomes):
+            if i not in failed:
+                assert outcome == eager_text("map(id)", payloads[i])
+        assert again == eager_text("map(id)", payloads[failed[0]])
+        assert plan.stats()["serve.eval"] == 3
+        assert stats["errors"] == len(failed)
         assert stats["pending"] == 0
 
     def test_persistent_fault_fails_with_the_injected_error(self):
@@ -96,21 +110,21 @@ class TestResolutionInvariant:
 
 class TestBackpressure:
     def test_overload_sheds_with_retry_after(self):
+        # Both requests are admitted in one tick: the second finds the
+        # first still pending and is shed.
         async def main():
-            async with AsyncEngine(
-                backend="eager", batch_window=0.2, max_pending=1
-            ) as engine:
-                first = asyncio.ensure_future(engine.run_json("map(id)", PAYLOAD))
-                await asyncio.sleep(0)
-                await asyncio.sleep(0)
-                with pytest.raises(Overloaded) as excinfo:
-                    await engine.run_json("map(id)", PAYLOAD)
-                result = await first
-                return result, excinfo.value, engine.stats()
+            async with AsyncEngine(backend="eager", max_pending=1) as engine:
+                result, exc = await asyncio.gather(
+                    engine.run_json("map(id)", PAYLOAD),
+                    engine.run_json("map(id)", PAYLOAD),
+                    return_exceptions=True,
+                )
+                return result, exc, engine.stats()
 
         result, exc, stats = asyncio.run(main())
         # The admitted request was still served.
         assert result == eager_text("map(id)", PAYLOAD)
+        assert isinstance(exc, Overloaded)
         assert exc.retry_after > 0
         assert stats["shed"] == 1
         assert stats["pending"] == 0
@@ -125,11 +139,14 @@ class TestBackpressure:
                 small = await engine.run_json("map(id)", value_to_json(vset(1)))
                 return small, excinfo.value, engine.stats()
 
-        small, exc, stats = asyncio.run(main())
+        with faults.active_plan(FaultPlan()) as plan:
+            small, exc, stats = asyncio.run(main())
         assert small == eager_text("map(id)", value_to_json(vset(1)))
         assert exc.estimated > exc.budget == 10
         assert stats["cost_rejected"] == 1
-        assert stats["batches"] <= 1  # the rejected input never dispatched
+        # The rejected input was never admitted, nor evaluated.
+        assert stats["requests"] == 1
+        assert plan.stats()["serve.eval"] == 1
 
 
 class TestDeadlines:
@@ -155,7 +172,7 @@ class TestDeadlines:
         plan = FaultPlan(rules=(FaultRule("serve.eval", "slow", times=None, delay=0.05),))
 
         async def main():
-            async with AsyncEngine(backend="eager", batch_window=0.0) as engine:
+            async with AsyncEngine(backend="eager") as engine:
                 with pytest.raises(DeadlineExceeded):
                     await engine.run_json("map(id)", PAYLOAD, timeout=0.02)
                 return engine.stats()
@@ -165,10 +182,10 @@ class TestDeadlines:
         assert stats["timeouts"] >= 1
 
     def test_mixed_deadlines_do_not_cross_requests(self):
-        # A nearly-expired request shares a batch with an unbounded one;
-        # only the former may time out.
+        # A nearly-expired request is in flight with an unbounded one on
+        # another input; only the former may time out.
         async def main():
-            async with AsyncEngine(backend="eager", batch_window=0.05) as engine:
+            async with AsyncEngine(backend="eager") as engine:
                 doomed = asyncio.ensure_future(
                     engine.run_json("map(id)", PAYLOAD, timeout=0.0)
                 )
@@ -180,6 +197,84 @@ class TestDeadlines:
         doomed, fine = asyncio.run(main())
         assert isinstance(doomed, DeadlineExceeded)
         assert fine == eager_text("map(id)", value_to_json(vset(9)))
+
+    def test_expired_starter_leaves_an_unbounded_sharer_its_result(self):
+        # One input sent twice in one tick, once with timeout=0 and once
+        # unbounded, in both orders.  When the expired request starts the
+        # evaluation, it fails at its checkpoint; the unbounded request,
+        # its own deadline not passed, then starts one of its own.
+        async def main():
+            async with AsyncEngine(backend="eager") as engine:
+                for rep in range(50):
+                    doomed = engine.run_json("map(id)", PAYLOAD, timeout=0.0)
+                    fine = engine.run_json("map(id)", PAYLOAD)
+                    pair = (doomed, fine) if rep % 2 == 0 else (fine, doomed)
+                    outcomes = await asyncio.gather(*pair, return_exceptions=True)
+                    if rep % 2:
+                        outcomes.reverse()
+                    assert isinstance(outcomes[0], DeadlineExceeded), rep
+                    assert outcomes[1] == eager_text("map(id)", PAYLOAD), rep
+                return engine.stats()
+
+        with faults.active_plan(FaultPlan()) as plan:
+            stats = asyncio.run(main())
+        assert stats["timeouts"] == 50
+        assert stats["errors"] == 0
+        assert stats["pending"] == 0
+        # Each rep's second request joined the first's evaluation, so the
+        # unbounded sharer of an expired one got its result from a second
+        # evaluation.  An expired evaluation stops at its checkpoint,
+        # before the fault site: one hit per rep.
+        assert stats["deduped_inputs"] == 50
+        assert plan.stats()["serve.eval"] == 50
+
+    def test_tight_deadline_starter_stops_its_evaluation(self):
+        # The evaluation runs under its starter's deadline: slowed past
+        # it, the evaluation itself fails, and an unbounded sharer then
+        # evaluates once more and gets the result.  (The evaluation must
+        # reach the fault site before the deadline: 0.1 s of slack.)
+        plan = FaultPlan(rules=(FaultRule("serve.eval", "slow", times=1, delay=0.3),))
+
+        async def main():
+            async with AsyncEngine(backend="eager") as engine:
+                return await asyncio.gather(
+                    engine.run_json("map(id)", PAYLOAD, timeout=0.1),
+                    engine.run_json("map(id)", PAYLOAD),
+                    return_exceptions=True,
+                )
+
+        with faults.active_plan(plan):
+            starter, sharer = asyncio.run(main())
+        assert isinstance(starter, DeadlineExceeded)
+        assert sharer == eager_text("map(id)", PAYLOAD)
+        assert plan.stats()["serve.eval"] == 2
+
+    def test_tight_deadline_sharer_alone_times_out(self):
+        # A slow evaluation started by an unbounded request; a sharer
+        # with a tight deadline stops waiting at its own deadline, and
+        # the starter still gets the result.
+        plan = FaultPlan(rules=(FaultRule("serve.eval", "slow", times=1, delay=0.3),))
+
+        async def main():
+            async with AsyncEngine(backend="eager") as engine:
+                starter = asyncio.ensure_future(engine.run_json("map(id)", PAYLOAD))
+                sharer = asyncio.ensure_future(
+                    engine.run_json("map(id)", PAYLOAD, timeout=0.05)
+                )
+                done, _ = await asyncio.wait(
+                    {starter, sharer}, return_when=asyncio.FIRST_COMPLETED
+                )
+                assert done == {sharer}
+                with pytest.raises(DeadlineExceeded):
+                    await sharer
+                return await starter, engine.stats()
+
+        with faults.active_plan(plan):
+            result, stats = asyncio.run(main())
+        assert result == eager_text("map(id)", PAYLOAD)
+        assert stats["deduped_inputs"] == 1
+        assert stats["timeouts"] == 1
+        assert plan.stats()["serve.eval"] == 1
 
 
 class TestCountDegradation:
@@ -206,6 +301,21 @@ class TestCountDegradation:
         assert out["count"] >= 2  # the static estimate is an upper bound
         assert stats["degraded"] == 1
         assert stats["timeouts"] == 1
+
+    def test_shared_count_degrades_per_request(self):
+        # An expired and an unbounded count of one input in one tick:
+        # only the expired one degrades to the static bound.
+        async def main():
+            async with AsyncEngine(backend="eager") as engine:
+                value = value_to_json(vorset(1, 2))
+                return await asyncio.gather(
+                    engine.count_json("normalize", value, timeout=0.0),
+                    engine.count_json("normalize", value),
+                )
+
+        approx, exact = asyncio.run(main())
+        assert approx["approximate"] is True
+        assert exact == {"count": 2, "approximate": False}
 
     def test_degradation_can_be_disabled(self):
         async def main():

@@ -85,7 +85,7 @@ async def raw_http(address, data: bytes, *, eof: bool = False):
 class TestFrames:
     def test_ndjson_round_trip_single_and_batch(self):
         async def main():
-            async with NetServer(batch_window=0.001) as server:
+            async with NetServer() as server:
                 frames = [
                     {"id": 1, "program": "normalize", "value": orset_json(1, 2)},
                     {
@@ -105,7 +105,7 @@ class TestFrames:
 
     def test_count_and_stats_ops(self):
         async def main():
-            async with NetServer(batch_window=0.001) as server:
+            async with NetServer() as server:
                 return await request_frames(
                     server.address,
                     [
@@ -131,7 +131,7 @@ class TestFrames:
         stray = set(multiprocessing.active_children())
 
         async def main():
-            async with NetServer(batch_window=0.001) as server:
+            async with NetServer() as server:
                 return await request_frames(
                     server.address,
                     [
@@ -153,7 +153,7 @@ class TestFrames:
 
     def test_malformed_and_unknown_op_answer_structured_errors(self):
         async def main():
-            async with NetServer(batch_window=0.001) as server:
+            async with NetServer() as server:
                 responses = await request_frames(
                     server.address,
                     [
@@ -173,7 +173,7 @@ class TestFrames:
 
     def test_oversized_line_is_rejected_and_connection_dropped(self):
         async def main():
-            async with NetServer(batch_window=0.001, max_line=256) as server:
+            async with NetServer(max_line=256) as server:
                 reader, writer = await asyncio.open_connection(*server.address)
                 writer.write(b"x" * 1024 + b"\n")
                 await writer.drain()
@@ -192,9 +192,7 @@ class TestFrames:
 class TestRateLimiting:
     def test_over_budget_clients_are_shed_with_retry_after(self):
         async def main():
-            async with NetServer(
-                batch_window=0.001, rate=0.001, burst=2.0
-            ) as server:
+            async with NetServer(rate=0.001, burst=2.0) as server:
                 frames = [
                     {"id": i, "program": "normalize", "value": orset_json(i)}
                     for i in range(4)
@@ -227,7 +225,7 @@ class TestRateLimiting:
 class TestHttp:
     def test_post_run_and_get_stats(self):
         async def main():
-            async with NetServer(batch_window=0.001) as server:
+            async with NetServer() as server:
                 status, _, payload = await http_request(
                     server.address,
                     "POST",
@@ -258,9 +256,7 @@ class TestHttp:
 
     def test_error_codes_map_onto_status_lines(self):
         async def main():
-            async with NetServer(
-                batch_window=0.001, rate=0.001, burst=2.0
-            ) as server:
+            async with NetServer(rate=0.001, burst=2.0) as server:
                 first = await http_request(
                     server.address,
                     "POST",
@@ -298,7 +294,7 @@ class TestHttpFraming:
     @staticmethod
     def exchange(data: bytes, *, eof: bool = False, max_line: int = 256):
         async def main():
-            async with NetServer(batch_window=0.001, max_line=max_line) as server:
+            async with NetServer(max_line=max_line) as server:
                 answer = await raw_http(server.address, data, eof=eof)
                 # The server still serves the next client.
                 after = await raw_http(

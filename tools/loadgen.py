@@ -13,9 +13,7 @@ down with it, hiding the latencies this harness exists to measure.
 Each response is matched to its send timestamp by frame ``id``; the
 summary reports client-observed p50/p90/p99/mean/max latency, offered
 vs achieved throughput, per-outcome error counts, and per-program-label
-median latencies — the samples
-``benchmarks/bench_net_serve.py`` feeds into the cost model's
-:func:`repro.engine.cost_model.calibrate`.
+median latencies.
 
 Library use (any asyncio context)::
 
