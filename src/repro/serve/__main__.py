@@ -149,6 +149,9 @@ async def amain(
             task = asyncio.ensure_future(_answer(engine, line, stdout))
             pending.add(task)
             task.add_done_callback(pending.discard)
+            # Yield once per line, so the frame is admitted, or answered,
+            # before the next is taken: queued lines never pile up as tasks.
+            await asyncio.sleep(0)
         if pending:
             await asyncio.gather(*pending)
     if not args.quiet:

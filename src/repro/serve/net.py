@@ -237,6 +237,10 @@ class NetServer:
                 )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
+                # Yield once per line, so the frame is admitted, or
+                # answered, before the next is read: a burst of buffered
+                # lines never piles up as tasks.
+                await asyncio.sleep(0)
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
         finally:

@@ -326,6 +326,38 @@ class TestStdioServer:
         )
         assert warmed == []
 
+    def test_queued_lines_never_pile_up_as_tasks(self, monkeypatch):
+        # 2,000 malformed lines: each frame is answered before the next
+        # queued line is taken, so few frames are ever unfinished at once.
+        import repro.serve.__main__ as stdio
+
+        live = peak = 0
+        answer = stdio._answer
+
+        def counting(*args):
+            nonlocal live, peak
+            live += 1
+            peak = max(peak, live)
+
+            async def counted():
+                nonlocal live
+                try:
+                    await answer(*args)
+                finally:
+                    live -= 1
+
+            return counted()
+
+        monkeypatch.setattr(stdio, "_answer", counting)
+        stdout = io.StringIO()
+        asyncio.run(
+            stdio.amain(["--quiet"], io.StringIO("1\n" * 2000), stdout, io.StringIO())
+        )
+        answers = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert len(answers) == 2000
+        assert all(answer["code"] == "malformed" for answer in answers)
+        assert peak <= 8, peak
+
 
 class TestReplServeCommand:
     def test_serve_reports_dedupe(self):

@@ -171,6 +171,40 @@ class TestFrames:
         assert responses[2]["code"] == "malformed"
         assert raw[None]["code"] == "malformed"
 
+    def test_a_burst_of_lines_never_piles_up_as_tasks(self):
+        # 2,000 malformed lines in one write: each frame is answered
+        # before the next line is read, so the server never holds more
+        # than a few unfinished frames, however many lines it buffered.
+        live = peak = 0
+
+        class Counting(NetServer):
+            def _serve_frame(self, *args):
+                nonlocal live, peak
+                live += 1
+                peak = max(peak, live)
+                return self._counted(super()._serve_frame(*args))
+
+            async def _counted(self, frame):
+                nonlocal live
+                try:
+                    await frame
+                finally:
+                    live -= 1
+
+        async def main():
+            async with Counting() as server:
+                reader, writer = await asyncio.open_connection(*server.address)
+                writer.write(b"1\n" * 2000)
+                await writer.drain()
+                answers = [json.loads(await reader.readline()) for _ in range(2000)]
+                writer.close()
+                await writer.wait_closed()
+                return answers
+
+        answers = asyncio.run(main())
+        assert all(answer["code"] == "malformed" for answer in answers)
+        assert peak <= 8, peak
+
     def test_oversized_line_is_rejected_and_connection_dropped(self):
         async def main():
             async with NetServer(max_line=256) as server:
